@@ -29,7 +29,7 @@ cargo run --release -p hpcg-bench --bin scaling_report -- \
 # problem runs real threads against a model of a big cluster, so the
 # band only catches measurement or attribution collapsing to zero).
 python3 -c "
-import json
+import json, math
 d = json.load(open('BENCH_dist.json'))
 assert d['sequential_baseline_secs'] > 0, 'no sequential baseline timed'
 for e in d['sweep']:
@@ -42,9 +42,12 @@ for e in d['sweep']:
             f'{p} nodes: split-phase exchange hid no time behind compute')
     else:
         assert e['overlap_hidden_secs'] == 0, '1 node has nobody to overlap with'
+    r = e['runtime_overhead_secs']
+    assert math.isfinite(r) and r > 0, f'{p} nodes: runtime_overhead_secs is {r}'
     print(f\"{p} nodes: model_error x{e['model_error']:.2f}, \"
           f\"real_speedup x{e['real_speedup']:.3f}, \"
-          f\"overlap hidden {e['overlap_hidden_secs']*1e3:.3f} ms\")
+          f\"overlap hidden {e['overlap_hidden_secs']*1e3:.3f} ms, \"
+          f\"empty superstep {r*1e6:.2f} us\")
 " || { echo "BENCH_dist.json sharded-execution gate failed" >&2; exit 1; }
 
 echo "==> dist real-exec smoke (dist:4 HPCG vs Sequential, measured overlap)"
@@ -72,9 +75,14 @@ cargo run --release -p hpcg-bench --bin perf_probe -- \
 # Compiled-plan replay must amortize: replaying a cached plan can never be
 # meaningfully slower than re-recording the pipeline it was compiled from
 # (5 % slack absorbs timer noise on these sub-millisecond kernels).
+# The worker runtime is billed as its own layer: an empty 2-part region.
 python3 -c "
-import json
+import json, math
 d = json.load(open('BENCH_shared.json'))
+r = d['runtime_overhead_secs']
+assert math.isfinite(r) and r > 0, f'runtime_overhead_secs is {r}'
+print(f'worker runtime: {r*1e6:.2f} us per empty 2-part region; Parallel vs Sequential: '
+      + ', '.join(f\"{k['kernel']} {k['parallel_vs_sequential']:.2f}x\" for k in d['kernels']))
 amort = d['amortization']
 assert amort, 'perf_probe emitted no amortization entries'
 for e in amort:
@@ -94,6 +102,28 @@ assert o['ratio'] <= 1.01, f\"disabled tracing costs {o['ratio']:.4f}x\"
 print(f\"obs overhead (tracing off): {o['span_probe_secs']*1e9:.2f} ns/probe \"
       f\"on a {o['kernel_secs']*1e6:.1f} us kernel ({o['ratio']:.6f}x)\")
 " || { echo "BENCH_shared.json obs-overhead gate failed" >&2; exit 1; }
+
+echo "==> par vs seq gate (hpcg_report --size 32 --iters 5, best of 3)"
+# A backend that is slower than Sequential must not pass silently: with at
+# least two CPUs, Parallel's best solve may not lose to Sequential's.
+python3 -c "
+import json, re, subprocess
+cpus = json.load(open('BENCH_shared.json'))['host']['logical_cpus']
+if cpus < 2:
+    print(f'skipped: {cpus} logical CPU, Parallel has nothing to run on')
+    raise SystemExit
+def best(backend):
+    totals = []
+    for _ in range(3):
+        out = subprocess.run(['target/release/hpcg_report', '--size', '32', '--iters', '5',
+                              '--backend', backend], capture_output=True, text=True, check=True)
+        # The first summary is ALP's on the chosen backend, the second Ref's.
+        totals.append(float(re.search(r'^  Total: ([0-9.]+)', out.stdout, re.M).group(1)))
+    return min(totals)
+seq, par = best('seq'), best('par')
+assert par <= seq, f'Parallel {par:.4f} s is slower than Sequential {seq:.4f} s on {cpus} CPUs'
+print(f'32^3 x 5 iterations on {cpus} CPUs: seq {seq:.4f} s, par {par:.4f} s ({seq/par:.2f}x)')
+" || { echo "par-vs-seq gate failed" >&2; exit 1; }
 
 echo "==> hpcg_report trace smoke (Chrome trace-event JSON)"
 # A traced distributed solve must emit parseable Chrome trace JSON with
@@ -165,6 +195,11 @@ for e in d['sweep']:
           f\"comm {e['dist_sparse_h_bytes']:.0f} B vs dense \"
           f\"{e['dist_dense_h_bytes']:.0f} B\")
 " || { echo "BENCH_graph.json gate failed" >&2; exit 1; }
+
+echo "==> benchmark/run.sh --smoke (the repo benchmark still builds and runs)"
+# Read-only use: benchmark/ builds against the shim's and bsp's public
+# API from its own workspace, so only running it shows that still holds.
+benchmark/run.sh --smoke
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -7,7 +7,11 @@
 //! hand-written single pass, the raw fused `Exec` kernel, the full
 //! record-fuse-finish pipeline, and the unfused eager pair, and writes
 //! the same numbers as JSON — the shared-memory counterpart of
-//! `BENCH_dist.json`, so both backends have a diffable perf file:
+//! `BENCH_dist.json`, so both backends have a diffable perf file. Each
+//! kernel also runs its raw `Exec` entry on `Parallel`, and the report
+//! bills the worker runtime as its own layer (`runtime_overhead_secs`, an
+//! empty 2-part pool region), so a `Parallel` that loses to `Sequential`
+//! says so in the artifact, next to what the runtime charged it per call:
 //!
 //! ```text
 //! cargo run --release -p hpcg-bench --bin perf_probe -- \
@@ -23,7 +27,7 @@
 //! `Exec` kernel entry now carries, relative to one kernel invocation.
 //! ci.sh gates its ratio at ≤ 1.01.
 
-use graphblas::{ctx, Exec, PlusTimes, Sequential, Vector};
+use graphblas::{ctx, Exec, Parallel, PlusTimes, Sequential, Vector};
 use hpcg::fused::{
     axpy_norm_fused, axpy_norm_hand, axpy_norm_replay, build_axpy_norm_plan, build_spmv_dot_plan,
     spmv_dot_fused, spmv_dot_hand, spmv_dot_replay,
@@ -31,7 +35,7 @@ use hpcg::fused::{
 use hpcg::problem::build_stencil_matrix;
 use hpcg::Grid3;
 use hpcg_bench::cli::Args;
-use hpcg_bench::hostinfo::{iso_timestamp_utc, HostInfo};
+use hpcg_bench::hostinfo::{iso_timestamp_utc, runtime_overhead_secs, HostInfo};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,6 +61,8 @@ struct Probe {
     elements: usize,
     hand: f64,
     raw: f64,
+    /// The raw fused kernel on `Parallel` (same entry point as `raw`).
+    par: f64,
     pipe: f64,
     replay: f64,
     unfused: f64,
@@ -81,6 +87,20 @@ fn main() {
     let raw = min_time(
         || {
             Sequential
+                .run_spmv_dot::<f64, PlusTimes>(
+                    &mut y,
+                    black_box(&a),
+                    black_box(&x),
+                    Some(&x),
+                    false,
+                )
+                .unwrap()
+        },
+        reps,
+    );
+    let par = min_time(
+        || {
+            Parallel
                 .run_spmv_dot::<f64, PlusTimes>(
                     &mut y,
                     black_box(&a),
@@ -122,11 +142,13 @@ fn main() {
         reps,
     );
     println!(
-        "spmv+dot ({} rows, {} nnz, min of {reps}):\n  hand {:9.1} us\n  raw  {:9.1} us\n  pipe {:9.1} us ({:+.1}% vs hand)\n  plan {:9.1} us ({:+.1}% vs pipe)\n  unf  {:9.1} us",
+        "spmv+dot ({} rows, {} nnz, min of {reps}):\n  hand {:9.1} us\n  raw  {:9.1} us\n  par  {:9.1} us ({:.2}x raw)\n  pipe {:9.1} us ({:+.1}% vs hand)\n  plan {:9.1} us ({:+.1}% vs pipe)\n  unf  {:9.1} us",
         n,
         a.nnz(),
         hand * 1e6,
         raw * 1e6,
+        par * 1e6,
+        par / raw,
         pipe * 1e6,
         (pipe / hand - 1.0) * 100.0,
         replay * 1e6,
@@ -138,6 +160,7 @@ fn main() {
         elements: a.nnz(),
         hand,
         raw,
+        par,
         pipe,
         replay,
         unfused,
@@ -152,6 +175,14 @@ fn main() {
     let raw = min_time(
         || {
             Sequential
+                .run_axpy_norm::<f64, PlusTimes>(&mut r, -0.5, black_box(&q))
+                .unwrap()
+        },
+        reps,
+    );
+    let par = min_time(
+        || {
+            Parallel
                 .run_axpy_norm::<f64, PlusTimes>(&mut r, -0.5, black_box(&q))
                 .unwrap()
         },
@@ -187,9 +218,11 @@ fn main() {
         reps,
     );
     println!(
-        "axpy+norm ({m} elements, min of {reps}):\n  hand {:9.1} us\n  raw  {:9.1} us\n  pipe {:9.1} us ({:+.1}% vs hand)\n  plan {:9.1} us ({:+.1}% vs pipe)\n  unf  {:9.1} us",
+        "axpy+norm ({m} elements, min of {reps}):\n  hand {:9.1} us\n  raw  {:9.1} us\n  par  {:9.1} us ({:.2}x raw)\n  pipe {:9.1} us ({:+.1}% vs hand)\n  plan {:9.1} us ({:+.1}% vs pipe)\n  unf  {:9.1} us",
         hand * 1e6,
         raw * 1e6,
+        par * 1e6,
+        par / raw,
         pipe * 1e6,
         (pipe / hand - 1.0) * 100.0,
         replay * 1e6,
@@ -201,6 +234,7 @@ fn main() {
         elements: m,
         hand,
         raw,
+        par,
         pipe,
         replay,
         unfused,
@@ -245,6 +279,7 @@ fn main() {
             kernels_json,
             "{}    {{\n      \"kernel\": \"{}\",\n      \"elements\": {},\n      \
              \"hand_secs\": {:.9e},\n      \"raw_exec_secs\": {:.9e},\n      \
+             \"parallel_exec_secs\": {:.9e},\n      \"parallel_vs_sequential\": {:.4},\n      \
              \"pipeline_secs\": {:.9e},\n      \"replay_secs\": {:.9e},\n      \
              \"unfused_secs\": {:.9e},\n      \"pipeline_vs_hand\": {:.4}\n    }}",
             if i == 0 { "" } else { ",\n" },
@@ -252,6 +287,8 @@ fn main() {
             p.elements,
             p.hand,
             p.raw,
+            p.par,
+            p.par / p.raw,
             p.pipe,
             p.replay,
             p.unfused,
@@ -271,9 +308,16 @@ fn main() {
             p.pipe / p.replay,
         );
     }
+    let runtime_overhead = runtime_overhead_secs(2);
+    println!(
+        "worker runtime: {:.2} us per empty 2-part region; Parallel runs on {} thread(s)",
+        runtime_overhead * 1e6,
+        Parallel.threads(),
+    );
     let json = format!(
         "{{\n  \"bench\": \"perf_probe\",\n  \"backend\": \"sequential (shared memory)\",\n  \
          \"timestamp\": \"{}\",\n  \"host\": {},\n  \
+         \"parallel_threads\": {},\n  \"runtime_overhead_secs\": {runtime_overhead:.9e},\n  \
          \"grid\": {size},\n  \"n\": {n},\n  \"reps\": {reps},\n  \"timing\": \"min of reps\",\n  \
          \"kernels\": [\n{kernels_json}\n  ],\n  \
          \"amortization\": [\n{amortization_json}\n  ],\n  \
@@ -282,6 +326,7 @@ fn main() {
          \"span_probe_secs\": {span_probe_secs:.9e}, \"ratio\": {obs_ratio:.6}}}\n}}\n",
         iso_timestamp_utc(),
         HostInfo::gather().to_json(),
+        Parallel.threads(),
     );
     std::fs::write(&out_path, &json).expect("writing the JSON report must succeed");
     println!("wrote {out_path} ({} bytes)", json.len());

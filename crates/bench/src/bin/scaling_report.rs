@@ -5,8 +5,9 @@
 //! human-readable table, and writes the full per-node-count breakdown
 //! (modeled wall-clock, measured sharded wall-clock, real speedup against
 //! a timed `Sequential` baseline of the same solve, split-phase overlap
-//! hidden per point, communication volume, superstep count, per-kernel
-//! costs, and the Table I closed-form allgather check) as JSON, so the
+//! hidden per point, the runtime's own cost — an empty superstep at that
+//! `p` — communication volume, superstep count, per-kernel costs, and the
+//! Table I closed-form allgather check) as JSON, stamped with the host, so the
 //! perf trajectory of the distributed path is diffable across commits.
 //!
 //! ```text
@@ -22,6 +23,7 @@ use graphblas::{CostSummary, Sequential};
 use hpcg::distributed::{run_distributed, AlpDistHpcg};
 use hpcg::{cg_solve, CgWorkspace, GrbHpcg, Grid3, Kernels, MgWorkspace, Problem, RhsVariant};
 use hpcg_bench::cli::Args;
+use hpcg_bench::hostinfo::{runtime_overhead_secs, HostInfo};
 use hpcg_bench::table::Table;
 use std::fmt::Write as _;
 
@@ -70,6 +72,7 @@ fn main() {
         "measured time",
         "real speedup",
         "overlap hidden",
+        "empty superstep",
         "comm",
         "supersteps",
         "spmv h/step",
@@ -105,12 +108,14 @@ fn main() {
         }
 
         let real_speedup = seq_secs / summary.total_measured_secs.max(1e-12);
+        let runtime_overhead = runtime_overhead_secs(p);
         table.row(vec![
             p.to_string(),
             format!("{:.3} ms", report.modeled_secs * 1e3),
             format!("{:.3} ms", summary.total_measured_secs * 1e3),
             format!("{real_speedup:.2}x"),
             format!("{:.3} ms", summary.total_overlap_hidden_secs * 1e3),
+            format!("{:.2} us", runtime_overhead * 1e6),
             format!("{:.2} MB", report.comm_bytes / 1e6),
             report.supersteps.to_string(),
             format!("{spmv_h:.0} B"),
@@ -138,6 +143,7 @@ fn main() {
             "{}    {{\n      \"nodes\": {p},\n      \"modeled_secs\": {:.9e},\n      \
              \"measured_secs\": {:.9e},\n      \"model_error\": {:.4},\n      \
              \"real_speedup\": {:.4},\n      \"overlap_hidden_secs\": {:.9e},\n      \
+             \"runtime_overhead_secs\": {runtime_overhead:.9e},\n      \
              \"comm_bytes\": {:.1},\n      \"supersteps\": {},\n      \
              \"relative_residual\": {:.6e},\n      \"spmv_h_bytes\": {spmv_h:.1},\n      \
              \"allgather_closed_form_bytes\": {closed_form:.1},\n      \
@@ -157,12 +163,16 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"scaling_report\",\n  \"implementation\": \"ALP distributed \
-         (1D block-cyclic over graphblas::Distributed)\",\n  \"n\": {n},\n  \
+         (1D block-cyclic over graphblas::Distributed)\",\n  \"host\": {},\n  \"n\": {n},\n  \
          \"mg_levels\": {levels},\n  \"cg_iterations\": {iters},\n  \
          \"sequential_baseline_secs\": {seq_secs:.9e},\n  \"machine\": {{\n    \
          \"flops_per_sec\": {:.6e},\n    \"mem_bw_bytes_per_sec\": {:.6e},\n    \
          \"g_secs_per_byte\": {:.6e},\n    \"l_secs\": {:.6e}\n  }},\n  \"sweep\": [\n{entries}\n  ]\n}}\n",
-        machine.flops_per_sec, machine.mem_bw_bytes_per_sec, machine.g_secs_per_byte, machine.l_secs,
+        HostInfo::gather().to_json(),
+        machine.flops_per_sec,
+        machine.mem_bw_bytes_per_sec,
+        machine.g_secs_per_byte,
+        machine.l_secs,
     );
     std::fs::write(&out_path, &json).expect("writing the JSON report must succeed");
     println!("\nwrote {out_path} ({} bytes)", json.len());

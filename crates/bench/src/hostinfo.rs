@@ -82,6 +82,31 @@ impl HostInfo {
     }
 }
 
+/// What the worker runtime itself costs on this host: the fast-decile
+/// wall-clock of an empty `parts`-way region of the pool `Parallel` and
+/// `Distributed` both run on — dispatch plus barrier, no work. This is
+/// the layer a kernel call pays on top of its arithmetic; reports bill it
+/// as `runtime_overhead_secs`.
+pub fn runtime_overhead_secs(parts: usize) -> f64 {
+    // Regions per sample: an inline (1-part) region is below the clock's
+    // resolution on its own.
+    const BATCH: u32 = 8;
+    let mut samples: Vec<f64> = (0..220)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..BATCH {
+                rayon::pool::run(parts, |part| {
+                    std::hint::black_box(part);
+                });
+            }
+            t0.elapsed().as_secs_f64() / f64::from(BATCH)
+        })
+        .skip(20) // the first ones start the workers and warm the caches
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 10]
+}
+
 /// The current wall-clock time as an ISO-8601 UTC timestamp
 /// (`YYYY-MM-DDThh:mm:ssZ`), computed from the Unix epoch with the
 /// standard civil-from-days calendar conversion — no date dependency.
@@ -114,6 +139,14 @@ mod tests {
         let json = info.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"logical_cpus\":"));
+    }
+
+    #[test]
+    fn runtime_overhead_is_measurable_at_any_width() {
+        for parts in [1, 2, 4] {
+            let secs = runtime_overhead_secs(parts);
+            assert!(secs.is_finite() && secs > 0.0, "{parts} parts: {secs}");
+        }
     }
 
     #[test]

@@ -53,6 +53,16 @@ impl BlockCyclic1D {
     pub fn block(&self) -> usize {
         self.block
     }
+
+    /// The global index ranges `node` owns, ascending: its blocks `node`,
+    /// `node + p`, … clipped to `n`. Concatenated they enumerate the
+    /// node's elements in local-index order.
+    pub fn owned_ranges(&self, node: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let (n, block) = (self.n, self.block);
+        (node * block..n)
+            .step_by(self.p * block)
+            .map(move |start| start..(start + block).min(n))
+    }
 }
 
 impl Distribution for BlockCyclic1D {
@@ -279,6 +289,20 @@ mod tests {
         assert_eq!(d.owner(15), 1);
         assert_eq!(d.local_len(0), 8);
         assert_eq!(d.local_len(1), 8);
+    }
+
+    #[test]
+    fn owned_ranges_enumerate_local_order() {
+        for (n, p, b) in [(64, 4, 4), (50, 4, 4), (7, 3, 2), (1, 5, 3), (0, 2, 4)] {
+            let d = BlockCyclic1D::new(n, p, b);
+            for node in 0..p {
+                let walked: Vec<usize> = d.owned_ranges(node).flatten().collect();
+                let expect: Vec<usize> = (0..d.local_len(node))
+                    .map(|l| d.to_global(node, l))
+                    .collect();
+                assert_eq!(walked, expect, "n={n} p={p} b={b} node={node}");
+            }
+        }
     }
 
     #[test]

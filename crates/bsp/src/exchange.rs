@@ -28,10 +28,20 @@ pub struct Envelope<T> {
     pub posted_at: Instant,
 }
 
+/// A mailbox's contents. The buffer outlives the messages: a post copies
+/// into it and a borrowing completion leaves it in place, so steady-state
+/// supersteps move bytes without allocating.
+#[derive(Debug)]
+struct Mail<T> {
+    data: Vec<T>,
+    /// `Some` while a message waits to be completed.
+    posted_at: Option<Instant>,
+}
+
 /// One single-message mailbox: a slot plus the condvar its receiver parks on.
 #[derive(Debug)]
 struct Slot<T> {
-    payload: Mutex<Option<Envelope<T>>>,
+    mail: Mutex<Mail<T>>,
     ready: Condvar,
 }
 
@@ -54,7 +64,10 @@ impl<T: Send> Exchange<T> {
             p,
             slots: (0..p * p)
                 .map(|_| Slot {
-                    payload: Mutex::new(None),
+                    mail: Mutex::new(Mail {
+                        data: Vec::new(),
+                        posted_at: None,
+                    }),
                     ready: Condvar::new(),
                 })
                 .collect(),
@@ -66,8 +79,32 @@ impl<T: Send> Exchange<T> {
         self.p
     }
 
-    fn slot(&self, to: usize, from: usize) -> &Slot<T> {
-        &self.slots[to * self.p + from]
+    /// Deposits a message in the `from → to` mailbox: `fill` gets the
+    /// mailbox's (stale) buffer to overwrite. Panics if the previous
+    /// message was never completed (a lost-synchronization bug).
+    fn post(&self, from: usize, to: usize, fill: impl FnOnce(&mut Vec<T>)) {
+        let slot = &self.slots[to * self.p + from];
+        let mut mail = slot.mail.lock().expect("a node panicked mid-exchange");
+        assert!(
+            mail.posted_at.is_none(),
+            "mailbox {from}->{to} still full: superstep k's exchange was never completed"
+        );
+        fill(&mut mail.data);
+        mail.posted_at = Some(Instant::now());
+        slot.ready.notify_all();
+    }
+
+    /// Blocks until `from`'s message for `to` arrives, hands the mailbox
+    /// and the post stamp to `take`, and marks the mailbox drained.
+    fn drain<R>(&self, to: usize, from: usize, take: impl FnOnce(&mut Vec<T>, Instant) -> R) -> R {
+        let slot = &self.slots[to * self.p + from];
+        let mut mail = slot.mail.lock().expect("a node panicked mid-exchange");
+        loop {
+            match mail.posted_at.take() {
+                Some(posted_at) => return take(&mut mail.data, posted_at),
+                None => mail = slot.ready.wait(mail).expect("a node panicked mid-exchange"),
+            }
+        }
     }
 
     /// The split-phase send: deposits `data` in the `from → to` mailbox
@@ -75,43 +112,31 @@ impl<T: Send> Exchange<T> {
     /// free to overlap local work. Panics if the previous message in this
     /// mailbox was never completed (a lost-synchronization bug).
     pub fn post_send(&self, from: usize, to: usize, data: Vec<T>) {
-        let slot = self.slot(to, from);
-        let mut guard = slot.payload.lock().unwrap();
-        assert!(
-            guard.is_none(),
-            "mailbox {from}->{to} still full: superstep k's exchange was never completed"
-        );
-        *guard = Some(Envelope {
-            data,
-            posted_at: Instant::now(),
-        });
-        slot.ready.notify_all();
+        self.post(from, to, |buf| *buf = data);
     }
 
     /// The matching completion: blocks until `from`'s message for `to`
     /// arrives, then drains the mailbox and returns the envelope.
     pub fn complete(&self, to: usize, from: usize) -> Envelope<T> {
-        let slot = self.slot(to, from);
-        let mut guard = slot.payload.lock().unwrap();
-        loop {
-            match guard.take() {
-                Some(envelope) => return envelope,
-                None => guard = slot.ready.wait(guard).unwrap(),
-            }
-        }
+        self.drain(to, from, |buf, posted_at| Envelope {
+            data: std::mem::take(buf),
+            posted_at,
+        })
     }
 
     /// Posts `node`'s contribution to every peer — the post half of an
-    /// allgather (`h = (p−1)·|chunk|` elements out). Self-delivery is
-    /// skipped: a node's own chunk never leaves it.
+    /// allgather (`h = (p−1)·|chunk|` elements out), copied into each
+    /// mailbox's standing buffer. Self-delivery is skipped: a node's own
+    /// chunk never leaves it.
     pub fn post_allgather(&self, node: usize, chunk: &[T])
     where
         T: Clone,
     {
-        for to in 0..self.p {
-            if to != node {
-                self.post_send(node, to, chunk.to_vec());
-            }
+        for to in (0..self.p).filter(|&to| to != node) {
+            self.post(node, to, |buf| {
+                buf.clear();
+                buf.extend_from_slice(chunk);
+            });
         }
     }
 
@@ -124,17 +149,32 @@ impl<T: Send> Exchange<T> {
             .collect()
     }
 
+    /// [`complete_allgather`](Exchange::complete_allgather) in place:
+    /// `read(peer, chunk)` sees every peer's chunk in ascending peer
+    /// order, and the mailboxes keep their capacity for the next
+    /// superstep's post; returns the latest post stamp (`None` at `p = 1`).
+    pub fn complete_allgather_with(
+        &self,
+        node: usize,
+        mut read: impl FnMut(usize, &[T]),
+    ) -> Option<Instant> {
+        let mut latest: Option<Instant> = None;
+        for from in (0..self.p).filter(|&from| from != node) {
+            self.drain(node, from, |chunk, posted_at| {
+                read(from, chunk);
+                latest = Some(latest.map_or(posted_at, |t| t.max(posted_at)));
+            });
+        }
+        latest
+    }
+
     /// Posts `node`'s scalar partial to every peer — the post half of a
     /// direct-exchange allreduce (`h = (p−1)` words each way).
     pub fn post_allreduce(&self, node: usize, partial: T)
     where
         T: Clone,
     {
-        for to in 0..self.p {
-            if to != node {
-                self.post_send(node, to, vec![partial.clone()]);
-            }
-        }
+        self.post_allgather(node, std::slice::from_ref(&partial));
     }
 
     /// Completes an allreduce at `node`: every peer's partial in ascending
@@ -142,16 +182,14 @@ impl<T: Send> Exchange<T> {
     /// combine itself is the caller's: deterministic reductions need an
     /// owner-order fold, which only the caller can sequence.
     pub fn complete_allreduce(&self, node: usize) -> (Vec<(usize, T)>, Option<Instant>) {
-        let mut latest = None;
-        let partials = self
-            .complete_allgather(node)
-            .into_iter()
-            .map(|(peer, mut envelope)| {
-                latest =
-                    Some(latest.map_or(envelope.posted_at, |t: Instant| t.max(envelope.posted_at)));
-                (peer, envelope.data.pop().expect("allreduce payload"))
-            })
-            .collect();
+        let mut partials = Vec::with_capacity(self.p - 1);
+        let mut latest: Option<Instant> = None;
+        for from in (0..self.p).filter(|&from| from != node) {
+            self.drain(node, from, |buf, posted_at| {
+                partials.push((from, buf.pop().expect("allreduce payload")));
+                latest = Some(latest.map_or(posted_at, |t| t.max(posted_at)));
+            });
+        }
         (partials, latest)
     }
 }
@@ -237,6 +275,29 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn in_place_allgather_reads_every_peer_and_frees_the_mailboxes() {
+        let p = 3;
+        let ex = Exchange::<u32>::new(p);
+        for step in 0..2u32 {
+            for node in 0..p {
+                ex.post_allgather(node, &[step, node as u32]);
+            }
+            for node in 0..p {
+                let mut got = Vec::new();
+                let latest = ex.complete_allgather_with(node, |peer, chunk| {
+                    got.push((peer, chunk.to_vec()));
+                });
+                let expect: Vec<_> = (0..p)
+                    .filter(|&q| q != node)
+                    .map(|q| (q, vec![step, q as u32]))
+                    .collect();
+                assert_eq!(got, expect);
+                assert!(latest.is_some());
+            }
+        }
     }
 
     #[test]

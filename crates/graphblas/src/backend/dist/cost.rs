@@ -11,6 +11,7 @@
 //! superstep per exchange — the quantities Table I bounds.
 
 use super::layout::ShardLayout;
+use super::shard::ShardShape;
 use crate::container::matrix::{CsrMatrix, GraphMatrix};
 use crate::container::vector::{SparseVector, Vector};
 use crate::descriptor::Descriptor;
@@ -18,6 +19,7 @@ use crate::exec::sparse::FrontierMode;
 use bsp::cost::{CostTracker, KernelClass, StepCost};
 use bsp::dist::Distribution;
 use bsp::machine::MachineParams;
+use std::sync::Arc;
 
 /// Bytes of one `f64` element (the backend's value domain for costing).
 pub(crate) const ELEM_BYTES: f64 = 8.0;
@@ -57,27 +59,24 @@ pub(crate) struct ClusterState {
     /// allgather to the §VII-B(ii) 2D expand/fold pattern.
     pub grid2d: Option<(usize, usize)>,
     pub scope: Scope,
-    /// Stable obs thread ids, one per node, labeled `node k/p` — the
-    /// per-op worker threads adopt them so every operation of this
-    /// cluster lands on the same named Chrome-trace tracks.
-    pub worker_tids: Vec<u64>,
+    /// The shape the sharded kernels execute under; they take a handle
+    /// under the state lock and compute outside it.
+    pub shape: Arc<ShardShape>,
 }
 
 impl ClusterState {
-    pub fn new(nodes: usize, machine: MachineParams, layout: ShardLayout) -> ClusterState {
-        let worker_tids = (0..nodes)
-            .map(|w| {
-                let tid = obs::alloc_tid();
-                obs::set_thread_label(tid, format!("node {}/{}", w + 1, nodes));
-                tid
-            })
-            .collect();
+    pub fn new(
+        nodes: usize,
+        machine: MachineParams,
+        layout: ShardLayout,
+        grid2d: Option<(usize, usize)>,
+    ) -> ClusterState {
         ClusterState {
             tracker: CostTracker::new(nodes, machine),
             layout,
-            grid2d: None,
+            grid2d,
             scope: Scope::default(),
-            worker_tids,
+            shape: Arc::new(ShardShape::new(nodes, layout, grid2d.is_some())),
         }
     }
 
@@ -497,7 +496,7 @@ mod tests {
     fn allgather_matches_closed_form_on_even_split() {
         use bsp::collectives::allgather_h_bytes;
         let (n, p) = (512usize, 4usize);
-        let mut st = ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block);
+        let mut st = ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block, None);
         st.record_input_exchange(n);
         let step = st.tracker.end_superstep(KernelClass::SpMV, None, false);
         assert_eq!(step.h_bytes, allgather_h_bytes(p, n / p, 8));
@@ -505,7 +504,7 @@ mod tests {
 
     #[test]
     fn single_node_is_communication_free() {
-        let mut st = ClusterState::new(1, MachineParams::arm_cluster(), ShardLayout::Block);
+        let mut st = ClusterState::new(1, MachineParams::arm_cluster(), ShardLayout::Block, None);
         st.record_input_exchange(100);
         st.record_allreduce();
         let step = st.tracker.end_superstep(KernelClass::Dot, None, false);
@@ -515,14 +514,19 @@ mod tests {
     #[test]
     fn grid2d_exchange_is_cheaper_than_1d() {
         let (n, p) = (1024usize, 16usize);
-        let mut one_d = ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block);
+        let mut one_d =
+            ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block, None);
         one_d.record_input_exchange(n);
         let h1 = one_d
             .tracker
             .end_superstep(KernelClass::SpMV, None, false)
             .h_bytes;
-        let mut two_d = ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block);
-        two_d.grid2d = Some((4, 4));
+        let mut two_d = ClusterState::new(
+            p,
+            MachineParams::arm_cluster(),
+            ShardLayout::Block,
+            Some((4, 4)),
+        );
         two_d.record_input_exchange(n);
         let h2 = two_d
             .tracker
@@ -534,7 +538,7 @@ mod tests {
 
     #[test]
     fn scope_overrides_class_and_level() {
-        let mut st = ClusterState::new(2, MachineParams::arm_cluster(), ShardLayout::Block);
+        let mut st = ClusterState::new(2, MachineParams::arm_cluster(), ShardLayout::Block, None);
         st.scope = Scope {
             class: Some(KernelClass::Smoother),
             level: Some(3),

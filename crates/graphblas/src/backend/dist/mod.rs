@@ -146,8 +146,7 @@ impl Distributed {
 
     /// Creates a cluster with explicit configuration.
     pub fn with_config(config: DistConfig) -> Distributed {
-        let mut state = ClusterState::new(config.nodes, config.machine, config.layout);
-        state.grid2d = config.grid2d;
+        let state = ClusterState::new(config.nodes, config.machine, config.layout, config.grid2d);
         let mut reg = registry().write().unwrap();
         let id = reg.len();
         reg.push(Arc::new(Mutex::new(state)));
@@ -164,16 +163,11 @@ impl Distributed {
         f(&mut guard)
     }
 
-    /// Snapshot of the cluster shape a sharded operation executes under,
-    /// taken under the state lock and used outside it (workers must not
-    /// hold the cluster mutex while computing).
-    fn shape(&self) -> shard::ShardShape {
-        self.record(|s| shard::ShardShape {
-            nodes: s.tracker.nodes(),
-            layout: s.layout,
-            grid2d: s.grid2d.is_some(),
-            tids: s.worker_tids.clone(),
-        })
+    /// The cluster shape a sharded operation executes under, taken under
+    /// the state lock and used outside it (workers must not hold the
+    /// cluster mutex while computing).
+    fn shape(&self) -> Arc<shard::ShardShape> {
+        self.record(|s| s.shape.clone())
     }
 
     /// Runs the cost-recording closure `f` and pairs the supersteps it

@@ -1,14 +1,23 @@
 //! Sharded superstep execution: the kernels, actually run on `p` workers.
 //!
-//! Until PR 10 the distributed backend computed once on global state and
-//! only *modeled* BSP costs. This module is the real thing: every
-//! operation spawns one worker per simulated node (`std::thread::scope`),
-//! each worker touches only the rows/elements its node owns under the
-//! cluster's [`ShardLayout`], and the bytes a superstep's h-relation
-//! describes genuinely move through the [`bsp::Exchange`] mailbox fabric
-//! in **split-phase** form: post the shard, compute the interior rows
-//! while peers' shards are in flight, complete the exchange only for the
-//! boundary tail (paper §VII's nonblocking proposal).
+//! Every operation is one superstep on the workspace's persistent worker
+//! pool (`rayon::pool`, the runtime `Parallel` runs on too): node 0's part
+//! on the calling thread, node `k`'s on pool worker `k`. Each part walks
+//! only the blocks its node owns under the cluster's [`ShardLayout`] —
+//! applying the mask test itself — and the bytes a superstep's h-relation
+//! describes genuinely move through a [`bsp::Exchange`] mailbox fabric
+//! in **split-phase** form: post the shard, compute the
+//! interior rows while peers' shards are in flight, complete the exchange
+//! only for the boundary tail (paper §VII's nonblocking proposal).
+//!
+//! The steady state allocates nothing that grows with the vectors: the
+//! posted shard, the reassembled input, the boundary list, the reduction
+//! scratch and the mailboxes live in [`Arena`]s, sized by the first
+//! operation and reused by every later one. Arenas belong to the runtime,
+//! one per element type and node count, not to a cluster: the pool runs
+//! one superstep at a time process-wide, so clusters of one shape can
+//! share buffers, and the registry (which never drops a cluster) does not
+//! pin a set of n-length buffers per cluster ever made.
 //!
 //! # Bit-identity with `Sequential`
 //!
@@ -49,7 +58,6 @@
 //! sequential kernels (their exchange structure differs; the recorder
 //! still models them), reporting zero overlap.
 
-use super::cost;
 use super::layout::ShardLayout;
 use crate::backend::Backend;
 use crate::container::matrix::{CsrMatrix, GraphMatrix};
@@ -69,14 +77,15 @@ use crate::util::UnsafeSlice;
 use crate::Sequential;
 use bsp::dist::Distribution;
 use bsp::{BlockCyclic1D, Exchange};
-use std::any::TypeId;
+use std::any::{Any, TypeId};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Snapshot of the cluster shape one sharded operation executes under.
-///
-/// Taken under the state lock, used outside it: workers must not hold the
-/// cluster mutex while computing (the recorder takes it afterwards).
-#[derive(Clone, Debug)]
+/// The shape of a cluster, fixed at construction. Shared by `Arc`: an
+/// operation takes its handle under the state lock and computes outside
+/// it (the recorder takes the lock afterwards).
+#[derive(Debug)]
 pub(crate) struct ShardShape {
     /// Worker (node) count `p`.
     pub nodes: usize,
@@ -85,20 +94,116 @@ pub(crate) struct ShardShape {
     /// 2D process grids exchange along both grid axes; 1D sharded
     /// execution falls back to the global kernels under them.
     pub grid2d: bool,
-    /// Stable obs thread ids, one per node; workers adopt them so the
+    /// Stable obs thread ids, one per node, labeled `node k/p`; a part
+    /// records under its node's id for the length of the superstep, so the
     /// Chrome trace shows one named per-node track across operations.
-    pub tids: Vec<u64>,
+    tids: Vec<u64>,
 }
 
 impl ShardShape {
+    pub fn new(nodes: usize, layout: ShardLayout, grid2d: bool) -> ShardShape {
+        let tids = (0..nodes)
+            .map(|w| {
+                let tid = obs::alloc_tid();
+                obs::set_thread_label(tid, format!("node {}/{}", w + 1, nodes));
+                tid
+            })
+            .collect();
+        ShardShape {
+            nodes,
+            layout,
+            grid2d,
+            tids,
+        }
+    }
+
     fn dist(&self, n: usize) -> BlockCyclic1D {
         self.layout.dist_for(n, self.nodes)
     }
+
+    /// The arena for element type `T` on this many nodes, made on first
+    /// use and then shared by every cluster of the shape.
+    fn arena<T: Send + 'static>(&self) -> Arc<Arena<T>> {
+        static ARENAS: Mutex<Vec<Arc<dyn Any + Send + Sync>>> = Mutex::new(Vec::new());
+        let mut arenas = relock(&ARENAS);
+        let fitting = arenas
+            .iter()
+            .filter_map(|a| a.clone().downcast::<Arena<T>>().ok())
+            .find(|a| a.nodes.len() == self.nodes);
+        fitting.unwrap_or_else(|| {
+            let made = Arc::new(Arena::<T>::new(self.nodes));
+            arenas.push(made.clone());
+            made
+        })
+    }
 }
 
-/// Runs `f(worker)` on `p` scoped threads and returns the largest
-/// per-worker hidden-exchange time. One node runs inline: there are no
-/// peers, so nothing can be in flight and nothing can hide.
+/// Locks an arena mutex, poisoned or not: a kernel that panicked leaves
+/// buffers whose contents the next operation overwrites before reading.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The reusable buffers of one element type and node count. Buffers only
+/// ever grow; an operation on a shorter vector (a coarser multigrid
+/// level) uses a prefix. Every use of `exchange` and `nodes` happens
+/// inside a pool region, of which there is one at a time.
+struct Arena<T> {
+    exchange: Exchange<T>,
+    /// Locked by node `w`'s part for the length of a superstep.
+    nodes: Vec<Mutex<NodeArena<T>>>,
+    /// The per-element scratch reductions fold over, shared by all nodes
+    /// (each writes its owned slots); locked for the whole operation.
+    scratch: Mutex<Vec<T>>,
+}
+
+struct NodeArena<T> {
+    /// The shard this node posts.
+    shard: Vec<T>,
+    /// The input reassembled from every node's shard.
+    assembled: Vec<T>,
+    /// Owned rows that read remote columns, swept after the exchange.
+    boundary: Vec<usize>,
+}
+
+impl<T: Send> Arena<T> {
+    fn new(nodes: usize) -> Arena<T> {
+        Arena {
+            exchange: Exchange::new(nodes),
+            nodes: (0..nodes)
+                .map(|_| {
+                    Mutex::new(NodeArena {
+                        shard: Vec::new(),
+                        assembled: Vec::new(),
+                        boundary: Vec::new(),
+                    })
+                })
+                .collect(),
+            scratch: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn node(&self, w: usize) -> MutexGuard<'_, NodeArena<T>> {
+        relock(&self.nodes[w])
+    }
+
+    /// The scratch, at least `n` long (new slots hold `fill`).
+    fn scratch(&self, n: usize, fill: T) -> MutexGuard<'_, Vec<T>>
+    where
+        T: Clone,
+    {
+        let mut scratch = relock(&self.scratch);
+        if scratch.len() < n {
+            scratch.resize(n, fill);
+        }
+        scratch
+    }
+}
+
+/// Runs `f(node)` for every node as one region of the worker pool and
+/// returns the largest per-node hidden-exchange time. One node runs
+/// inline: there are no peers, so nothing can be in flight and nothing
+/// can hide.
 fn run_superstep<F>(shape: &ShardShape, f: F) -> f64
 where
     F: Fn(usize) -> f64 + Sync,
@@ -106,25 +211,13 @@ where
     if shape.nodes == 1 {
         return f(0);
     }
-    let mut hidden = 0.0f64;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..shape.nodes)
-            .map(|w| {
-                let f = &f;
-                let tid = shape.tids.get(w).copied();
-                s.spawn(move || {
-                    if let Some(tid) = tid {
-                        obs::adopt_tid(tid);
-                    }
-                    f(w)
-                })
-            })
-            .collect();
-        for handle in handles {
-            hidden = hidden.max(handle.join().expect("BSP worker panicked"));
-        }
+    // Hidden times are non-negative, so their bit patterns order as they do.
+    let hidden = AtomicU64::new(0);
+    rayon::pool::run(shape.nodes, |w| {
+        let secs = obs::with_tid(shape.tids[w], || f(w));
+        hidden.fetch_max(secs.to_bits(), Ordering::Relaxed);
     });
-    hidden
+    f64::from_bits(hidden.into_inner())
 }
 
 /// Exchange time hidden behind local work at one node: the in-flight
@@ -139,37 +232,75 @@ fn hidden_window(t_post: Instant, t_complete: Instant, last_arrival: Option<Inst
     local.min(inflight)
 }
 
-/// The owned selected indices per node, ascending within each node —
-/// the sharded counterpart of `for_each_selected`'s visit set.
-///
-/// Replicates the kernel's mask-length check up front so sharded paths
-/// fail with exactly the error the sequential kernel returns (the cost
-/// mirror `cost::for_selected` silently selects nothing on mismatch).
-fn owned_selected(
-    n: usize,
+/// Replicates the kernels' mask-length check up front so sharded paths
+/// fail with exactly the error the sequential kernel returns.
+fn check_mask(n: usize, mask: Option<&Vector<bool>>) -> Result<()> {
+    match mask {
+        Some(m) => check_dims("mask", "mask length", n, m.len()),
+        None => Ok(()),
+    }
+}
+
+/// Calls `f(i)`, ascending, for every index `node` owns under `dist` that
+/// `mask`/`desc` select — `for_each_selected`'s visit set restricted to one
+/// node, found by walking only that node's blocks.
+fn for_owned_selected<F: FnMut(usize)>(
+    dist: &BlockCyclic1D,
+    node: usize,
     mask: Option<&Vector<bool>>,
     desc: Descriptor,
-    dist: &BlockCyclic1D,
-) -> Result<Vec<Vec<usize>>> {
-    if let Some(m) = mask {
-        check_dims("mask", "mask length", n, m.len())?;
+    mut f: F,
+) {
+    let Some(m) = mask else {
+        dist.owned_ranges(node).flatten().for_each(f);
+        return;
+    };
+    let inverted = desc.is_mask_inverted();
+    match (m.pattern(), desc.is_structural()) {
+        (Some(idx), true) => {
+            for range in dist.owned_ranges(node) {
+                let from = idx.partition_point(|&j| (j as usize) < range.start);
+                if inverted {
+                    let mut stored = idx[from..].iter().peekable();
+                    for i in range {
+                        if stored.next_if(|&&j| j as usize == i).is_none() {
+                            f(i);
+                        }
+                    }
+                } else {
+                    idx[from..]
+                        .iter()
+                        .map(|&j| j as usize)
+                        .take_while(|&j| j < range.end)
+                        .for_each(&mut f);
+                }
+            }
+        }
+        (None, true) if inverted => { /* complement of a dense structural mask is empty */ }
+        (None, true) => dist.owned_ranges(node).flatten().for_each(f),
+        (_, false) => {
+            let vals = m.as_slice();
+            dist.owned_ranges(node)
+                .flatten()
+                .filter(|&i| vals[i] != inverted)
+                .for_each(f);
+        }
     }
-    let mut owned = vec![Vec::new(); dist.nodes()];
-    cost::for_selected(n, mask, desc, |i| owned[dist.owner(i)].push(i));
-    Ok(owned)
 }
 
 /// The split-phase sharded row sweep shared by `mxv` and `spmv_dot`.
 ///
 /// Each worker posts its `x` shard, reassembles the local part, computes
-/// every owned row whose columns are all local while peer shards are in
-/// flight, then completes the allgather and sweeps the boundary tail.
-/// `sink(i, acc)` stores row `i`'s accumulator (the only per-kernel
-/// difference). Returns the measured hidden-exchange time.
+/// every owned selected row whose columns are all local while peer shards
+/// are in flight, then completes the allgather and sweeps the boundary
+/// tail. `sink(i, acc)` stores row `i`'s accumulator (the only per-kernel
+/// difference) and must touch nothing but row `i`'s slots. Returns the
+/// measured hidden-exchange time.
 fn sharded_row_sweep<T, R, G>(
     a: &CsrMatrix<T>,
     xs: &[T],
-    owned: &[Vec<usize>],
+    mask: Option<&Vector<bool>>,
+    desc: Descriptor,
     shape: &ShardShape,
     sink: G,
 ) -> f64
@@ -179,7 +310,8 @@ where
     G: Fn(usize, T) + Sync,
 {
     let x_dist = shape.dist(xs.len());
-    let ex = Exchange::<T>::new(shape.nodes);
+    let row_dist = shape.dist(a.nrows());
+    let arena = shape.arena::<T>();
     run_superstep(shape, |w| {
         let compute_row = |i: usize, src: &[T]| {
             let (cols, vals) = a.row(i);
@@ -189,42 +321,51 @@ where
             }
             sink(i, acc);
         };
+        let mut buffers = arena.node(w);
+        let NodeArena {
+            shard,
+            assembled,
+            boundary,
+        } = &mut *buffers;
         // Post phase: ship this node's x shard to every peer.
         let t_post = Instant::now();
-        let chunk: Vec<T> = (0..x_dist.local_len(w))
-            .map(|l| xs[x_dist.to_global(w, l)])
-            .collect();
-        ex.post_allgather(w, &chunk);
+        shard.clear();
+        for range in x_dist.owned_ranges(w) {
+            shard.extend_from_slice(&xs[range]);
+        }
+        arena.exchange.post_allgather(w, shard);
         // Interior phase, overlapping the in-flight exchange: unpack the
         // local shard, sweep every owned row that reads only local
-        // columns; boundary rows wait for the peers.
-        let mut assembled = vec![R::zero(); xs.len()];
-        for (l, &v) in chunk.iter().enumerate() {
-            assembled[x_dist.to_global(w, l)] = v;
+        // columns; boundary rows wait for the peers. Every slot of
+        // `assembled[..n]` is some node's, so stale contents never show.
+        if assembled.len() < xs.len() {
+            assembled.resize(xs.len(), R::zero());
         }
-        let mut boundary = Vec::new();
-        for &i in &owned[w] {
+        for range in x_dist.owned_ranges(w) {
+            assembled[range.clone()].copy_from_slice(&xs[range]);
+        }
+        boundary.clear();
+        for_owned_selected(&row_dist, w, mask, desc, |i| {
             let (cols, _) = a.row(i);
             if cols.iter().all(|&c| x_dist.owner(c as usize) == w) {
-                compute_row(i, &assembled);
+                compute_row(i, assembled);
             } else {
                 boundary.push(i);
             }
-        }
+        });
         let t_complete = Instant::now();
         // Complete phase: drain the mailboxes, then the boundary tail.
-        let mut last_arrival: Option<Instant> = None;
-        for (peer, envelope) in ex.complete_allgather(w) {
-            last_arrival = Some(
-                last_arrival.map_or(envelope.posted_at, |t: Instant| t.max(envelope.posted_at)),
-            );
-            for (l, v) in envelope.data.into_iter().enumerate() {
-                assembled[x_dist.to_global(peer, l)] = v;
+        let last_arrival = arena.exchange.complete_allgather_with(w, |peer, chunk| {
+            let mut taken = 0;
+            for range in x_dist.owned_ranges(peer) {
+                let block = &chunk[taken..taken + range.len()];
+                taken += block.len();
+                assembled[range].copy_from_slice(block);
             }
-        }
+        });
         let t_boundary = Instant::now();
-        for &i in &boundary {
-            compute_row(i, &assembled);
+        for &i in boundary.iter() {
+            compute_row(i, assembled);
         }
         if obs::enabled() {
             obs::record_span("shard.interior", "shard", t_post, t_complete);
@@ -255,15 +396,14 @@ where
     }
     check_dims("mxv", "x vs ncols", a.ncols(), x.len())?;
     check_dims("mxv", "y vs nrows", a.nrows(), y.len())?;
-    let row_dist = shape.dist(a.nrows());
-    let owned = owned_selected(a.nrows(), mask, desc, &row_dist)?;
-    let xs = x.as_slice();
+    check_mask(a.nrows(), mask)?;
     let out = UnsafeSlice::new(y.as_mut_slice());
-    // SAFETY: `owned` partitions the selected rows across workers, so
-    // each output slot is written by exactly one worker exactly once.
-    let hidden = sharded_row_sweep::<T, R, _>(a, xs, &owned, shape, |i, acc| unsafe {
-        A::store(out.get_mut(i), acc)
-    });
+    // SAFETY: the nodes' owned rows are disjoint, so each output slot is
+    // written by exactly one worker exactly once.
+    let hidden =
+        sharded_row_sweep::<T, R, _>(a, x.as_slice(), mask, desc, shape, |i, acc| unsafe {
+            A::store(out.get_mut(i), acc)
+        });
     Ok(hidden)
 }
 
@@ -319,55 +459,64 @@ where
         m.csc()
     };
     let out_len = y.len();
+    check_mask(out_len, mask)?;
     let out_dist = shape.dist(out_len);
-    let owned_out = owned_selected(out_len, mask, desc, &out_dist)?;
     let x_dist = shape.dist(x.len());
-    let mut frontier_shards: Vec<Vec<(u32, T)>> = vec![Vec::new(); shape.nodes];
-    for (j, v) in x.iter_stored() {
-        frontier_shards[x_dist.owner(j)].push((j as u32, v));
-    }
-    let mut scratch = vec![R::zero(); out_len];
-    let hidden = {
-        let sc = UnsafeSlice::new(&mut scratch);
-        let out = UnsafeSlice::new(y.as_mut_slice());
-        let ex = Exchange::<(u32, T)>::new(shape.nodes);
-        run_superstep(shape, |w| {
-            let t_post = Instant::now();
-            ex.post_allgather(w, &frontier_shards[w]);
-            let mut frontier = frontier_shards[w].clone();
-            let t_complete = Instant::now();
-            let mut last_arrival: Option<Instant> = None;
-            for (_, envelope) in ex.complete_allgather(w) {
-                last_arrival = Some(
-                    last_arrival.map_or(envelope.posted_at, |t: Instant| t.max(envelope.posted_at)),
-                );
-                frontier.extend(envelope.data);
-            }
-            // Frontier indices are unique, so the sort fully determines
-            // the walk order.
-            frontier.sort_unstable_by_key(|&(j, _)| j);
-            for &(j, xv) in &frontier {
-                let (rows, vals) = col_major.row(j as usize);
-                for (&i, &av) in rows.iter().zip(vals) {
-                    let i = i as usize;
-                    if out_dist.owner(i) == w {
-                        // SAFETY: each scratch slot belongs to exactly one
-                        // worker via `out_dist`.
-                        unsafe {
-                            let slot = sc.get_mut(i);
-                            *slot = R::add(*slot, R::mul(av, xv));
-                        }
+    let frontiers = shape.arena::<(u32, T)>();
+    let arena = shape.arena::<T>();
+    let mut scratch = arena.scratch(out_len, R::zero());
+    let sc = UnsafeSlice::new(&mut scratch[..out_len]);
+    let out = UnsafeSlice::new(y.as_mut_slice());
+    let hidden = run_superstep(shape, |w| {
+        let mut buffers = frontiers.node(w);
+        let NodeArena {
+            shard,
+            assembled: frontier,
+            ..
+        } = &mut *buffers;
+        let t_post = Instant::now();
+        shard.clear();
+        shard.extend(
+            x.iter_stored()
+                .filter(|&(j, _)| x_dist.owner(j) == w)
+                .map(|(j, v)| (j as u32, v)),
+        );
+        frontiers.exchange.post_allgather(w, shard);
+        frontier.clear();
+        frontier.extend_from_slice(shard);
+        for i in out_dist.owned_ranges(w).flatten() {
+            // SAFETY: each scratch slot belongs to exactly one worker via
+            // `out_dist`.
+            unsafe { sc.write(i, R::zero()) };
+        }
+        let t_complete = Instant::now();
+        let last_arrival = frontiers
+            .exchange
+            .complete_allgather_with(w, |_, chunk| frontier.extend_from_slice(chunk));
+        // Frontier indices are unique, so the sort fully determines
+        // the walk order.
+        frontier.sort_unstable_by_key(|&(j, _)| j);
+        for &(j, xv) in frontier.iter() {
+            let (rows, vals) = col_major.row(j as usize);
+            for (&i, &av) in rows.iter().zip(vals) {
+                let i = i as usize;
+                if out_dist.owner(i) == w {
+                    // SAFETY: each scratch slot belongs to exactly one
+                    // worker via `out_dist`.
+                    unsafe {
+                        let slot = sc.get_mut(i);
+                        *slot = R::add(*slot, R::mul(av, xv));
                     }
                 }
             }
-            for &i in &owned_out[w] {
-                // SAFETY: selected owned indices are unique per worker and
-                // this worker finished all writes to its scratch slots.
-                unsafe { A::store(out.get_mut(i), *sc.get_mut(i)) };
-            }
-            hidden_window(t_post, t_complete, last_arrival)
-        })
-    };
+        }
+        for_owned_selected(&out_dist, w, mask, desc, |i| {
+            // SAFETY: selected owned indices are unique per worker and
+            // this worker finished all writes to its scratch slots.
+            unsafe { A::store(out.get_mut(i), *sc.get_mut(i)) };
+        });
+        hidden_window(t_post, t_complete, last_arrival)
+    });
     Ok((FrontierMode::Push, hidden))
 }
 
@@ -419,20 +568,18 @@ where
     F: Fn(usize, T) -> T + Sync,
 {
     let n = a.nrows();
-    let row_dist = shape.dist(n);
-    let owned = owned_selected(n, None, Descriptor::DEFAULT, &row_dist)
-        .expect("unmasked selection cannot fail");
-    let mut scratch = vec![R::zero(); n];
+    let arena = shape.arena::<T>();
+    let mut scratch = arena.scratch(n, R::zero());
     let hidden = {
-        let xs = x.as_slice();
         let out = UnsafeSlice::new(y.as_mut_slice());
-        let sc = UnsafeSlice::new(&mut scratch);
-        // SAFETY: `owned` partitions the rows, so each y and scratch slot
-        // is written by exactly one worker exactly once.
-        sharded_row_sweep::<T, R, _>(a, xs, &owned, shape, |i, acc| unsafe {
+        let sc = UnsafeSlice::new(&mut scratch[..n]);
+        // SAFETY: the nodes' owned rows are disjoint, so each y and
+        // scratch slot is written by exactly one worker exactly once.
+        let sink = |i, acc| unsafe {
             *out.get_mut(i) = acc;
             *sc.get_mut(i) = epilogue(i, acc);
-        })
+        };
+        sharded_row_sweep::<T, R, _>(a, x.as_slice(), None, Descriptor::DEFAULT, shape, sink)
     };
     (Sequential::fold::<T, R::Add, _>(n, |i| scratch[i]), hidden)
 }
@@ -451,14 +598,14 @@ where
     check_dims("axpy_norm", "y vs x", x.len(), y.len())?;
     let n = x.len();
     let dist = shape.dist(n);
-    let owned = owned_selected(n, None, Descriptor::DEFAULT, &dist)?;
     let ys = y.as_slice();
-    let mut scratch = vec![R::zero(); n];
+    let arena = shape.arena::<T>();
+    let mut scratch = arena.scratch(n, R::zero());
     {
         let out = UnsafeSlice::new(x.as_mut_slice());
-        let sc = UnsafeSlice::new(&mut scratch);
+        let sc = UnsafeSlice::new(&mut scratch[..n]);
         run_superstep(shape, |w| {
-            for &i in &owned[w] {
+            for i in dist.owned_ranges(w).flatten() {
                 // SAFETY: owned indices are disjoint across workers.
                 unsafe {
                     let slot = out.get_mut(i);
@@ -481,16 +628,16 @@ where
     check_dims("dot", "y vs x", x.len(), y.len())?;
     let n = x.len();
     let dist = shape.dist(n);
-    let owned = owned_selected(n, None, Descriptor::DEFAULT, &dist)?;
     let xs = x.as_slice();
     let ys = y.as_slice();
-    let mut scratch = vec![R::zero(); n];
+    let arena = shape.arena::<T>();
+    let mut scratch = arena.scratch(n, R::zero());
     {
-        let sc = UnsafeSlice::new(&mut scratch);
+        let sc = UnsafeSlice::new(&mut scratch[..n]);
         run_superstep(shape, |w| {
-            for &i in &owned[w] {
+            for i in dist.owned_ranges(w).flatten() {
                 // SAFETY: owned indices are disjoint across workers.
-                unsafe { *sc.get_mut(i) = R::mul(xs[i], ys[i]) };
+                unsafe { sc.write(i, R::mul(xs[i], ys[i])) };
             }
             0.0
         });
@@ -510,19 +657,20 @@ where
     M: Monoid<T>,
 {
     let n = x.len();
+    check_mask(n, mask)?;
     let dist = shape.dist(n);
-    let owned = owned_selected(n, mask, desc, &dist)?;
     let xs = x.as_slice();
+    let arena = shape.arena::<T>();
     // Unselected slots are never read: `fold_selected` maps selected
     // indices only (unselected contribute `M::identity()` directly).
-    let mut scratch = vec![M::identity(); n];
+    let mut scratch = arena.scratch(n, M::identity());
     {
-        let sc = UnsafeSlice::new(&mut scratch);
+        let sc = UnsafeSlice::new(&mut scratch[..n]);
         run_superstep(shape, |w| {
-            for &i in &owned[w] {
+            for_owned_selected(&dist, w, mask, desc, |i| {
                 // SAFETY: owned indices are disjoint across workers.
-                unsafe { *sc.get_mut(i) = xs[i] };
-            }
+                unsafe { sc.write(i, xs[i]) };
+            });
             0.0
         });
     }
@@ -549,26 +697,26 @@ where
     check_dims("ewise", "x vs output", w.len(), x.len())?;
     check_dims("ewise", "y vs output", w.len(), y.len())?;
     let n = w.len();
+    check_mask(n, mask)?;
     let dist = shape.dist(n);
-    let owned = owned_selected(n, mask, desc, &dist)?;
     let xs = x.as_slice();
     let ys = y.as_slice();
     let out = UnsafeSlice::new(w.as_mut_slice());
     match scale {
         None => run_superstep(shape, |node| {
-            for &i in &owned[node] {
+            for_owned_selected(&dist, node, mask, desc, |i| {
                 // SAFETY: owned indices are disjoint across workers.
                 unsafe { A::store(out.get_mut(i), Op::apply(xs[i], ys[i])) };
-            }
+            });
             0.0
         }),
         Some((alpha, beta)) => run_superstep(shape, |node| {
-            for &i in &owned[node] {
+            for_owned_selected(&dist, node, mask, desc, |i| {
                 // SAFETY: owned indices are disjoint across workers.
                 unsafe {
                     A::store(out.get_mut(i), Op::apply(alpha.mul(xs[i]), beta.mul(ys[i])));
                 }
-            }
+            });
             0.0
         }),
     };
@@ -586,13 +734,11 @@ where
     T: Scalar,
 {
     check_dims("axpy", "y vs x", x.len(), y.len())?;
-    let n = x.len();
-    let dist = shape.dist(n);
-    let owned = owned_selected(n, None, Descriptor::DEFAULT, &dist)?;
+    let dist = shape.dist(x.len());
     let ys = y.as_slice();
     let out = UnsafeSlice::new(x.as_mut_slice());
     run_superstep(shape, |w| {
-        for &i in &owned[w] {
+        for i in dist.owned_ranges(w).flatten() {
             // SAFETY: owned indices are disjoint across workers.
             unsafe {
                 let slot = out.get_mut(i);
@@ -619,15 +765,15 @@ where
 {
     check_dims("apply", "input vs output", out.len(), input.len())?;
     let n = out.len();
+    check_mask(n, mask)?;
     let dist = shape.dist(n);
-    let owned = owned_selected(n, mask, desc, &dist)?;
     let xs = input.as_slice();
     let slots = UnsafeSlice::new(out.as_mut_slice());
     run_superstep(shape, |w| {
-        for &i in &owned[w] {
+        for_owned_selected(&dist, w, mask, desc, |i| {
             // SAFETY: owned indices are disjoint across workers.
             unsafe { A::store(slots.get_mut(i), Op::apply(xs[i])) };
-        }
+        });
         0.0
     });
     Ok(())
@@ -646,14 +792,14 @@ where
     F: Fn(usize, &mut T) + Send + Sync,
 {
     let n = out.len();
+    check_mask(n, mask)?;
     let dist = shape.dist(n);
-    let owned = owned_selected(n, mask, desc, &dist)?;
     let slots = UnsafeSlice::new(out.as_mut_slice());
     run_superstep(shape, |w| {
-        for &i in &owned[w] {
+        for_owned_selected(&dist, w, mask, desc, |i| {
             // SAFETY: owned indices are disjoint across workers.
             f(i, unsafe { slots.get_mut(i) });
-        }
+        });
         0.0
     });
     Ok(())
@@ -665,12 +811,55 @@ where
     F: Fn(usize) + Send + Sync,
 {
     let dist = shape.dist(n);
-    let owned = owned_selected(n, None, Descriptor::DEFAULT, &dist)
-        .expect("unmasked selection cannot fail");
     run_superstep(shape, |w| {
-        for &i in &owned[w] {
-            f(i);
-        }
+        dist.owned_ranges(w).flatten().for_each(&f);
         0.0
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::dist::cost;
+
+    /// The per-node walk must visit exactly what the serial selection
+    /// (`cost::for_selected`, itself pinned to the kernels') visits, split
+    /// by owner, in ascending order.
+    #[test]
+    fn owned_selection_is_the_serial_selection_split_by_owner() {
+        let n = 23;
+        let sparse = Vector::<bool>::sparse_filled(n, vec![0, 3, 4, 11, 12, 22], true).unwrap();
+        let valued =
+            Vector::<bool>::from_entries(n, &[(0, false), (5, true), (12, true), (13, false)])
+                .unwrap();
+        let dense = Vector::<bool>::filled(n, true);
+        let descs = [
+            Descriptor::DEFAULT,
+            Descriptor::STRUCTURAL,
+            Descriptor::INVERT_MASK,
+            Descriptor::STRUCTURAL.with(Descriptor::INVERT_MASK),
+        ];
+        let layouts = [ShardLayout::Block, ShardLayout::BlockCyclic { block: 3 }];
+        for layout in layouts {
+            for p in [1usize, 2, 3, 7] {
+                let dist = layout.dist_for(n, p);
+                for mask in [None, Some(&sparse), Some(&valued), Some(&dense)] {
+                    for desc in descs {
+                        let mut expect = vec![Vec::new(); p];
+                        cost::for_selected(n, mask, desc, |i| expect[dist.owner(i)].push(i));
+                        for (node, want) in expect.iter().enumerate() {
+                            let mut got = Vec::new();
+                            for_owned_selected(&dist, node, mask, desc, |i| got.push(i));
+                            assert_eq!(
+                                &got,
+                                want,
+                                "{layout:?} p={p} node={node} desc={desc:?} mask={:?}",
+                                mask.map(|m| m.nnz())
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -4,13 +4,16 @@
 //! LPF) at compile time; every primitive is written once against the backend
 //! interface. This crate mirrors that: the primitives in [`crate::exec`] are
 //! generic over [`Backend`], and callers pick [`Sequential`] or [`Parallel`]
-//! (rayon work-stealing, the guides' prescribed data-parallel substrate).
+//! (rayon-style parallel iterators: each loop is cut into at most
+//! `current_num_threads()` fixed contiguous chunks, one per thread of the
+//! workspace's persistent worker pool — no work stealing).
 //!
 //! The distributed ("hybrid") backend of the paper lives in [`dist`]: a
 //! cost-accounted [`Exec`](crate::context::Exec) dispatcher over the `bsp`
 //! crate's simulated multi-node machine. It is not a [`Backend`] — its
 //! parallelism lives across simulated nodes, not inside these data-parallel
-//! loops — but a `Ctx<Distributed>` drives the exact same builder surface.
+//! loops — but a `Ctx<Distributed>` drives the exact same builder surface,
+//! and its supersteps run on the same worker pool.
 
 pub mod dist;
 
@@ -110,7 +113,8 @@ impl Backend for Sequential {
     }
 }
 
-/// Shared-memory data-parallel backend on the rayon global pool.
+/// Shared-memory data-parallel backend on the process-wide worker pool
+/// (`rayon::pool`): parked threads woken per kernel, not spawned.
 ///
 /// The analogue of ALP's OpenMP shared-memory backend (§IV). Work is split
 /// with a minimum chunk size so fine-grained kernels (small coarse multigrid

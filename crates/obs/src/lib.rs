@@ -39,8 +39,8 @@ pub mod span;
 
 pub use metrics::{global, Counter, Gauge, Histogram, Registry};
 pub use span::{
-    adopt_tid, alloc_tid, chrome_trace, clear, dropped_count, enabled, record_span, set_enabled,
-    set_thread_label, snapshot, span_count, span_enter, SpanGuard, SpanRecord,
+    alloc_tid, chrome_trace, clear, dropped_count, enabled, record_span, set_enabled,
+    set_thread_label, snapshot, span_count, span_enter, with_tid, SpanGuard, SpanRecord,
 };
 
 use std::fmt::Write as _;

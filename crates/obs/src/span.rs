@@ -95,8 +95,8 @@ fn stripes() -> &'static [Stripe] {
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// 0 = not yet assigned; [`current_tid`] assigns lazily, [`adopt_tid`]
-    /// overrides (how short-lived BSP worker threads keep a stable track).
+    /// 0 = not yet assigned; [`current_tid`] assigns lazily, [`with_tid`]
+    /// overrides for a scope (how BSP nodes keep a stable track).
     static TID: Cell<u64> = const { Cell::new(0) };
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
@@ -116,16 +116,25 @@ fn current_tid() -> u64 {
 }
 
 /// Reserves a thread id without binding it to any thread — callers hand
-/// it to workers via [`adopt_tid`] so logically-identical threads across
+/// it to workers via [`with_tid`] so logically-identical threads across
 /// operations (e.g. "node 3 of this cluster") share one trace track.
 pub fn alloc_tid() -> u64 {
     NEXT_TID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Makes the calling thread record spans under `tid` (normally one
-/// reserved with [`alloc_tid`]) instead of its own lazily assigned id.
-pub fn adopt_tid(tid: u64) {
-    TID.with(|t| t.set(tid));
+/// Runs `f` with the calling thread recording spans under `tid` (normally
+/// one reserved with [`alloc_tid`]), then puts the thread's own id back,
+/// also if `f` panics — how a pooled thread lends itself to a logical
+/// track ("node 3 of this cluster") for one superstep and no longer.
+pub fn with_tid<R>(tid: u64, f: impl FnOnce() -> R) -> R {
+    struct Restore(u64);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            TID.with(|t| t.set(self.0));
+        }
+    }
+    let _restore = Restore(TID.with(|t| t.replace(tid)));
+    f()
 }
 
 /// `tid → human-readable label` registry backing the Chrome trace's
@@ -452,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn adopted_tids_keep_a_stable_track_across_threads() {
+    fn lent_tids_keep_a_stable_track_across_threads() {
         let _g = test_lock();
         clear();
         set_enabled(true);
@@ -461,17 +470,20 @@ mod tests {
         for _ in 0..2 {
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    adopt_tid(tid);
-                    let _s = span_enter("worker.op", "test").unwrap();
+                    with_tid(tid, || drop(span_enter("worker.op", "test").unwrap()));
+                    // Outside the scope the thread is itself again.
+                    let _s = span_enter("own.op", "test").unwrap();
                 });
             });
         }
         set_enabled(false);
         let spans = snapshot();
-        assert_eq!(spans.len(), 2);
+        assert_eq!(spans.len(), 4);
         assert!(
-            spans.iter().all(|s| s.tid == tid),
-            "both short-lived worker threads recorded on the adopted tid"
+            spans
+                .iter()
+                .all(|s| (s.tid == tid) == (s.name == "worker.op")),
+            "both worker threads recorded on the lent tid inside the scope only"
         );
         let json = chrome_trace();
         assert!(json.contains(&format!(

@@ -5,16 +5,21 @@
 //! rayon APIs the kernels rely on — `into_par_iter` over ranges,
 //! `par_iter`/`par_chunks`/`par_chunks_mut` over slices, `with_min_len`,
 //! `map`/`zip`/`enumerate`/`for_each`/`reduce`/`collect`, thread pools —
-//! with genuine data parallelism on `std::thread::scope`. Work is split
-//! into at most `current_num_threads()` contiguous chunks (respecting
-//! `with_min_len`), which preserves the fixed-chunking determinism the
-//! HPCG reference implementation depends on.
+//! with genuine data parallelism on one persistent worker [`pool`]. Work is
+//! split into at most `current_num_threads()` contiguous chunks
+//! (respecting `with_min_len`), which preserves the fixed-chunking
+//! determinism the HPCG reference implementation depends on.
 //!
 //! It is a shim, not a replacement: no work stealing, no splitting beyond
 //! the initial partition, and `ThreadPool::install` only scopes the thread
-//! *count* (work still runs on freshly scoped threads).
+//! *count* (every count runs on the same process-wide [`pool`], which
+//! grows to the widest partition asked of it).
 
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+pub mod pool;
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice, ParallelSliceMut};
@@ -25,42 +30,56 @@ static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// The number of threads parallel operations will use.
 pub fn current_num_threads() -> usize {
+    /// Asking the OS reads the affinity mask and the cgroup files; once.
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let n = NUM_THREADS.load(Ordering::Relaxed);
     if n != 0 {
         n
     } else {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
+        *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        })
     }
 }
 
-/// Splits `0..len` into at most `current_num_threads()` contiguous chunks of
-/// at least `min_len` items and runs `f(chunk_index, start, end)` on scoped
-/// threads (the last chunk runs on the caller's thread).
-fn run_chunked<F: Fn(usize, usize, usize) + Sync>(len: usize, min_len: usize, f: F) {
+/// The fixed partition of `0..len` on `threads` threads: `(chunks, per)`,
+/// meaning chunk `c < chunks` is `c * per .. min((c + 1) * per, len)`. At
+/// most `threads` chunks, none empty, each of at least `min_len` items
+/// when `len` allows. A pure function of its arguments — the reduction
+/// order of every `Parallel` kernel, and so its result bits, hang on it.
+fn partition(len: usize, min_len: usize, threads: usize) -> (usize, usize) {
     if len == 0 {
-        return;
+        return (0, 0);
     }
-    let min_len = min_len.max(1);
-    let chunks = current_num_threads().min(len.div_ceil(min_len)).max(1);
-    if chunks == 1 {
-        f(0, 0, len);
-        return;
+    let wanted = threads.min(len.div_ceil(min_len.max(1))).max(1);
+    let per = len.div_ceil(wanted);
+    (len.div_ceil(per), per)
+}
+
+/// Runs `f(chunk_index, start, end)` for every chunk of a [`partition`]
+/// `(chunks, per)` of `0..len`, concurrently on the worker [`pool`]
+/// (chunk 0 on the caller's thread).
+fn run_chunked<F: Fn(usize, usize, usize) + Sync>(len: usize, chunks: usize, per: usize, f: F) {
+    pool::run(chunks, |c| f(c, c * per, ((c + 1) * per).min(len)));
+}
+
+/// One result slot per chunk, each written by the one thread that runs
+/// that chunk and read after the region has ended.
+struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
+
+// SAFETY: threads only ever touch distinct slots (one chunk index each),
+// and a slot's value moves to the writing thread and back: `T: Send`.
+unsafe impl<T: Send> Sync for Slots<T> {}
+
+impl<T> Slots<T> {
+    /// # Safety
+    /// No other thread may access slot `chunk` during the call.
+    unsafe fn put(&self, chunk: usize, value: T) {
+        // SAFETY: exclusive access to this slot is the caller's guarantee.
+        unsafe { *self.0[chunk].get() = Some(value) };
     }
-    let per = len.div_ceil(chunks);
-    std::thread::scope(|scope| {
-        let f = &f;
-        for c in 1..chunks {
-            let start = c * per;
-            if start >= len {
-                break;
-            }
-            let end = (start + per).min(len);
-            scope.spawn(move || f(c, start, end));
-        }
-        f(0, 0, per.min(len));
-    });
 }
 
 /// The parallel-iterator surface: indexed, fixed-partition.
@@ -112,7 +131,9 @@ pub trait ParallelIterator: Sized + Sync {
     /// Consumes the iterator, invoking `f` on every element in parallel.
     fn for_each<F: Fn(Self::Item) + Sync>(self, f: F) {
         let this = &self;
-        run_chunked(self.pi_len(), self.min_len_hint(), |_, start, end| {
+        let len = self.pi_len();
+        let (chunks, per) = partition(len, self.min_len_hint(), current_num_threads());
+        run_chunked(len, chunks, per, |_, start, end| {
             for i in start..end {
                 // SAFETY: chunks are disjoint, each index visited once.
                 f(unsafe { this.item(i) });
@@ -129,20 +150,23 @@ pub trait ParallelIterator: Sized + Sync {
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
     {
         let this = &self;
-        let partials = std::sync::Mutex::new(Vec::new());
-        run_chunked(self.pi_len(), self.min_len_hint(), |chunk, start, end| {
+        let len = self.pi_len();
+        let (chunks, per) = partition(len, self.min_len_hint(), current_num_threads());
+        let partials = Slots((0..chunks).map(|_| UnsafeCell::new(None)).collect());
+        run_chunked(len, chunks, per, |chunk, start, end| {
             let mut acc = identity();
             for i in start..end {
                 // SAFETY: chunks are disjoint, each index visited once.
                 acc = op(acc, unsafe { this.item(i) });
             }
-            partials.lock().unwrap().push((chunk, acc));
+            // SAFETY: slot `chunk` is this chunk's alone.
+            unsafe { partials.put(chunk, acc) };
         });
-        let mut partials = partials.into_inner().unwrap();
-        partials.sort_by_key(|&(chunk, _)| chunk);
         partials
+            .0
             .into_iter()
-            .fold(identity(), |acc, (_, v)| op(acc, v))
+            .map(|slot| slot.into_inner().expect("every chunk ran"))
+            .fold(identity(), &op)
     }
 
     /// Collects into a container (sequential drain — used off the hot path).
@@ -400,7 +424,7 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Builds a scoped-thread "pool" (really: a thread-count setting).
+    /// Builds a "pool" (really: a thread-count setting for the one [`pool`]).
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool {
             threads: self.num_threads.unwrap_or(0),
@@ -415,7 +439,7 @@ impl ThreadPoolBuilder {
 }
 
 /// A configured degree of parallelism. `install` scopes the global thread
-/// count to the closure (the shim has no dedicated worker threads).
+/// count to the closure; the work runs on the process-wide [`pool`].
 pub struct ThreadPool {
     threads: usize,
 }
@@ -514,6 +538,33 @@ mod tests {
             });
         for (i, &v) in w.iter().enumerate() {
             assert_eq!(v, i / 128);
+        }
+    }
+
+    /// The partition decides the reduction order of every `Parallel`
+    /// kernel; these rows are the boundaries the scoped-thread runtime
+    /// this pool replaced produced for the same inputs.
+    #[test]
+    fn partition_is_pinned() {
+        type Bounds = &'static [(usize, usize)];
+        let table: [(usize, usize, usize, Bounds); 10] = [
+            (0, 512, 4, &[]),
+            (1, 1, 4, &[(0, 1)]),
+            (511, 512, 2, &[(0, 511)]),
+            (1024, 512, 2, &[(0, 512), (512, 1024)]),
+            (1025, 512, 2, &[(0, 513), (513, 1025)]),
+            (1025, 512, 4, &[(0, 342), (342, 684), (684, 1025)]),
+            (9, 1, 4, &[(0, 3), (3, 6), (6, 9)]),
+            (10, 0, 4, &[(0, 3), (3, 6), (6, 9), (9, 10)]),
+            (32768, 512, 2, &[(0, 16384), (16384, 32768)]),
+            (32768, 512, 3, &[(0, 10923), (10923, 21846), (21846, 32768)]),
+        ];
+        for (len, min_len, threads, expect) in table {
+            let (chunks, per) = partition(len, min_len, threads);
+            let got: Vec<_> = (0..chunks)
+                .map(|c| (c * per, ((c + 1) * per).min(len)))
+                .collect();
+            assert_eq!(got, expect, "len={len} min_len={min_len} threads={threads}");
         }
     }
 
