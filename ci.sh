@@ -71,10 +71,13 @@ echo "==> perf_probe smoke (BENCH_shared.json)"
 # Shared-memory kernel timings in machine-readable form — the
 # counterpart of BENCH_dist.json for SpMV/dot regressions.
 cargo run --release -p hpcg-bench --bin perf_probe -- \
-    --size 16 --reps 40 --out BENCH_shared.json
-# Compiled-plan replay must amortize: replaying a cached plan can never be
-# meaningfully slower than re-recording the pipeline it was compiled from
-# (5 % slack absorbs timer noise on these sub-millisecond kernels).
+    --size 16 --reps 1000 --out BENCH_shared.json
+# Record and replay run one interpreter on one op graph and differ only by
+# compile + bind, so neither arm may be meaningfully slower than the
+# other: replay must amortize recording, and the one-shot front door may
+# not cost more than the plan it wraps (5 % slack absorbs timer noise on
+# these sub-millisecond kernels; perf_probe times the two arms alternately
+# and 1000 reps keep their minima within ~3 % of each other on a noisy host).
 # The worker runtime is billed as its own layer: an empty 2-part region.
 python3 -c "
 import json, math
@@ -89,9 +92,12 @@ for e in amort:
     assert e['replay_secs'] <= e['record_secs'] * 1.05, (
         f\"{e['kernel']}: replay {e['replay_secs']:.3e}s slower than \"
         f\"record {e['record_secs']:.3e}s\")
-    print(f\"{e['kernel']}: replay amortizes record \"
-          f\"({e['speedup']:.2f}x)\")
-" || { echo "BENCH_shared.json replay amortization gate failed" >&2; exit 1; }
+    assert e['record_secs'] <= e['replay_secs'] * 1.05, (
+        f\"{e['kernel']}: record {e['record_secs']:.3e}s slower than \"
+        f\"replay {e['replay_secs']:.3e}s\")
+    print(f\"{e['kernel']}: record and replay within 5 % \"
+          f\"({e['speedup']:.3f}x)\")
+" || { echo "BENCH_shared.json record/replay gate failed" >&2; exit 1; }
 # Tracing off must stay free: the disabled span probe every kernel entry
 # now carries may cost at most 1 % of one spmv_dot invocation.
 python3 -c "
@@ -206,5 +212,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo doc (warnings denied)"
+# Broken or private intra-doc links and bare [n] citations fail the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> ci.sh: all green"

@@ -2,7 +2,7 @@
 //!
 //! RBGS relaxes Gauss-Seidel's dependency order to expose parallelism "at
 //! the cost of a higher number of iterations to achieve the same smoothing
-//! effect" [22]. This harness measures that cost: error reduction factor
+//! effect" \[22\]. This harness measures that cost: error reduction factor
 //! per symmetric sweep on the HPCG system, for the natural-order SGS and
 //! the 8-color RBGS, plus the error after k sweeps of each.
 //!

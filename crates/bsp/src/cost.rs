@@ -53,8 +53,8 @@ pub struct StepCost {
     pub overlap: bool,
     /// Measured wall-clock seconds attributed to this step (0 until a
     /// timed execution calls [`CostTracker::attribute_measured`]). This is
-    /// the cross-check column next to the modeled [`total_secs`]
-    /// (`StepCost::total_secs`).
+    /// the cross-check column next to the modeled
+    /// [`total_secs`](StepCost::total_secs).
     pub measured_secs: f64,
     /// Measured seconds of exchange time hidden behind local compute by
     /// split-phase execution (0 until a sharded run calls

@@ -2,7 +2,7 @@
 //!
 //! Every [`Exec`](crate::context::Exec) entry point of
 //! [`Distributed`](super::Distributed) executes its numerics once on
-//! global state and then calls into [`ClusterState`] here, which replays
+//! global state and then calls into `ClusterState` here, which replays
 //! the operation against the cost model: per-node flops and touched bytes
 //! (from the shard layout and, for masked operations, the *exact* mask
 //! selection), per-node sent/received bytes for the collective the 1D

@@ -13,7 +13,7 @@
 //!   recorded [`Pipeline`](crate::Pipeline) — runs distributed, including
 //!   the fused `spmv+dot` / `axpy+norm` entry points;
 //! * numerics execute **sharded across `p` real worker threads** (the
-//!   [`shard`] module): each worker owns its node's rows/elements under
+//!   `shard` module): each worker owns its node's rows/elements under
 //!   the layout, input vectors move through the [`bsp::Exchange`] mailbox
 //!   fabric in split-phase (post, compute the interior, complete for the
 //!   boundary tail), and every combine is sequenced in deterministic
@@ -364,35 +364,49 @@ impl CostSummary {
     /// works on a live cluster's trace ([`Distributed::cost_summary`]) or
     /// on steps a harness drained into its own tracker.
     pub fn from_steps(nodes: usize, layout: &'static str, steps: &[StepCost]) -> CostSummary {
-        let mut per_class: Vec<ClassCost> = Vec::new();
+        let mut summary = CostSummary {
+            nodes,
+            layout,
+            total_secs: 0.0,
+            total_measured_secs: 0.0,
+            total_h_bytes: 0.0,
+            total_overlap_hidden_secs: 0.0,
+            supersteps: 0,
+            per_class: Vec::new(),
+        };
+        summary.absorb(steps);
+        summary
+    }
+
+    /// Folds further steps into the summary, in order — a running total
+    /// over a trace delivered in pieces equals, bit for bit,
+    /// [`from_steps`](Self::from_steps) over the whole trace, so a
+    /// long-lived consumer need not keep the steps.
+    pub fn absorb(&mut self, steps: &[StepCost]) {
         for step in steps {
-            match per_class.iter_mut().find(|c| c.class == step.class) {
+            let secs = step.total_secs();
+            self.total_secs += secs;
+            self.total_measured_secs += step.measured_secs;
+            self.total_h_bytes += step.h_bytes;
+            self.total_overlap_hidden_secs += step.overlap_hidden_secs;
+            self.supersteps += 1;
+            match self.per_class.iter_mut().find(|c| c.class == step.class) {
                 Some(c) => {
-                    c.secs += step.total_secs();
+                    c.secs += secs;
                     c.measured_secs += step.measured_secs;
                     c.h_bytes += step.h_bytes;
                     c.overlap_hidden_secs += step.overlap_hidden_secs;
                     c.steps += 1;
                 }
-                None => per_class.push(ClassCost {
+                None => self.per_class.push(ClassCost {
                     class: step.class,
-                    secs: step.total_secs(),
+                    secs,
                     measured_secs: step.measured_secs,
                     h_bytes: step.h_bytes,
                     overlap_hidden_secs: step.overlap_hidden_secs,
                     steps: 1,
                 }),
             }
-        }
-        CostSummary {
-            nodes,
-            layout,
-            total_secs: steps.iter().map(StepCost::total_secs).sum(),
-            total_measured_secs: steps.iter().map(|s| s.measured_secs).sum(),
-            total_h_bytes: steps.iter().map(|s| s.h_bytes).sum(),
-            total_overlap_hidden_secs: steps.iter().map(|s| s.overlap_hidden_secs).sum(),
-            supersteps: steps.len(),
-            per_class,
         }
     }
 

@@ -43,7 +43,9 @@
 //!
 //! [`Ctx::pipeline`] returns a [`Pipeline`] on which the same builders
 //! *record* operations instead of executing them; `finish()` runs a fusion
-//! pass and executes the fused schedule. See [`crate::pipeline`].
+//! pass and executes the fused schedule once. [`Ctx::plan`] records the
+//! same graph against slots and compiles it for replay. Both feed the one
+//! op IR and interpreter in [`crate::plan`]; see [`crate::pipeline`].
 
 use crate::backend::dist::Distributed;
 use crate::backend::{Backend, Parallel, Sequential};
@@ -808,8 +810,9 @@ impl<E: Exec> Ctx<E> {
 
     /// Starts a deferred-execution [`Pipeline`]: the same operation
     /// builders *record* into an op graph instead of executing, and
-    /// [`Pipeline::finish`] fuses compatible stages before running them on
-    /// this context's backend. See the [`crate::pipeline`] module docs.
+    /// [`Pipeline::finish`] fuses compatible stages before running them
+    /// once on this context's backend. See the [`crate::pipeline`] module
+    /// docs.
     pub fn pipeline<'a, T: Scalar>(&self) -> Pipeline<'a, T, E> {
         Pipeline::new(self.exec, self.defaults)
     }
@@ -819,7 +822,7 @@ impl<E: Exec> Ctx<E> {
     /// fused [`Plan`](crate::plan::Plan), and each replay binds fresh
     /// buffers/scalars — record once, run every iteration. See the
     /// [`crate::plan`] module docs.
-    pub fn plan<T: Scalar>(&self) -> PlanBuilder<T, E> {
+    pub fn plan<T: Scalar>(&self) -> PlanBuilder<'static, T, E> {
         PlanBuilder::new(self.exec, self.defaults)
     }
 }

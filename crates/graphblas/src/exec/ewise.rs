@@ -2,7 +2,7 @@
 //!
 //! Covers HPCG's `waxpby` kernel (`w = α·x + β·y`, paper §II-C) plus the
 //! general GraphBLAS `eWiseApply`. All variants funnel into one kernel,
-//! [`ewise_exec`], generic over the operator, an optional operand scaling
+//! `ewise_exec`, generic over the operator, an optional operand scaling
 //! (which turns `Plus` into `waxpby` — fusing the two scalings with the
 //! addition halves memory traffic versus two passes) and an
 //! [`AccumMode`] (which turns `Times` + `AccumWith<Plus>` into the old

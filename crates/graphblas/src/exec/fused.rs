@@ -6,9 +6,9 @@
 //! merge them. These kernels are the merge targets the generic pass in
 //! [`crate::fusion`] lowers onto:
 //!
-//! * [`spmv_dot_exec`] — `y = A ⊕.⊗ x` with a dot-product epilogue folded
+//! * `spmv_dot_exec` — `y = A ⊕.⊗ x` with a dot-product epilogue folded
 //!   into the same row sweep (CG's `⟨p, Ap⟩` right after `Ap`);
-//! * [`axpy_norm_exec`] — `x ← x + α·y` with `⟨x, x⟩` accumulated in the
+//! * `axpy_norm_exec` — `x ← x + α·y` with `⟨x, x⟩` accumulated in the
 //!   same stream (CG's residual norm right after the residual update).
 //!
 //! # Bit-identity with the eager pair

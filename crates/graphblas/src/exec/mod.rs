@@ -1,7 +1,7 @@
 //! The GraphBLAS primitives.
 //!
 //! Every primitive is generic over the value domain `T`, an algebraic
-//! structure, and a [`Backend`](crate::Backend). Masked variants follow the
+//! structure, and a [`Backend`]. Masked variants follow the
 //! semantics of the paper's Listing 2/3: outputs are computed **only at
 //! selected positions**; unselected positions of the output are left
 //! untouched (no-replace semantics), which is what the RBGS color sweep

@@ -18,7 +18,7 @@
 //!   output positions are scatter targets, so there is no cheaper
 //!   mask-following path without a CSC view).
 //!
-//! All variants funnel into one kernel, [`mxv_exec`], generic over an
+//! All variants funnel into one kernel, `mxv_exec`, generic over an
 //! [`AccumMode`]: `NoAccum` overwrites selected outputs, `AccumWith<Op>`
 //! fuses `y = y ⊙ (A ⊕.⊗ x)` — the collapse of the historical
 //! `mxv`/`mxv_accum` twin entry points. The public ways in are

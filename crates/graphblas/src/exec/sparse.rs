@@ -12,7 +12,7 @@
 //!   `Θ(Σ_{j ∈ frontier} nnz(A(:,j)))` — proportional to the frontier, not
 //!   to `n`;
 //! * **pull** — densify the frontier and run the ordinary dense kernel
-//!   ([`mxv_exec`]), a full row sweep. This *is* the dense code path on the
+//!   (`mxv_exec`), a full row sweep. This *is* the dense code path on the
 //!   same data, so its results are bit-identical by construction.
 //!
 //! Push is selected only when it is both profitable (frontier density at

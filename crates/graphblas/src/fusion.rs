@@ -1,7 +1,8 @@
-//! The generic fusion pass over recorded pipeline op graphs.
+//! The generic fusion pass over recorded op graphs.
 //!
-//! Given the node list a [`Pipeline`](crate::pipeline::Pipeline) recorded,
-//! [`fuse`] partitions it into execution stages, merging patterns the
+//! Given the ops a [`PlanBuilder`](crate::plan::PlanBuilder) recorded —
+//! directly, or on behalf of a [`Pipeline`](crate::pipeline::Pipeline) —
+//! the pass partitions them into execution stages, merging patterns the
 //! backends have fused kernels for (paper §VI — the hand-optimizations
 //! HPCG vendors apply, recovered here from the op graph):
 //!
@@ -20,18 +21,15 @@
 //!   observe a half-written vector, so they split the run instead).
 //!
 //! Everything else runs as a single stage through the exact kernel its
-//! eager builder would call. The pass never reorders nodes, which together
-//! with the per-element equivalence of the fused kernels keeps pipeline
+//! eager builder would call. The pass never reorders ops, which together
+//! with the per-element equivalence of the fused kernels keeps deferred
 //! execution bit-identical to eager execution.
 //!
-//! The pass itself is *shape generic*: it sees each recorded op only as an
-//! [`OpShape`] (kind, output slot, read slots, maskedness), so the same
-//! [`fuse_shapes`] schedule builder serves both the borrow-carrying
-//! [`Pipeline`](crate::pipeline::Pipeline) nodes and the slot-based
-//! [`Plan`](crate::plan::Plan) nodes that outlive their operands.
-
-use crate::ops::scalar::Scalar;
-use crate::pipeline::{Node, RingTag};
+//! The pass sees each recorded op only as its fusion-relevant footprint
+//! (kind, output slot, read slots, maskedness), so it knows nothing about
+//! the op graph's representation: [`crate::plan`] maps its nodes to
+//! footprints, gets a schedule of node indices back and interprets it.
+//! There is one caller — plan compilation and pipeline `finish()` share it.
 
 /// One execution stage of a fused schedule (indices into the node list).
 pub(crate) enum Stage {
@@ -55,8 +53,10 @@ pub(crate) enum Stage {
     Loop(Vec<usize>),
 }
 
-/// Public description of a planned stage — what [`Pipeline::plan`]
-/// (crate::pipeline::Pipeline::plan) reports for tests and debugging.
+/// Public description of a planned stage — what
+/// [`Pipeline::plan`](crate::pipeline::Pipeline::plan) and
+/// [`Plan::schedule`](crate::plan::Plan::schedule) report for tests and
+/// debugging.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlannedStage {
     /// An unfused stage running the named eager kernel.
@@ -70,12 +70,7 @@ pub enum PlannedStage {
 }
 
 impl Stage {
-    pub(crate) fn describe<T: Scalar>(&self, nodes: &[Node<'_, T>]) -> PlannedStage {
-        self.describe_by(|i| nodes[i].name())
-    }
-
-    /// Describes the stage given a node-index → kernel-name mapping, so
-    /// both pipeline nodes and plan nodes can report schedules.
+    /// Describes the stage given a node-index → kernel-name mapping.
     pub(crate) fn describe_by(&self, name_of: impl Fn(usize) -> &'static str) -> PlannedStage {
         match self {
             Stage::Single(i) => PlannedStage::Single(name_of(*i)),
@@ -112,9 +107,9 @@ pub(crate) enum ShapeKind {
 }
 
 /// The fusion-relevant footprint of one recorded op: what it writes, which
-/// registry slots it reads, and whether a mask gates it. Operands that are
-/// external borrows (not registry slots) cannot alias a registry output —
-/// the recorders enforce that — so they are invisible to the pass.
+/// output slots it reads, and whether a mask gates it. Input slots cannot
+/// alias an output slot — the borrow rules on the bindings enforce that —
+/// so they are invisible to the pass.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OpShape {
     pub(crate) kind: ShapeKind,
@@ -237,88 +232,4 @@ pub(crate) fn fuse_shapes(shapes: &[OpShape], out_lens: &[usize]) -> Vec<Stage> 
         i = j;
     }
     stages
-}
-
-/// The [`OpShape`] of a recorded pipeline node.
-fn node_shape<T: Scalar>(node: &Node<'_, T>) -> OpShape {
-    match node {
-        Node::Mxv {
-            out,
-            x,
-            mask,
-            desc,
-            ring,
-            accum,
-            ..
-        } => OpShape {
-            kind: if mask.is_none()
-                && !desc.is_transposed()
-                && *ring == RingTag::PlusTimes
-                && accum.is_none()
-            {
-                ShapeKind::MxvFusable
-            } else {
-                ShapeKind::MxvOther
-            },
-            out: Some(*out),
-            reads: [x.out_index(), None, None],
-            masked: mask.is_some(),
-        },
-        Node::Ewise {
-            out, x, y, mask, ..
-        } => OpShape {
-            kind: ShapeKind::Ewise,
-            out: Some(*out),
-            reads: [x.out_index(), y.out_index(), None],
-            masked: mask.is_some(),
-        },
-        Node::Apply {
-            out, input, mask, ..
-        } => OpShape {
-            kind: ShapeKind::Apply,
-            out: Some(*out),
-            reads: [input.out_index(), None, None],
-            masked: mask.is_some(),
-        },
-        Node::Axpy { out, y, .. } => OpShape {
-            kind: ShapeKind::Axpy,
-            out: Some(*out),
-            reads: [y.out_index(), None, None],
-            masked: false,
-        },
-        Node::Lambda { out, mask, .. } => OpShape {
-            kind: ShapeKind::Lambda,
-            out: Some(*out),
-            reads: [None, None, None],
-            masked: mask.is_some(),
-        },
-        Node::LambdaZip { out, src, mask, .. } => OpShape {
-            kind: ShapeKind::Lambda,
-            out: Some(*out),
-            reads: [src.out_index(), None, None],
-            masked: mask.is_some(),
-        },
-        Node::Dot { x, y, ring, .. } => OpShape {
-            kind: if *ring == RingTag::PlusTimes {
-                ShapeKind::DotPlusTimes
-            } else {
-                ShapeKind::DotOther
-            },
-            out: None,
-            reads: [x.out_index(), y.out_index(), None],
-            masked: false,
-        },
-        Node::Reduce { x, mask, .. } => OpShape {
-            kind: ShapeKind::Reduce,
-            out: None,
-            reads: [x.out_index(), None, None],
-            masked: mask.is_some(),
-        },
-    }
-}
-
-/// Partitions the recorded pipeline nodes into a fused execution schedule.
-pub(crate) fn fuse<T: Scalar>(nodes: &[Node<'_, T>], out_lens: &[usize]) -> Vec<Stage> {
-    let shapes: Vec<OpShape> = nodes.iter().map(node_shape).collect();
-    fuse_shapes(&shapes, out_lens)
 }

@@ -65,12 +65,14 @@
 //!
 //! # Deferred execution (nonblocking pipelines)
 //!
-//! The same builders can *record* instead of executing: [`Ctx::pipeline`]
-//! returns a [`Pipeline`] whose terminals push typed ops into a small
-//! dependency graph, and `finish()` runs a fusion pass before executing —
-//! an `mxv` feeding a `dot` becomes one SpMV-with-epilogue sweep, an `axpy`
-//! feeding a norm one fused stream, adjacent element-wise stages one loop.
-//! Results are bit-identical to the eager path on either backend.
+//! The same builders can *record* instead of executing. There is one
+//! recorded form — ops over dimensioned slots ([`plan`]) — one fusion pass
+//! ([`fusion`]) and one interpreter, with two front doors. The one-shot
+//! door is [`Ctx::pipeline`]: a [`Pipeline`] turns each borrowed operand
+//! into a bound slot as it records, and `finish()` fuses and runs the graph
+//! once — an `mxv` feeding a `dot` becomes one SpMV-with-epilogue sweep, an
+//! `axpy` feeding a norm one fused stream, adjacent element-wise stages one
+//! loop. Results are bit-identical to the eager path on every backend.
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Sequential, Vector};
@@ -87,12 +89,13 @@
 //! ```
 //!
 //! When the same op graph runs many times (a CG iteration body, repeated
-//! serve traffic), compile it **once** instead: [`Ctx::plan`] records the
-//! graph against dimensioned slots, [`plan::PlanBuilder::compile`] freezes
-//! the fused schedule into a reusable [`Plan`], and each replay just binds
-//! fresh buffers and scalar parameters — same kernels, bit-identical
-//! results, zero per-iteration recording or fusion cost. A [`PlanCache`]
-//! memoizes compiled plans by shape. See the [`plan`] module docs.
+//! serve traffic), use the compile-once door: [`Ctx::plan`] records the
+//! graph against slots the caller declares, [`plan::PlanBuilder::compile`]
+//! freezes the fused schedule into a reusable [`Plan`], and each replay just
+//! binds fresh buffers and scalar parameters — the same interpreter, so
+//! bit-identical results, with zero per-iteration recording or fusion cost.
+//! A [`PlanCache`] memoizes compiled plans by shape. See the [`plan`]
+//! module docs.
 //!
 //! The pre-0.2 free functions (`mxv(&mut y, None, Descriptor::DEFAULT, …)`),
 //! deprecated in 0.2, have been **removed** in 0.3 as promised; every entry
@@ -103,9 +106,9 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`context`] | [`Ctx`], [`DynCtx`], [`BackendKind`] and the operation builders |
-//! | [`pipeline`] | [`Pipeline`]: deferred op graphs recorded off a context |
-//! | [`plan`] | [`Plan`]: compile-once/replay pipelines over slots, plus the [`PlanCache`] |
-//! | [`fusion`] | the generic fusion pass `Pipeline::finish` and `PlanBuilder::compile` run |
+//! | [`plan`] | the slot-based op IR and its interpreter; [`Plan`]: compile once, replay; the [`PlanCache`] |
+//! | [`pipeline`] | [`Pipeline`]: the typed one-shot front door onto the same IR, plus the runtime algebra tags |
+//! | [`fusion`] | the generic fusion pass over recorded ops |
 //! | [`ops`] | algebraic structures: binary/unary operators, monoids, semirings, accumulation modes |
 //! | [`container`] | [`Vector`] (dense or sparse pattern), [`SparseVector`] frontiers, [`CsrMatrix`] and the dual-orientation [`GraphMatrix`] |
 //! | [`exec::sparse`] | direction-optimizing push/pull `mxv` on sparse frontiers ([`FrontierMode`]) |

@@ -1,6 +1,7 @@
 //! Monoids: associative binary operators with an identity element.
 //!
-//! Reductions ([`crate::reduce`], the additive part of [`crate::mxv`]) fold
+//! Reductions ([`Ctx::reduce`](crate::Ctx::reduce), the additive part of
+//! [`Ctx::mxv`](crate::Ctx::mxv)) fold
 //! over a monoid; the identity is what empty rows and masked-out elements
 //! contribute. Associativity + identity is exactly what lets the parallel
 //! backend split a fold into per-chunk partial folds — the algebraic

@@ -1,4 +1,5 @@
-//! Unary operators as zero-sized types, used by [`crate::apply`].
+//! Unary operators as zero-sized types, used by
+//! [`Ctx::apply`](crate::Ctx::apply).
 
 use super::scalar::Scalar;
 

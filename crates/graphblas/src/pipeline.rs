@@ -1,9 +1,15 @@
-//! Deferred (nonblocking) execution: record operations, fuse, then run.
+//! Deferred (nonblocking) execution, the one-shot front door: record
+//! operations on borrowed operands, fuse, run once.
 //!
 //! The paper cites the ALP nonblocking extension as the GraphBLAS answer to
 //! the hand-fused kernels HPCG vendors ship: the program *expresses* each
 //! primitive separately and the runtime merges compatible stages so paired
-//! kernels stream their operands once. [`Pipeline`] is that subsystem here:
+//! kernels stream their operands once. This crate has one such mechanism —
+//! the slot-based op graph, fusion pass and interpreter in [`crate::plan`]
+//! and [`crate::fusion`] — and two ways in. [`Ctx::plan`](crate::Ctx::plan)
+//! records against declared slots and compiles a reusable
+//! [`Plan`](crate::plan::Plan). [`Pipeline`] is the typed front door for a
+//! graph that runs once:
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Sequential, Vector};
@@ -22,12 +28,14 @@
 //!
 //! # Recording model
 //!
-//! The fluent builders off a [`Pipeline`] mirror the eager ones on
+//! A pipeline owns a [`PlanBuilder`] and a [`Bindings`] table. Every
+//! operand a recorder receives is declared as a slot with the operand's own
+//! dimensions and bound on the spot; the recorders themselves are the plan
+//! recorders with operands translated. They mirror the eager builders on
 //! [`Ctx`](crate::Ctx) — `mxv`, `vxm`, `ewise`, `apply`, `axpy`,
 //! `transform`, `dot`, `reduce`, `norm2_squared` with the same
-//! mask/descriptor/ring/accumulator modifiers — but their terminals push a
-//! typed node into a small dependency graph instead of executing. Dataflow
-//! between recorded stages is expressed with handles:
+//! mask/descriptor/ring/accumulator modifiers. Dataflow between recorded
+//! stages is expressed with handles:
 //!
 //! * writing a vector (`.into(&mut y)`, `axpy`, `transform`) borrows it
 //!   exclusively for the pipeline's lifetime and returns a [`VecHandle`];
@@ -38,19 +46,25 @@
 //! * scalar-producing stages return a [`ScalarHandle`], redeemed against
 //!   the [`PipelineResults`] that [`Pipeline::finish`] returns.
 //!
-//! Because outputs are registered exactly once as `&mut` and inputs as `&`,
-//! the usual borrow rules statically guarantee the graph's vectors don't
-//! alias — the same property that makes the fused loops sound.
+//! What the type adds over a bare builder is the `'a` on every operand:
+//! outputs enter exactly once as `&'a mut` and inputs as `&'a`, so the
+//! borrow checker proves that the graph's vectors don't alias and that they
+//! outlive execution — the property the fused loops' soundness rests on.
+//! `transform` closures may borrow for `'a` too, which a compiled plan's
+//! `'static` closures cannot.
 //!
-//! # Fusion
+//! # Execution
 //!
-//! `finish()` runs the generic pass in [`crate::fusion`]: element-wise
-//! chains collapse into single loops, an `mxv` feeding a `dot`/norm becomes
-//! one SpMV-with-epilogue sweep, and an `axpy` feeding a norm becomes one
-//! fused update-and-reduce stream. Everything else executes stage by stage
-//! through the exact kernels the eager builders use, so pipeline execution
-//! is **bit-identical** to eager execution on either backend (a property
-//! the workspace pins down with dedicated tests).
+//! [`Pipeline::finish`] runs the pass in [`crate::fusion`] over the recorded
+//! graph, validates the bindings and hands both to the interpreter a
+//! [`Plan`](crate::plan::Plan) replays through — no plan is built, no
+//! [`PlanCache`](crate::plan::PlanCache) is consulted. Pipeline execution
+//! is therefore bit-identical to plan replay by construction, and both are
+//! bit-identical to eager execution because unfused stages call the exact
+//! kernels the eager builders call and fused kernels keep the per-element
+//! arithmetic (pinned by dedicated tests). When the same graph runs
+//! repeatedly — a CG iteration body, per-request serve work — compile it
+//! once with [`Ctx::plan`](crate::Ctx::plan) instead; see [`crate::plan`].
 //!
 //! # Algebra at recording time
 //!
@@ -59,35 +73,23 @@
 //! [`UnaryOpTag`], [`MonoidTag`]) and re-monomorphized at execution. The
 //! taggable subset (arithmetic + tropical rings, the arithmetic/min/max
 //! operator families) covers HPCG and the workspace's graph workloads;
-//! `mxm` stays eager-only (it is a setup-time primitive).
-//!
-//! # Compile once, replay many times
-//!
-//! A pipeline records against *borrowed* operands, so a loop body recorded
-//! this way must be re-recorded (and re-fused) every iteration. When the
-//! same op graph runs repeatedly — a CG iteration body, per-request serve
-//! work — record it once against dimensioned **slots** instead with
-//! [`Ctx::plan`](crate::Ctx::plan): `compile()` freezes the fused schedule
-//! into a reusable [`Plan`](crate::plan::Plan) and each replay binds fresh
-//! buffers (and scalar parameters) into the already-fused stages. Replay
-//! runs the same tagged kernels as `finish()` and stays bit-identical to
-//! both this module and the eager path; see [`crate::plan`] for the
-//! slot/binding model and the process-wide
-//! [`PlanCache`](crate::plan::PlanCache).
+//! `mxm` stays eager-only (it is a setup-time primitive). The tags live
+//! here and both front doors record them.
 
 use crate::container::matrix::CsrMatrix;
 use crate::container::vector::Vector;
 use crate::context::Exec;
 use crate::descriptor::Descriptor;
-use crate::error::{check_dims, Result};
-use crate::fusion::{fuse, PlannedStage, Stage};
-use crate::ops::accum::{AccumWith, NoAccum};
+use crate::error::{check_dims, GrbError, Result};
+use crate::fusion::PlannedStage;
 use crate::ops::binary::{Divide, Max, Min, Minus, Plus, Times};
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::{MaxTimes, MinPlus, PlusTimes};
 use crate::ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse};
-use crate::util::UnsafeSlice;
-use std::marker::PhantomData;
+use crate::plan::{
+    Bindings, OutSlot, PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanRead, PlanReduce,
+    PlanResults, PlanTransform, PlanTransformZip1, ScalarSlot,
+};
 
 // ---------------------------------------------------------------------------
 // Runtime algebra tags
@@ -392,27 +394,23 @@ macro_rules! with_monoid {
 pub(crate) use {with_accum, with_binop, with_monoid, with_ring, with_unop};
 
 // ---------------------------------------------------------------------------
-// Handles, operands, nodes
+// Handles and operands
 // ---------------------------------------------------------------------------
 
 /// Names the vector output of a recorded stage (or a vector bound with
-/// [`Pipeline::bind`]); later stages use it as an input operand. Handles
-/// are branded with the issuing pipeline's id, so passing one to another
-/// pipeline panics instead of silently resolving to the wrong vector.
-#[derive(Copy, Clone, Debug)]
-pub struct VecHandle {
-    pl: u64,
-    pub(crate) idx: usize,
-}
+/// [`Pipeline::bind`]); later stages use it as an input operand. It is the
+/// output slot of the pipeline's op graph, branded with the issuing
+/// pipeline's id, so passing one to another pipeline panics instead of
+/// silently resolving to the wrong vector.
+pub type VecHandle = OutSlot;
 
 /// Names the scalar result of a recorded `dot`/`reduce`/norm stage; redeem
 /// it against [`PipelineResults`] after [`Pipeline::finish`]. Branded like
 /// [`VecHandle`].
-#[derive(Copy, Clone, Debug)]
-pub struct ScalarHandle {
-    pl: u64,
-    pub(crate) idx: usize,
-}
+pub type ScalarHandle = ScalarSlot;
+
+/// Scalar results of an executed pipeline, indexed by [`ScalarHandle`].
+pub type PipelineResults<T> = PlanResults<T>;
 
 /// An input operand of a recorded stage: a vector outside the pipeline or
 /// the output of an earlier stage.
@@ -436,102 +434,22 @@ impl<T: Scalar> From<VecHandle> for PipeInput<'_, T> {
     }
 }
 
-/// A resolved operand (handle checked against this pipeline's registry).
-#[derive(Copy, Clone)]
-pub(crate) enum Src<'a, T: Scalar> {
-    /// A read-only vector outside the pipeline.
-    Ref(&'a Vector<T>),
-    /// Index into the pipeline's output registry.
-    Out(usize),
+/// Checks a handle against the pipeline whose builder is `pb`.
+fn owned<T: Scalar, E: Exec>(pb: &PlanBuilder<'_, T, E>, h: VecHandle) -> VecHandle {
+    assert!(pb.owns(h), "VecHandle does not belong to this pipeline");
+    h
 }
 
-impl<T: Scalar> Src<'_, T> {
-    pub(crate) fn out_index(&self) -> Option<usize> {
-        match self {
-            Src::Ref(_) => None,
-            Src::Out(o) => Some(*o),
-        }
-    }
-}
-
-pub(crate) type ElemFn<'a, T> = Box<dyn Fn(usize, &mut T) + Send + Sync + 'a>;
-pub(crate) type ZipFn<'a, T> = Box<dyn Fn(usize, &mut T, T) + Send + Sync + 'a>;
-
-/// One recorded operation. Field meanings mirror the eager kernels.
-pub(crate) enum Node<'a, T: Scalar> {
-    Mxv {
-        out: usize,
-        a: &'a CsrMatrix<T>,
-        x: Src<'a, T>,
-        mask: Option<&'a Vector<bool>>,
-        desc: Descriptor,
-        ring: RingTag,
-        accum: Option<BinOpTag>,
-    },
-    Ewise {
-        out: usize,
-        x: Src<'a, T>,
-        y: Src<'a, T>,
-        mask: Option<&'a Vector<bool>>,
-        desc: Descriptor,
-        op: BinOpTag,
-        scale: Option<(T, T)>,
-        accum: Option<BinOpTag>,
-    },
-    Apply {
-        out: usize,
-        input: Src<'a, T>,
-        mask: Option<&'a Vector<bool>>,
-        desc: Descriptor,
-        op: UnaryOpTag,
-        accum: Option<BinOpTag>,
-    },
-    Axpy {
-        out: usize,
-        alpha: T,
-        y: Src<'a, T>,
-    },
-    Lambda {
-        out: usize,
-        mask: Option<&'a Vector<bool>>,
-        desc: Descriptor,
-        f: ElemFn<'a, T>,
-    },
-    LambdaZip {
-        out: usize,
-        src: Src<'a, T>,
-        mask: Option<&'a Vector<bool>>,
-        desc: Descriptor,
-        f: ZipFn<'a, T>,
-    },
-    Dot {
-        sid: usize,
-        x: Src<'a, T>,
-        y: Src<'a, T>,
-        ring: RingTag,
-    },
-    Reduce {
-        sid: usize,
-        x: Src<'a, T>,
-        mask: Option<&'a Vector<bool>>,
-        desc: Descriptor,
-        monoid: MonoidTag,
-    },
-}
-
-impl<T: Scalar> Node<'_, T> {
-    /// Short kernel name for plans and debugging.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Node::Mxv { .. } => "mxv",
-            Node::Ewise { .. } => "ewise",
-            Node::Apply { .. } => "apply",
-            Node::Axpy { .. } => "axpy",
-            Node::Lambda { .. } => "transform",
-            Node::LambdaZip { .. } => "transform_zip",
-            Node::Dot { .. } => "dot",
-            Node::Reduce { .. } => "reduce",
-        }
+/// Turns an input operand into a readable slot: a borrowed vector gets a
+/// slot of its own length bound to it, a handle is checked.
+fn read<'a, T: Scalar, E: Exec>(
+    pb: &mut PlanBuilder<'a, T, E>,
+    b: &mut Bindings<'a, T>,
+    input: PipeInput<'a, T>,
+) -> PlanRead {
+    match input {
+        PipeInput::Ref(v) => pb.bound_input(b, v).into(),
+        PipeInput::Out(h) => owned(pb, h).into(),
     }
 }
 
@@ -543,86 +461,38 @@ impl<T: Scalar> Node<'_, T> {
 /// fuses, and executes on [`finish`](Pipeline::finish). Created by
 /// [`Ctx::pipeline`](crate::Ctx::pipeline); see the [module docs](self).
 pub struct Pipeline<'a, T: Scalar, E: Exec> {
-    /// Process-unique id branding this pipeline's handles.
-    id: u64,
-    exec: E,
-    defaults: Descriptor,
-    nodes: Vec<Node<'a, T>>,
-    /// Output registry: one slot per exclusively borrowed vector.
-    outs: Vec<*mut Vector<T>>,
-    /// Logical length of each registered output (fixed for the lifetime).
-    out_lens: Vec<usize>,
-    scalars: usize,
-    /// Holds the `'a` borrows of every registered output.
-    _borrows: PhantomData<&'a mut Vector<T>>,
+    /// The recorded graph; its closures may borrow for `'a`.
+    pb: PlanBuilder<'a, T, E>,
+    /// Every operand handed to a recorder, bound to the slot declared for
+    /// it. Holds the `'a` borrows.
+    b: Bindings<'a, T>,
+    /// First operand-length mismatch that the plan recorders assert on
+    /// (`axpy`, `zip`): the op is left unrecorded and `finish` reports it.
+    err: Option<GrbError>,
 }
 
 impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
     pub(crate) fn new(exec: E, defaults: Descriptor) -> Pipeline<'a, T, E> {
-        static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        Pipeline {
-            id: NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            exec,
-            defaults,
-            nodes: Vec::new(),
-            outs: Vec::new(),
-            out_lens: Vec::new(),
-            scalars: 0,
-            _borrows: PhantomData,
-        }
+        let pb = PlanBuilder::new(exec, defaults);
+        let b = pb.bindings();
+        Pipeline { pb, b, err: None }
     }
 
     /// Number of operations recorded so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.pb.len()
     }
 
     /// Whether nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    fn register(&mut self, v: &'a mut Vector<T>) -> usize {
-        let idx = self.outs.len();
-        self.out_lens.push(v.len());
-        self.outs.push(v as *mut Vector<T>);
-        idx
-    }
-
-    fn vec_handle(&self, idx: usize) -> VecHandle {
-        VecHandle { pl: self.id, idx }
-    }
-
-    fn check_handle(&self, h: VecHandle) -> usize {
-        assert!(
-            h.pl == self.id && h.idx < self.outs.len(),
-            "VecHandle does not belong to this pipeline"
-        );
-        h.idx
-    }
-
-    fn resolve(&self, input: PipeInput<'a, T>) -> Src<'a, T> {
-        match input {
-            PipeInput::Ref(v) => Src::Ref(v),
-            PipeInput::Out(h) => Src::Out(self.check_handle(h)),
-        }
-    }
-
-    fn new_scalar(&mut self) -> ScalarHandle {
-        let sid = self.scalars;
-        self.scalars += 1;
-        ScalarHandle {
-            pl: self.id,
-            idx: sid,
-        }
+        self.pb.is_empty()
     }
 
     /// Registers a vector the pipeline will update in place (e.g. the
     /// iterate a recorded smoother sweep refines), without recording an
     /// operation. Returns its handle for use as operand or in-place target.
     pub fn bind(&mut self, v: &'a mut Vector<T>) -> VecHandle {
-        let idx = self.register(v);
-        self.vec_handle(idx)
+        self.pb.bound_output(&mut self.b, v)
     }
 
     /// Starts recording `y = A ⊕.⊗ x` (default ring: `PlusTimes`).
@@ -631,16 +501,11 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         a: &'a CsrMatrix<T>,
         x: impl Into<PipeInput<'a, T>>,
     ) -> PipeMxv<'_, 'a, T, E> {
-        let x = self.resolve(x.into());
-        let desc = self.defaults;
+        let a = self.pb.bound_matrix(&mut self.b, a);
+        let x = read(&mut self.pb, &mut self.b, x.into());
         PipeMxv {
-            pl: self,
-            a,
-            x,
-            mask: None,
-            desc,
-            ring: RingTag::PlusTimes,
-            accum: None,
+            inner: self.pb.mxv(a, x),
+            b: &mut self.b,
         }
     }
 
@@ -651,9 +516,7 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         x: impl Into<PipeInput<'a, T>>,
         a: &'a CsrMatrix<T>,
     ) -> PipeMxv<'_, 'a, T, E> {
-        let mut b = self.mxv(a, x);
-        b.desc = b.desc.toggled_transpose();
-        b
+        self.mxv(a, x).transpose()
     }
 
     /// Starts recording `w = Op(x, y)` element-wise (default op: `Plus`).
@@ -662,32 +525,20 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         x: impl Into<PipeInput<'a, T>>,
         y: impl Into<PipeInput<'a, T>>,
     ) -> PipeEwise<'_, 'a, T, E> {
-        let x = self.resolve(x.into());
-        let y = self.resolve(y.into());
-        let desc = self.defaults;
+        let x = read(&mut self.pb, &mut self.b, x.into());
+        let y = read(&mut self.pb, &mut self.b, y.into());
         PipeEwise {
-            pl: self,
-            x,
-            y,
-            mask: None,
-            desc,
-            op: BinOpTag::Plus,
-            scale: None,
-            accum: None,
+            inner: self.pb.ewise(x, y),
+            b: &mut self.b,
         }
     }
 
     /// Starts recording `out = Op(input)` (default op: `Identity`).
     pub fn apply(&mut self, input: impl Into<PipeInput<'a, T>>) -> PipeApply<'_, 'a, T, E> {
-        let input = self.resolve(input.into());
-        let desc = self.defaults;
+        let input = read(&mut self.pb, &mut self.b, input.into());
         PipeApply {
-            pl: self,
-            input,
-            mask: None,
-            desc,
-            op: UnaryOpTag::Identity,
-            accum: None,
+            inner: self.pb.apply(input),
+            b: &mut self.b,
         }
     }
 
@@ -698,49 +549,40 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         alpha: T,
         y: impl Into<PipeInput<'a, T>>,
     ) -> VecHandle {
-        let out = self.register(x);
-        self.push_axpy(out, alpha, y.into())
+        let x = self.bind(x);
+        self.axpy_at(x, alpha, y)
     }
 
     /// Records `x = x + α·y` on an already-registered vector.
     pub fn axpy_at(&mut self, x: VecHandle, alpha: T, y: impl Into<PipeInput<'a, T>>) -> VecHandle {
-        let out = self.check_handle(x);
-        self.push_axpy(out, alpha, y.into())
-    }
-
-    fn push_axpy(&mut self, out: usize, alpha: T, y: PipeInput<'a, T>) -> VecHandle {
-        let y = self.resolve(y);
-        assert!(
-            y.out_index() != Some(out),
-            "axpy operand may not alias its output"
-        );
-        self.nodes.push(Node::Axpy { out, alpha, y });
-        self.vec_handle(out)
+        let x = owned(&self.pb, x);
+        let y = read(&mut self.pb, &mut self.b, y.into());
+        let (n, len) = (self.pb.read_len(x.into()), self.pb.read_len(y));
+        match check_dims("axpy", "y vs x", n, len) {
+            Ok(()) => self.pb.axpy(x, alpha, y),
+            Err(e) => {
+                self.err.get_or_insert(e);
+                x
+            }
+        }
     }
 
     /// Starts recording an in-place indexed update of `out` (the eager
     /// `transform` / `eWiseLambda`).
     pub fn transform(&mut self, out: &'a mut Vector<T>) -> PipeTransform<'_, 'a, T, E> {
-        let out = self.register(out);
-        let desc = self.defaults;
-        PipeTransform {
-            pl: self,
-            out,
-            mask: None,
-            desc,
-        }
+        let out = self.bind(out);
+        self.transform_at(out)
     }
 
     /// Starts recording an in-place indexed update of an already-registered
     /// vector.
     pub fn transform_at(&mut self, out: VecHandle) -> PipeTransform<'_, 'a, T, E> {
-        let out = self.check_handle(out);
-        let desc = self.defaults;
+        let out = owned(&self.pb, out);
         PipeTransform {
-            pl: self,
+            inner: self.pb.transform(out),
             out,
-            mask: None,
-            desc,
+            b: &mut self.b,
+            err: &mut self.err,
         }
     }
 
@@ -750,444 +592,46 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         x: impl Into<PipeInput<'a, T>>,
         y: impl Into<PipeInput<'a, T>>,
     ) -> PipeDot<'_, 'a, T, E> {
-        let x = self.resolve(x.into());
-        let y = self.resolve(y.into());
+        let x = read(&mut self.pb, &mut self.b, x.into());
+        let y = read(&mut self.pb, &mut self.b, y.into());
         PipeDot {
-            pl: self,
-            x,
-            y,
-            ring: RingTag::PlusTimes,
+            inner: self.pb.dot(x, y),
         }
     }
 
     /// Records `‖x‖² = ⟨x, x⟩` over the arithmetic semiring.
     pub fn norm2_squared(&mut self, x: impl Into<PipeInput<'a, T>>) -> ScalarHandle {
-        let x = self.resolve(x.into());
-        let h = self.new_scalar();
-        self.nodes.push(Node::Dot {
-            sid: h.idx,
-            x,
-            y: x,
-            ring: RingTag::PlusTimes,
-        });
-        h
+        let x = read(&mut self.pb, &mut self.b, x.into());
+        self.pb.norm2_squared(x)
     }
 
     /// Starts recording a fold of `x` over a monoid (default: `Plus`).
     pub fn reduce(&mut self, x: impl Into<PipeInput<'a, T>>) -> PipeReduce<'_, 'a, T, E> {
-        let x = self.resolve(x.into());
-        let desc = self.defaults;
+        let x = read(&mut self.pb, &mut self.b, x.into());
         PipeReduce {
-            pl: self,
-            x,
-            mask: None,
-            desc,
-            monoid: MonoidTag::Plus,
+            inner: self.pb.reduce(x),
+            b: &mut self.b,
         }
     }
 
     /// The fusion plan `finish` would execute right now — for tests,
     /// benchmarks and debugging.
     pub fn plan(&self) -> Vec<PlannedStage> {
-        fuse(&self.nodes, &self.out_lens)
-            .iter()
-            .map(|s| s.describe(&self.nodes))
-            .collect()
+        self.pb.schedule()
     }
 
     /// Runs the fusion pass and executes the fused schedule, consuming the
-    /// pipeline (and releasing its borrows). On error, already-executed
-    /// stages have taken effect; the contents of output vectors recorded
-    /// after the failing stage are unspecified.
+    /// pipeline (and releasing its borrows). An operand-length mismatch
+    /// caught while recording an `axpy` or a `zip` is returned before
+    /// anything runs. On a kernel error, already-executed stages have
+    /// taken effect; the contents of output vectors recorded after the
+    /// failing stage are unspecified.
     pub fn finish(self) -> Result<PipelineResults<T>> {
         let _span = obs::span_enter("pipeline.finish", "plan");
-        let stages = fuse(&self.nodes, &self.out_lens);
-        let mut scalars = vec![T::ZERO; self.scalars];
-        for stage in &stages {
-            self.run_stage(stage, &mut scalars)?;
+        match self.err {
+            Some(e) => Err(e),
+            None => self.pb.run_once(&self.b),
         }
-        Ok(PipelineResults {
-            pipeline_id: self.id,
-            values: scalars,
-        })
-    }
-
-    // -- execution ----------------------------------------------------------
-
-    /// Reborrows a registered output.
-    ///
-    /// # Safety
-    ///
-    /// The caller must not hold any other reference to the same registry
-    /// slot for the returned lifetime. Record-time assertions guarantee a
-    /// stage's inputs never name its own output; distinct slots never alias
-    /// because each vector is registered from a distinct `&'a mut`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn out_mut(&self, idx: usize) -> &mut Vector<T> {
-        let ptr = self.outs[idx];
-        unsafe { &mut *ptr }
-    }
-
-    fn src_vec<'s>(&'s self, s: &Src<'a, T>) -> &'s Vector<T> {
-        match s {
-            Src::Ref(v) => v,
-            // SAFETY: shared reborrow of a registry slot; stages that hold
-            // an exclusive reborrow of the same slot are never executed
-            // while this one is live (record-time assertions).
-            Src::Out(o) => unsafe { &*self.outs[*o] },
-        }
-    }
-
-    fn run_stage(&self, stage: &Stage, scalars: &mut [T]) -> Result<()> {
-        match stage {
-            Stage::Single(i) => self.run_node(&self.nodes[*i], scalars),
-            Stage::SpmvDot { mxv, dot } => self.run_spmv_dot(*mxv, *dot, scalars),
-            Stage::AxpyNorm { axpy, dot } => self.run_axpy_norm(*axpy, *dot, scalars),
-            Stage::Loop(run) => self.run_fused_loop(run),
-        }
-    }
-
-    fn run_node(&self, node: &Node<'a, T>, scalars: &mut [T]) -> Result<()> {
-        let exec = self.exec;
-        match node {
-            Node::Mxv {
-                out,
-                a,
-                x,
-                mask,
-                desc,
-                ring,
-                accum,
-            } => {
-                let x = self.src_vec(x);
-                // SAFETY: record-time assertion — `x` never names `out`.
-                let y = unsafe { self.out_mut(*out) };
-                with_ring!(*ring, R => with_accum!(*accum, A =>
-                    exec.run_mxv::<T, R, A>(y, *mask, *desc, a, x)))
-            }
-            Node::Ewise {
-                out,
-                x,
-                y,
-                mask,
-                desc,
-                op,
-                scale,
-                accum,
-            } => {
-                let xs = self.src_vec(x);
-                let ys = self.src_vec(y);
-                // SAFETY: record-time assertion — inputs never name `out`.
-                let w = unsafe { self.out_mut(*out) };
-                with_binop!(*op, Op => with_accum!(*accum, A =>
-                    exec.run_ewise::<T, Op, A>(w, *mask, *desc, xs, ys, *scale)))
-            }
-            Node::Apply {
-                out,
-                input,
-                mask,
-                desc,
-                op,
-                accum,
-            } => {
-                let input = self.src_vec(input);
-                // SAFETY: record-time assertion — `input` never names `out`.
-                let o = unsafe { self.out_mut(*out) };
-                with_unop!(*op, Op => with_accum!(*accum, A =>
-                    exec.run_apply::<T, Op, A>(o, *mask, *desc, input)))
-            }
-            Node::Axpy { out, alpha, y } => {
-                let ys = self.src_vec(y);
-                // SAFETY: record-time assertion — `y` never names `out`.
-                let x = unsafe { self.out_mut(*out) };
-                exec.run_axpy::<T>(x, *alpha, ys)
-            }
-            Node::Lambda { out, mask, desc, f } => {
-                // SAFETY: sole reference to the slot during this call.
-                let o = unsafe { self.out_mut(*out) };
-                exec.run_lambda(o, *mask, *desc, f)
-            }
-            Node::LambdaZip {
-                out,
-                src,
-                mask,
-                desc,
-                f,
-            } => {
-                let ss = self.src_vec(src).as_slice();
-                // SAFETY: record-time assertion — `src` never names `out`.
-                let o = unsafe { self.out_mut(*out) };
-                exec.run_lambda(o, *mask, *desc, move |i, t| f(i, t, ss[i]))
-            }
-            Node::Dot { sid, x, y, ring } => {
-                let xs = self.src_vec(x);
-                let ys = self.src_vec(y);
-                scalars[*sid] = with_ring!(*ring, R => exec.run_dot::<T, R>(xs, ys))?;
-                Ok(())
-            }
-            Node::Reduce {
-                sid,
-                x,
-                mask,
-                desc,
-                monoid,
-            } => {
-                let xs = self.src_vec(x);
-                scalars[*sid] =
-                    with_monoid!(*monoid, M => exec.run_reduce::<T, M>(xs, *mask, *desc))?;
-                Ok(())
-            }
-        }
-    }
-
-    fn run_spmv_dot(&self, mxv: usize, dot: usize, scalars: &mut [T]) -> Result<()> {
-        let (out, a, x) = match &self.nodes[mxv] {
-            Node::Mxv { out, a, x, .. } => (*out, *a, x),
-            _ => unreachable!("fusion pass pairs SpmvDot with an mxv node"),
-        };
-        let (sid, dx, dy) = match &self.nodes[dot] {
-            Node::Dot { sid, x, y, .. } => (*sid, x, y),
-            _ => unreachable!("fusion pass pairs SpmvDot with a dot node"),
-        };
-        let xs = self.src_vec(x);
-        let product_on_left = dx.out_index() == Some(out);
-        let other = if product_on_left { dy } else { dx };
-        let w = if other.out_index() == Some(out) {
-            None
-        } else {
-            Some(self.src_vec(other))
-        };
-        // SAFETY: neither `x` nor the dot's other operand names `out`
-        // (record-time assertion / the `None` branch above).
-        let y = unsafe { self.out_mut(out) };
-        scalars[sid] = self
-            .exec
-            .run_spmv_dot::<T, PlusTimes>(y, a, xs, w, product_on_left)?;
-        Ok(())
-    }
-
-    fn run_axpy_norm(&self, axpy: usize, dot: usize, scalars: &mut [T]) -> Result<()> {
-        let (out, alpha, y) = match &self.nodes[axpy] {
-            Node::Axpy { out, alpha, y } => (*out, *alpha, y),
-            _ => unreachable!("fusion pass pairs AxpyNorm with an axpy node"),
-        };
-        let sid = match &self.nodes[dot] {
-            Node::Dot { sid, .. } => *sid,
-            _ => unreachable!("fusion pass pairs AxpyNorm with a dot node"),
-        };
-        let ys = self.src_vec(y);
-        // SAFETY: record-time assertion — `y` never names `out`.
-        let x = unsafe { self.out_mut(out) };
-        scalars[sid] = self.exec.run_axpy_norm::<T, PlusTimes>(x, alpha, ys)?;
-        Ok(())
-    }
-
-    fn run_fused_loop(&self, run: &[usize]) -> Result<()> {
-        let n = match &self.nodes[run[0]] {
-            Node::Ewise { out, .. }
-            | Node::Apply { out, .. }
-            | Node::Axpy { out, .. }
-            | Node::Lambda { out, .. }
-            | Node::LambdaZip { out, .. } => self.out_lens[*out],
-            _ => unreachable!("fusion pass only loops element-wise nodes"),
-        };
-        let mut elems: Vec<Elem<'_, 'a, T>> = Vec::with_capacity(run.len());
-        for &i in run {
-            match &self.nodes[i] {
-                Node::Ewise {
-                    out,
-                    x,
-                    y,
-                    op,
-                    scale,
-                    accum,
-                    ..
-                } => {
-                    let xs = self.src_vec(x).as_slice();
-                    let ys = self.src_vec(y).as_slice();
-                    check_dims("ewise", "x vs output", n, xs.len())?;
-                    check_dims("ewise", "y vs output", n, ys.len())?;
-                    // SAFETY: loop legality — outputs in a run are distinct
-                    // and never read as another run member's input.
-                    let w = unsafe { self.out_mut(*out) };
-                    elems.push(Elem::Ewise {
-                        w: UnsafeSlice::new(w.as_mut_slice()),
-                        xs,
-                        ys,
-                        op: *op,
-                        scale: *scale,
-                        accum: *accum,
-                    });
-                }
-                Node::Apply {
-                    out,
-                    input,
-                    op,
-                    accum,
-                    ..
-                } => {
-                    let xs = self.src_vec(input).as_slice();
-                    check_dims("apply", "input vs output", n, xs.len())?;
-                    // SAFETY: see the Ewise arm.
-                    let o = unsafe { self.out_mut(*out) };
-                    elems.push(Elem::Apply {
-                        out: UnsafeSlice::new(o.as_mut_slice()),
-                        xs,
-                        op: *op,
-                        accum: *accum,
-                    });
-                }
-                Node::Axpy { out, alpha, y } => {
-                    let ys = self.src_vec(y).as_slice();
-                    check_dims("axpy", "y vs x", n, ys.len())?;
-                    // SAFETY: see the Ewise arm.
-                    let x = unsafe { self.out_mut(*out) };
-                    elems.push(Elem::Axpy {
-                        x: UnsafeSlice::new(x.as_mut_slice()),
-                        alpha: *alpha,
-                        ys,
-                    });
-                }
-                Node::Lambda { out, f, .. } => {
-                    // SAFETY: see the Ewise arm.
-                    let o = unsafe { self.out_mut(*out) };
-                    elems.push(Elem::Lambda {
-                        out: UnsafeSlice::new(o.as_mut_slice()),
-                        f,
-                    });
-                }
-                Node::LambdaZip { out, src, f, .. } => {
-                    let ss = self.src_vec(src).as_slice();
-                    check_dims("transform_zip", "src vs output", n, ss.len())?;
-                    // SAFETY: see the Ewise arm.
-                    let o = unsafe { self.out_mut(*out) };
-                    elems.push(Elem::LambdaZip {
-                        out: UnsafeSlice::new(o.as_mut_slice()),
-                        ss,
-                        f,
-                    });
-                }
-                _ => unreachable!("fusion pass only loops element-wise nodes"),
-            }
-        }
-        let elems = &elems;
-        self.exec.run_for_each(n, move |i| {
-            for e in elems {
-                // SAFETY: each index is visited by exactly one invocation
-                // and run outputs are pairwise disjoint.
-                unsafe { e.apply(i) };
-            }
-        });
-        Ok(())
-    }
-}
-
-/// One element-wise stage of a fused loop, pre-resolved for the hot loop.
-enum Elem<'s, 'a, T: Scalar> {
-    Ewise {
-        w: UnsafeSlice<'s, T>,
-        xs: &'s [T],
-        ys: &'s [T],
-        op: BinOpTag,
-        scale: Option<(T, T)>,
-        accum: Option<BinOpTag>,
-    },
-    Apply {
-        out: UnsafeSlice<'s, T>,
-        xs: &'s [T],
-        op: UnaryOpTag,
-        accum: Option<BinOpTag>,
-    },
-    Axpy {
-        x: UnsafeSlice<'s, T>,
-        alpha: T,
-        ys: &'s [T],
-    },
-    Lambda {
-        out: UnsafeSlice<'s, T>,
-        f: &'s ElemFn<'a, T>,
-    },
-    LambdaZip {
-        out: UnsafeSlice<'s, T>,
-        ss: &'s [T],
-        f: &'s ZipFn<'a, T>,
-    },
-}
-
-impl<T: Scalar> Elem<'_, '_, T> {
-    /// Applies this stage at index `i` — the same per-element arithmetic
-    /// the eager kernel monomorphizes, so the fused loop is bit-identical.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds and handed to at most one concurrent caller.
-    #[inline(always)]
-    unsafe fn apply(&self, i: usize) {
-        match self {
-            Elem::Ewise {
-                w,
-                xs,
-                ys,
-                op,
-                scale,
-                accum,
-            } => {
-                let (a, b) = match scale {
-                    None => (xs[i], ys[i]),
-                    Some((alpha, beta)) => (alpha.mul(xs[i]), beta.mul(ys[i])),
-                };
-                let v = op.apply(a, b);
-                // SAFETY: forwarded contract.
-                let slot = unsafe { w.get_mut(i) };
-                match accum {
-                    None => *slot = v,
-                    Some(acc) => *slot = acc.apply(*slot, v),
-                }
-            }
-            Elem::Apply { out, xs, op, accum } => {
-                let v = op.apply(xs[i]);
-                // SAFETY: forwarded contract.
-                let slot = unsafe { out.get_mut(i) };
-                match accum {
-                    None => *slot = v,
-                    Some(acc) => *slot = acc.apply(*slot, v),
-                }
-            }
-            Elem::Axpy { x, alpha, ys } => {
-                // SAFETY: forwarded contract.
-                let slot = unsafe { x.get_mut(i) };
-                *slot = slot.add(alpha.mul(ys[i]));
-            }
-            // SAFETY: forwarded contract.
-            Elem::Lambda { out, f } => f(i, unsafe { out.get_mut(i) }),
-            // SAFETY: forwarded contract.
-            Elem::LambdaZip { out, ss, f } => f(i, unsafe { out.get_mut(i) }, ss[i]),
-        }
-    }
-}
-
-/// Scalar results of an executed pipeline, indexed by [`ScalarHandle`].
-#[derive(Clone, Debug)]
-pub struct PipelineResults<T> {
-    pipeline_id: u64,
-    values: Vec<T>,
-}
-
-impl<T: Scalar> PipelineResults<T> {
-    /// The value a recorded scalar stage produced.
-    pub fn get(&self, h: ScalarHandle) -> T {
-        self[h]
-    }
-}
-
-impl<T: Scalar> std::ops::Index<ScalarHandle> for PipelineResults<T> {
-    type Output = T;
-    fn index(&self, h: ScalarHandle) -> &T {
-        assert!(
-            h.pl == self.pipeline_id,
-            "ScalarHandle does not belong to this pipeline"
-        );
-        &self.values[h.idx]
     }
 }
 
@@ -1198,296 +642,232 @@ impl<T: Scalar> std::ops::Index<ScalarHandle> for PipelineResults<T> {
 /// Records `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`Pipeline::mxv`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
 pub struct PipeMxv<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    a: &'a CsrMatrix<T>,
-    x: Src<'a, T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    ring: RingTag,
-    accum: Option<BinOpTag>,
+    inner: PlanMxv<'p, 'a, T, E>,
+    b: &'p mut Bindings<'a, T>,
 }
 
 impl<'a, T: Scalar, E: Exec> PipeMxv<'_, 'a, T, E> {
     /// Computes only the output positions selected by `mask`.
     pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
+        let mask = self.inner.pb.bound_mask(self.b, mask);
+        self.inner = self.inner.mask(mask);
         self
     }
 
     /// Interprets the mask structurally (pattern only, values ignored).
     pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self.inner = self.inner.structural();
         self
     }
 
     /// Selects where the mask does **not**.
     pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self.inner = self.inner.invert_mask();
         self
     }
 
     /// Toggles use of the matrix's transpose.
     pub fn transpose(mut self) -> Self {
-        self.desc = self.desc.toggled_transpose();
+        self.inner = self.inner.transpose();
         self
     }
 
     /// ORs explicit descriptor flags into the builder state.
     pub fn descriptor(mut self, desc: Descriptor) -> Self {
-        self.desc = self.desc.with(desc);
+        self.inner = self.inner.descriptor(desc);
         self
     }
 
     /// Switches the semiring (default: `PlusTimes`).
-    pub fn ring<R: TaggedRing>(mut self, _ring: R) -> Self {
-        self.ring = R::TAG;
+    pub fn ring<R: TaggedRing>(mut self, ring: R) -> Self {
+        self.inner = self.inner.ring(ring);
         self
     }
 
     /// Accumulates into the output through `Op` instead of overwriting.
-    pub fn accum<Op: TaggedBinOp>(mut self, _op: Op) -> Self {
-        self.accum = Some(Op::TAG);
+    pub fn accum<Op: TaggedBinOp>(mut self, op: Op) -> Self {
+        self.inner = self.inner.accum(op);
         self
     }
 
     /// Records the operation writing into `y`, returning its handle.
     pub fn into(self, y: &'a mut Vector<T>) -> VecHandle {
-        let out = self.pl.register(y);
-        self.record(out)
+        let y = self.inner.pb.bound_output(self.b, y);
+        self.inner.into(y)
     }
 
     /// Records the operation writing into an already-registered vector.
     pub fn into_handle(self, y: VecHandle) -> VecHandle {
-        let out = self.pl.check_handle(y);
-        self.record(out)
-    }
-
-    fn record(self, out: usize) -> VecHandle {
-        assert!(
-            self.x.out_index() != Some(out),
-            "mxv input may not alias its output"
-        );
-        self.pl.nodes.push(Node::Mxv {
-            out,
-            a: self.a,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            ring: self.ring,
-            accum: self.accum,
-        });
-        self.pl.vec_handle(out)
+        let y = owned(self.inner.pb, y);
+        self.inner.into(y)
     }
 }
 
 /// Records `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`Pipeline::ewise`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
 pub struct PipeEwise<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    x: Src<'a, T>,
-    y: Src<'a, T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    op: BinOpTag,
-    scale: Option<(T, T)>,
-    accum: Option<BinOpTag>,
+    inner: PlanEwise<'p, 'a, T, E>,
+    b: &'p mut Bindings<'a, T>,
 }
 
 impl<'a, T: Scalar, E: Exec> PipeEwise<'_, 'a, T, E> {
     /// Computes only the output positions selected by `mask`.
     pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
+        let mask = self.inner.pb.bound_mask(self.b, mask);
+        self.inner = self.inner.mask(mask);
         self
     }
 
     /// Interprets the mask structurally (pattern only, values ignored).
     pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self.inner = self.inner.structural();
         self
     }
 
     /// Selects where the mask does **not**.
     pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self.inner = self.inner.invert_mask();
         self
     }
 
     /// Scales the operands before the operator: `Op(α·x, β·y)`.
     pub fn scaled(mut self, alpha: T, beta: T) -> Self {
-        self.scale = Some((alpha, beta));
+        self.inner = self.inner.scaled(alpha, beta);
         self
     }
 
     /// Switches the element-wise operator (default: `Plus`).
-    pub fn op<Op: TaggedBinOp>(mut self, _op: Op) -> Self {
-        self.op = Op::TAG;
+    pub fn op<Op: TaggedBinOp>(mut self, op: Op) -> Self {
+        self.inner = self.inner.op(op);
         self
     }
 
     /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp: TaggedBinOp>(mut self, _op: AccOp) -> Self {
-        self.accum = Some(AccOp::TAG);
+    pub fn accum<AccOp: TaggedBinOp>(mut self, op: AccOp) -> Self {
+        self.inner = self.inner.accum(op);
         self
     }
 
     /// Records the operation writing into `w`, returning its handle.
     pub fn into(self, w: &'a mut Vector<T>) -> VecHandle {
-        let out = self.pl.register(w);
-        self.record(out)
+        let w = self.inner.pb.bound_output(self.b, w);
+        self.inner.into(w)
     }
 
     /// Records the operation writing into an already-registered vector.
     pub fn into_handle(self, w: VecHandle) -> VecHandle {
-        let out = self.pl.check_handle(w);
-        self.record(out)
-    }
-
-    fn record(self, out: usize) -> VecHandle {
-        assert!(
-            self.x.out_index() != Some(out) && self.y.out_index() != Some(out),
-            "ewise operands may not alias the output"
-        );
-        self.pl.nodes.push(Node::Ewise {
-            out,
-            x: self.x,
-            y: self.y,
-            mask: self.mask,
-            desc: self.desc,
-            op: self.op,
-            scale: self.scale,
-            accum: self.accum,
-        });
-        self.pl.vec_handle(out)
+        let w = owned(self.inner.pb, w);
+        self.inner.into(w)
     }
 }
 
 /// Records `out⟨mask⟩ = out ⊙? Op(input)` (see [`Pipeline::apply`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
 pub struct PipeApply<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    input: Src<'a, T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    op: UnaryOpTag,
-    accum: Option<BinOpTag>,
+    inner: PlanApply<'p, 'a, T, E>,
+    b: &'p mut Bindings<'a, T>,
 }
 
 impl<'a, T: Scalar, E: Exec> PipeApply<'_, 'a, T, E> {
     /// Computes only the output positions selected by `mask`.
     pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
+        let mask = self.inner.pb.bound_mask(self.b, mask);
+        self.inner = self.inner.mask(mask);
         self
     }
 
     /// Interprets the mask structurally (pattern only, values ignored).
     pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self.inner = self.inner.structural();
         self
     }
 
     /// Selects where the mask does **not**.
     pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self.inner = self.inner.invert_mask();
         self
     }
 
     /// Switches the unary operator (default: `Identity`).
-    pub fn op<Op: TaggedUnaryOp>(mut self, _op: Op) -> Self {
-        self.op = Op::TAG;
+    pub fn op<Op: TaggedUnaryOp>(mut self, op: Op) -> Self {
+        self.inner = self.inner.op(op);
         self
     }
 
     /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp: TaggedBinOp>(mut self, _op: AccOp) -> Self {
-        self.accum = Some(AccOp::TAG);
+    pub fn accum<AccOp: TaggedBinOp>(mut self, op: AccOp) -> Self {
+        self.inner = self.inner.accum(op);
         self
     }
 
     /// Records the operation writing into `out`, returning its handle.
     pub fn into(self, out: &'a mut Vector<T>) -> VecHandle {
-        let out = self.pl.register(out);
-        self.record(out)
+        let out = self.inner.pb.bound_output(self.b, out);
+        self.inner.into(out)
     }
 
     /// Records the operation writing into an already-registered vector.
     pub fn into_handle(self, out: VecHandle) -> VecHandle {
-        let out = self.pl.check_handle(out);
-        self.record(out)
-    }
-
-    fn record(self, out: usize) -> VecHandle {
-        assert!(
-            self.input.out_index() != Some(out),
-            "apply input may not alias its output"
-        );
-        self.pl.nodes.push(Node::Apply {
-            out,
-            input: self.input,
-            mask: self.mask,
-            desc: self.desc,
-            op: self.op,
-            accum: self.accum,
-        });
-        self.pl.vec_handle(out)
+        let out = owned(self.inner.pb, out);
+        self.inner.into(out)
     }
 }
 
 /// Records an in-place indexed update (see [`Pipeline::transform`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
 pub struct PipeTransform<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    out: usize,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
+    inner: PlanTransform<'p, 'a, T, E>,
+    out: VecHandle,
+    b: &'p mut Bindings<'a, T>,
+    err: &'p mut Option<GrbError>,
 }
 
 impl<'p, 'a, T: Scalar, E: Exec> PipeTransform<'p, 'a, T, E> {
     /// Updates only the positions selected by `mask`.
     pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
+        let mask = self.inner.pb.bound_mask(self.b, mask);
+        self.inner = self.inner.mask(mask);
         self
     }
 
     /// Interprets the mask structurally (pattern only, values ignored).
     pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self.inner = self.inner.structural();
         self
     }
 
     /// Selects where the mask does **not**.
     pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self.inner = self.inner.invert_mask();
         self
     }
 
     /// Pairs the update with a second vector read at the same index: the
     /// terminal closure receives `(i, &mut out[i], src[i])`. This is how a
     /// recorded stage reads another stage's output inside a lambda (boxed
-    /// closures cannot capture handles).
+    /// closures cannot capture handles). A `src` whose length differs from
+    /// the output's leaves the update unrecorded and makes
+    /// [`Pipeline::finish`] return the mismatch.
     pub fn zip(self, src: impl Into<PipeInput<'a, T>>) -> PipeTransformZip<'p, 'a, T, E> {
-        let src = self.pl.resolve(src.into());
-        assert!(
-            src.out_index() != Some(self.out),
-            "zip source may not alias the transform output"
-        );
+        let pb = &mut *self.inner.pb;
+        let src = read(pb, self.b, src.into());
+        let (n, len) = (pb.read_len(self.out.into()), pb.read_len(src));
+        let inner = match check_dims("transform_zip", "src vs output", n, len) {
+            Ok(()) => Some(self.inner.zip(src)),
+            Err(e) => {
+                self.err.get_or_insert(e);
+                None
+            }
+        };
         PipeTransformZip {
-            pl: self.pl,
+            inner,
             out: self.out,
-            src,
-            mask: self.mask,
-            desc: self.desc,
         }
     }
 
     /// Records `f(i, &mut out[i])` at every selected index.
     pub fn apply(self, f: impl Fn(usize, &mut T) + Send + Sync + 'a) -> VecHandle {
-        self.pl.nodes.push(Node::Lambda {
-            out: self.out,
-            mask: self.mask,
-            desc: self.desc,
-            f: Box::new(f),
-        });
-        self.pl.vec_handle(self.out)
+        self.inner.apply(f)
     }
 }
 
@@ -1495,102 +875,76 @@ impl<'p, 'a, T: Scalar, E: Exec> PipeTransform<'p, 'a, T, E> {
 /// [`PipeTransform::zip`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
 pub struct PipeTransformZip<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    out: usize,
-    src: Src<'a, T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
+    /// `None` when the source's length did not match the output's.
+    inner: Option<PlanTransformZip1<'p, 'a, T, E>>,
+    out: VecHandle,
 }
 
 impl<'a, T: Scalar, E: Exec> PipeTransformZip<'_, 'a, T, E> {
     /// Records `f(i, &mut out[i], src[i])` at every selected index.
     pub fn apply(self, f: impl Fn(usize, &mut T, T) + Send + Sync + 'a) -> VecHandle {
-        self.pl.nodes.push(Node::LambdaZip {
-            out: self.out,
-            src: self.src,
-            mask: self.mask,
-            desc: self.desc,
-            f: Box::new(f),
-        });
-        self.pl.vec_handle(self.out)
+        match self.inner {
+            Some(inner) => inner.apply(f),
+            None => self.out,
+        }
     }
 }
 
 /// Records `⟨x, y⟩` (see [`Pipeline::dot`]).
 #[must_use = "recording builders do nothing until the terminal `.result()`"]
 pub struct PipeDot<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    x: Src<'a, T>,
-    y: Src<'a, T>,
-    ring: RingTag,
+    inner: PlanDot<'p, 'a, T, E>,
 }
 
 impl<T: Scalar, E: Exec> PipeDot<'_, '_, T, E> {
     /// Switches the semiring (default: `PlusTimes`).
-    pub fn ring<R: TaggedRing>(mut self, _ring: R) -> Self {
-        self.ring = R::TAG;
+    pub fn ring<R: TaggedRing>(mut self, ring: R) -> Self {
+        self.inner = self.inner.ring(ring);
         self
     }
 
     /// Records the dot product, returning the handle of its result.
     pub fn result(self) -> ScalarHandle {
-        let h = self.pl.new_scalar();
-        self.pl.nodes.push(Node::Dot {
-            sid: h.idx,
-            x: self.x,
-            y: self.y,
-            ring: self.ring,
-        });
-        h
+        self.inner.result()
     }
 }
 
 /// Records a monoid fold (see [`Pipeline::reduce`]).
 #[must_use = "recording builders do nothing until the terminal `.result()`"]
 pub struct PipeReduce<'p, 'a, T: Scalar, E: Exec> {
-    pl: &'p mut Pipeline<'a, T, E>,
-    x: Src<'a, T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    monoid: MonoidTag,
+    inner: PlanReduce<'p, 'a, T, E>,
+    b: &'p mut Bindings<'a, T>,
 }
 
 impl<'a, T: Scalar, E: Exec> PipeReduce<'_, 'a, T, E> {
     /// Folds only the positions selected by `mask`.
     pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
+        let mask = self.inner.pb.bound_mask(self.b, mask);
+        self.inner = self.inner.mask(mask);
         self
     }
 
     /// Interprets the mask structurally (pattern only, values ignored).
     pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self.inner = self.inner.structural();
         self
     }
 
     /// Selects where the mask does **not**.
     pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self.inner = self.inner.invert_mask();
         self
     }
 
     /// Switches the monoid (default: `Plus`).
-    pub fn monoid<M: TaggedMonoid>(mut self, _monoid: M) -> Self {
-        self.monoid = M::TAG;
+    pub fn monoid<M: TaggedMonoid>(mut self, monoid: M) -> Self {
+        self.inner = self.inner.monoid(monoid);
         self
     }
 
     /// Records the fold, returning the handle of its result.
     pub fn result(self) -> ScalarHandle {
-        let h = self.pl.new_scalar();
-        self.pl.nodes.push(Node::Reduce {
-            sid: h.idx,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            monoid: self.monoid,
-        });
-        h
+        self.inner.result()
     }
 }
 
@@ -1865,5 +1219,144 @@ mod tests {
         drop(other);
         let mut pl = ctx::<Sequential>().pipeline::<f64>();
         pl.apply(h).into(&mut y);
+    }
+
+    #[test]
+    fn record_time_length_mismatch_is_an_error_from_finish_not_a_panic() {
+        let x = Vector::from_dense(vec![1.0, 2.0, 3.0]);
+        for bad_len in [2, 5] {
+            let bad = Vector::from_dense(vec![1.0; bad_len]);
+
+            let mut out = x.clone();
+            let mut pl = ctx::<Sequential>().pipeline();
+            pl.transform(&mut out).zip(&bad).apply(|_, o, s| *o += s);
+            assert!(matches!(
+                pl.finish(),
+                Err(GrbError::DimensionMismatch { .. })
+            ));
+
+            // The same through a handle, and for the other op whose plan
+            // recorder asserts on operand length.
+            let (mut out, mut src) = (x.clone(), bad.clone());
+            let mut pl = ctx::<Sequential>().pipeline();
+            let sh = pl.apply(&bad).into(&mut src);
+            pl.transform(&mut out).zip(sh).apply(|_, o, s| *o += s);
+            assert!(pl.finish().is_err());
+
+            let mut out = x.clone();
+            let mut pl = ctx::<Sequential>().pipeline();
+            pl.axpy(&mut out, 2.0, &bad);
+            assert!(matches!(
+                pl.finish(),
+                Err(GrbError::DimensionMismatch { .. })
+            ));
+        }
+    }
+
+    /// One `&Vector` read by several recorded ops, and a bound in-out
+    /// vector read by a later stage after an in-place update.
+    fn check_shared_input_and_bound_inout<E: Exec>(exec: crate::Ctx<E>) {
+        let n = 1500;
+        let entries: Vec<_> = (0..n)
+            .flat_map(|i| [(i, i, 4.0 + (i % 3) as f64), (i, (i + 1) % n, -1.0 / 3.0)])
+            .collect();
+        let a = CsrMatrix::from_triplets(n, n, &entries).unwrap();
+        let p = Vector::from_dense((0..n).map(|i| (i % 7) as f64 / 3.0 - 1.0).collect());
+        let q = Vector::from_dense((0..n).map(|i| (i % 5) as f64 / 7.0).collect());
+        let x0 = Vector::from_dense((0..n).map(|i| (i % 11) as f64 - 5.0).collect());
+
+        let (mut x, mut w, mut y) = (x0.clone(), Vector::zeros(n), Vector::zeros(n));
+        let mut pl = exec.pipeline();
+        let xh = pl.bind(&mut x);
+        pl.ewise(&p, &q).scaled(2.0, -1.0).into(&mut w);
+        pl.axpy_at(xh, 0.5, &p);
+        let yh = pl.mxv(&a, xh).into(&mut y);
+        let d = pl.dot(&p, yh).result();
+        let d = pl.finish().unwrap()[d];
+
+        let (mut x_e, mut w_e, mut y_e) = (x0.clone(), Vector::zeros(n), Vector::zeros(n));
+        exec.ewise(&p, &q).scaled(2.0, -1.0).into(&mut w_e).unwrap();
+        exec.axpy(&mut x_e, 0.5, &p).unwrap();
+        exec.mxv(&a, &x_e).into(&mut y_e).unwrap();
+        let d_e = exec.dot(&p, &y_e).compute().unwrap();
+
+        let name = exec.backend_name();
+        assert_eq!(x.as_slice(), x_e.as_slice(), "{name}");
+        assert_eq!(w.as_slice(), w_e.as_slice(), "{name}");
+        assert_eq!(y.as_slice(), y_e.as_slice(), "{name}");
+        assert_eq!(d.to_bits(), d_e.to_bits(), "{name}");
+    }
+
+    #[test]
+    fn shared_input_and_bound_inout_match_eager_on_all_backends() {
+        check_shared_input_and_bound_inout(ctx::<Sequential>());
+        check_shared_input_and_bound_inout(ctx::<Parallel>());
+        check_shared_input_and_bound_inout(crate::Distributed::new(2).ctx());
+    }
+
+    #[test]
+    fn finish_emits_one_span_and_the_kernel_spans_of_the_equivalent_plan_run() {
+        let a = a3();
+        let p = Vector::from_dense(vec![1.0, 2.0, 3.0]);
+        let mask = Vector::<bool>::sparse_filled(3, vec![0, 2], true).unwrap();
+        let exec = ctx::<Sequential>();
+
+        // Span recording is process-global and other tests run beside this
+        // one: each arm records under a track of its own and reads only that.
+        type Span = (&'static str, &'static str);
+        let spans_of = |tid: u64| -> Vec<Span> {
+            obs::snapshot()
+                .iter()
+                .filter(|s| s.tid == tid)
+                .map(|s| (s.name, s.class))
+                .collect()
+        };
+        let kernels = |spans: &[Span]| -> Vec<Span> {
+            let mut k: Vec<_> = spans.iter().copied().filter(|s| s.1 != "plan").collect();
+            k.sort_unstable();
+            k
+        };
+        obs::set_enabled(true);
+
+        let pipe_tid = obs::alloc_tid();
+        obs::with_tid(pipe_tid, || {
+            let (mut ap, mut r, mut t) = (Vector::zeros(3), p.clone(), Vector::zeros(3));
+            let mut pl = exec.pipeline();
+            let aph = pl.mxv(&a, &p).into(&mut ap);
+            pl.dot(&p, aph).result();
+            let rh = pl.axpy(&mut r, -0.5, aph);
+            pl.norm2_squared(rh);
+            pl.mxv(&a, rh).mask(&mask).structural().into(&mut t);
+            pl.finish().unwrap();
+        });
+
+        let plan_tid = obs::alloc_tid();
+        obs::with_tid(plan_tid, || {
+            let (mut ap, mut r, mut t) = (Vector::zeros(3), p.clone(), Vector::zeros(3));
+            let mut pb = exec.plan::<f64>();
+            let (am, ps, ms) = (pb.matrix(3, 3), pb.input(3), pb.mask(3));
+            let (aps, rs, ts) = (pb.output(3), pb.output(3), pb.output(3));
+            pb.mxv(am, ps).into(aps);
+            pb.dot(ps, aps).result();
+            pb.axpy(rs, -0.5, aps);
+            pb.norm2_squared(rs);
+            pb.mxv(am, rs).mask(ms).structural().into(ts);
+            let plan = pb.compile();
+            let mut b = plan.bindings();
+            b.bind_matrix(am, &a)
+                .bind_input(ps, &p)
+                .bind_mask(ms, &mask);
+            b.bind_output(aps, &mut ap)
+                .bind_output(rs, &mut r)
+                .bind_output(ts, &mut t);
+            plan.run(&mut b).unwrap();
+        });
+        obs::set_enabled(false);
+
+        let (pipe, plan) = (spans_of(pipe_tid), spans_of(plan_tid));
+        let finishes = pipe.iter().filter(|s| s.0 == "pipeline.finish").count();
+        assert_eq!(finishes, 1, "{pipe:?}");
+        assert_eq!(kernels(&pipe).len(), 3, "{pipe:?}");
+        assert_eq!(kernels(&pipe), kernels(&plan));
     }
 }

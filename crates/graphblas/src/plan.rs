@@ -1,13 +1,26 @@
-//! Compile-once, run-many pipelines: reusable [`Plan`]s and a [`PlanCache`].
+//! The op IR, its interpreter, and the compile-once front door: reusable
+//! [`Plan`]s and a [`PlanCache`].
 //!
-//! A [`Pipeline`](crate::pipeline::Pipeline) borrows its operands while
-//! recording, so its op graph lives at most as long as the vectors it
-//! touches — a CG loop re-records (and re-fuses) the same iteration body on
-//! every pass. A [`Plan`] removes that cost: operands are declared as
-//! *slots* (dimensions only), the op graph is recorded once against the
-//! slots, [`PlanBuilder::compile`] runs the same fusion pass in
-//! [`crate::fusion`] to an immutable fused schedule, and every
-//! [`Plan::run`] executes that schedule against freshly bound buffers:
+//! Deferred execution in this crate has **one** recorded form and **one**
+//! executor, both in this module. Operands are declared as *slots*
+//! (dimensions only), ops are recorded against the slots, the pass in
+//! [`crate::fusion`] turns the op list into a fused schedule, and the
+//! interpreter runs a schedule against a [`Bindings`] table that maps each
+//! slot to a concrete buffer. Two front doors build that form:
+//!
+//! * [`Ctx::plan`](crate::Ctx::plan) → [`PlanBuilder`] →
+//!   [`compile`](PlanBuilder::compile) → [`Plan`]: the schedule is frozen
+//!   once and every [`Plan::run`] executes it against freshly bound
+//!   buffers. This is what loops use — a CG iteration body, per-request
+//!   serve work;
+//! * [`Ctx::pipeline`](crate::Ctx::pipeline) →
+//!   [`Pipeline`](crate::pipeline::Pipeline): a typed wrapper that owns a
+//!   `PlanBuilder` and a `Bindings`, declares and binds a slot for every
+//!   borrowed operand it is handed, and on `finish()` fuses, validates and
+//!   runs the graph once. Its lifetime parameter is what lets recorded
+//!   closures borrow and what proves operands outlive execution.
+//!
+//! Compile once, replay many times:
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Sequential, Vector};
@@ -39,11 +52,13 @@
 //! # Execution model
 //!
 //! `Plan::run` resolves each slot through a [`Bindings`] table and then
-//! executes the fused stages through exactly the kernels
-//! `Pipeline::finish` uses, so a replayed plan is **bit-identical** to the
-//! freshly recorded pipeline and to eager execution (pinned by tests).
-//! Scalars (CG's alpha/beta) enter as [`ScalarParam`] slots mutated with
-//! [`Bindings::set`] between runs. The borrow checker gives replay the
+//! executes the fused stages: unfused ops through exactly the kernels the
+//! eager builders call, fused ones through kernels with the same
+//! per-element arithmetic, so a replayed plan is **bit-identical** to eager
+//! execution (pinned by tests) — and to a freshly recorded pipeline by
+//! construction, since `Pipeline::finish` is this interpreter on the same
+//! graph. Scalars (CG's alpha/beta) enter as [`ScalarParam`] slots mutated
+//! with [`Bindings::set`] between runs. The borrow checker gives replay the
 //! same aliasing guarantees recording had: all bindings borrow for the
 //! lifetime of the `Bindings` value, so an input and an output can never
 //! name the same vector.
@@ -212,22 +227,23 @@ enum ScalarRef<T> {
     Param(usize),
 }
 
-type F0<T> = Box<dyn Fn(usize, &mut T) + Send + Sync>;
-type F1<T> = Box<dyn Fn(usize, &mut T, T) + Send + Sync>;
-type F2<T> = Box<dyn Fn(usize, &mut T, T, T) + Send + Sync>;
-type F3<T> = Box<dyn Fn(usize, &mut T, T, T, T) + Send + Sync>;
+type F0<'f, T> = Box<dyn Fn(usize, &mut T) + Send + Sync + 'f>;
+type F1<'f, T> = Box<dyn Fn(usize, &mut T, T) + Send + Sync + 'f>;
+type F2<'f, T> = Box<dyn Fn(usize, &mut T, T, T) + Send + Sync + 'f>;
+type F3<'f, T> = Box<dyn Fn(usize, &mut T, T, T, T) + Send + Sync + 'f>;
 
 /// A recorded element-wise closure with zero to three zipped sources.
-enum PlanFn<T> {
-    F0(F0<T>),
-    F1(PlanSrc, F1<T>),
-    F2([PlanSrc; 2], F2<T>),
-    F3([PlanSrc; 3], F3<T>),
+/// `'f` bounds what the closure may borrow: `'static` in a compiled
+/// [`Plan`], the operands' lifetime in a one-shot pipeline.
+enum PlanFn<'f, T> {
+    F0(F0<'f, T>),
+    F1(PlanSrc, F1<'f, T>),
+    F2([PlanSrc; 2], F2<'f, T>),
+    F3([PlanSrc; 3], F3<'f, T>),
 }
 
-/// One recorded plan op — the owned, `'static` mirror of the pipeline's
-/// borrow-carrying `Node`.
-enum PlanNode<T: Scalar> {
+/// One recorded op: operands are slot indices, never buffers.
+enum PlanNode<'f, T: Scalar> {
     Mxv {
         out: usize,
         a: usize,
@@ -264,7 +280,7 @@ enum PlanNode<T: Scalar> {
         out: usize,
         mask: Option<usize>,
         desc: Descriptor,
-        f: PlanFn<T>,
+        f: PlanFn<'f, T>,
     },
     Dot {
         sid: usize,
@@ -281,9 +297,8 @@ enum PlanNode<T: Scalar> {
     },
 }
 
-impl<T: Scalar> PlanNode<T> {
-    /// Short kernel name for schedules and debugging (matches the
-    /// pipeline's names so schedule tests read the same).
+impl<T: Scalar> PlanNode<'_, T> {
+    /// Short kernel name for schedules and debugging.
     fn name(&self) -> &'static str {
         match self {
             PlanNode::Mxv { .. } => "mxv",
@@ -300,9 +315,8 @@ impl<T: Scalar> PlanNode<T> {
     }
 
     /// The fusion-relevant footprint of this op (see [`OpShape`]). Input
-    /// slots are invisible to the pass for the same reason a pipeline's
-    /// external borrows are: the borrow rules on [`Bindings`] keep a bound
-    /// input from aliasing a bound output.
+    /// slots are invisible to the pass: the borrow rules on [`Bindings`]
+    /// keep a bound input from aliasing a bound output.
     fn shape(&self) -> OpShape {
         match self {
             PlanNode::Mxv {
@@ -555,24 +569,15 @@ fn hash_scalar<T: Scalar, H: Hasher>(h: &mut H, s: &ScalarRef<T>) {
 }
 
 // ---------------------------------------------------------------------------
-// The builder
+// The recorded graph and the builder
 // ---------------------------------------------------------------------------
 
-/// Records an op graph against declared slots and compiles it into a
-/// reusable [`Plan`]. Created by [`Ctx::plan`](crate::Ctx::plan); see the
-/// [module docs](self).
-///
-/// The fluent recorders mirror [`Pipeline`](crate::pipeline::Pipeline)'s —
-/// `mxv`, `vxm`, `ewise`, `apply`, `axpy`, `transform`, `dot`, `reduce`,
-/// `norm2_squared` with the same mask/descriptor/ring/accumulator
-/// modifiers — but every vector operand is a slot and every tunable scalar
-/// may be a [`ScalarParam`].
-pub struct PlanBuilder<T: Scalar, E: Exec> {
-    /// Process-unique id branding this builder's slots (and its plan's).
-    id: u64,
-    exec: E,
-    defaults: Descriptor,
-    nodes: Vec<PlanNode<T>>,
+/// The one recorded form: ops over declared slots. Both front doors build
+/// it — [`PlanBuilder`] directly, a [`Pipeline`](crate::pipeline::Pipeline)
+/// through the builder it owns — and [`OpGraph::execute`] is the only
+/// interpreter.
+struct OpGraph<'f, T: Scalar> {
+    nodes: Vec<PlanNode<'f, T>>,
     /// Declared `(nrows, ncols)` of each matrix slot.
     mats: Vec<(usize, usize)>,
     /// Declared length of each input slot.
@@ -586,89 +591,160 @@ pub struct PlanBuilder<T: Scalar, E: Exec> {
     scalars: usize,
 }
 
-impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
-    pub(crate) fn new(exec: E, defaults: Descriptor) -> PlanBuilder<T, E> {
+/// Records an op graph against declared slots and compiles it into a
+/// reusable [`Plan`]. Created by [`Ctx::plan`](crate::Ctx::plan); see the
+/// [module docs](self).
+///
+/// The fluent recorders mirror the eager ones on [`Ctx`](crate::Ctx) —
+/// `mxv`, `vxm`, `ewise`, `apply`, `axpy`, `transform`, `dot`, `reduce`,
+/// `norm2_squared` with the same mask/descriptor/ring/accumulator
+/// modifiers — but every vector operand is a slot and every tunable scalar
+/// may be a [`ScalarParam`].
+///
+/// `'f` bounds what `transform` closures may borrow.
+/// [`Ctx::plan`](crate::Ctx::plan) hands out `'static` builders, the only
+/// ones that [`compile`](PlanBuilder::compile); the builder inside a
+/// one-shot [`Pipeline`](crate::pipeline::Pipeline) carries its operands'
+/// lifetime and is run exactly once while they are still borrowed.
+pub struct PlanBuilder<'f, T: Scalar, E: Exec> {
+    /// Process-unique id branding this builder's slots (and its plan's).
+    id: u64,
+    exec: E,
+    defaults: Descriptor,
+    graph: OpGraph<'f, T>,
+}
+
+impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
+    pub(crate) fn new(exec: E, defaults: Descriptor) -> PlanBuilder<'f, T, E> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         PlanBuilder {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             exec,
             defaults,
-            nodes: Vec::new(),
-            mats: Vec::new(),
-            ins: Vec::new(),
-            outs: Vec::new(),
-            masks: Vec::new(),
-            params: Vec::new(),
-            scalars: 0,
+            graph: OpGraph {
+                nodes: Vec::new(),
+                mats: Vec::new(),
+                ins: Vec::new(),
+                outs: Vec::new(),
+                masks: Vec::new(),
+                params: Vec::new(),
+                scalars: 0,
+            },
         }
     }
 
     /// Number of operations recorded so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.graph.nodes.len()
     }
 
     /// Whether nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.graph.nodes.is_empty()
     }
 
     /// Declares a matrix operand slot with the given dimensions.
     pub fn matrix(&mut self, nrows: usize, ncols: usize) -> MatSlot {
-        let idx = self.mats.len();
-        self.mats.push((nrows, ncols));
+        let idx = self.graph.mats.len();
+        self.graph.mats.push((nrows, ncols));
         MatSlot { plan: self.id, idx }
     }
 
     /// Declares a read-only vector operand slot of the given length.
     pub fn input(&mut self, len: usize) -> InSlot {
-        let idx = self.ins.len();
-        self.ins.push(len);
+        let idx = self.graph.ins.len();
+        self.graph.ins.push(len);
         InSlot { plan: self.id, idx }
     }
 
     /// Declares a mutable vector slot of the given length — the target of
     /// recorded writes, readable in place by later (or in-place) ops.
     pub fn output(&mut self, len: usize) -> OutSlot {
-        let idx = self.outs.len();
-        self.outs.push(len);
+        let idx = self.graph.outs.len();
+        self.graph.outs.push(len);
         OutSlot { plan: self.id, idx }
     }
 
     /// Declares a mask operand slot of the given length.
     pub fn mask(&mut self, len: usize) -> MaskSlot {
-        let idx = self.masks.len();
-        self.masks.push(len);
+        let idx = self.graph.masks.len();
+        self.graph.masks.push(len);
         MaskSlot { plan: self.id, idx }
     }
 
     /// Declares a scalar parameter with a default value; replays override
     /// it with [`Bindings::set`].
     pub fn param(&mut self, default: T) -> ScalarParam {
-        let idx = self.params.len();
-        self.params.push(default);
+        let idx = self.graph.params.len();
+        self.graph.params.push(default);
         ScalarParam { plan: self.id, idx }
+    }
+
+    /// Declares a matrix slot with `a`'s own dimensions and binds `a` to it.
+    /// The four `bound_*` recorders are how a pipeline turns each borrowed
+    /// operand into a slot: `b` is the table it got from
+    /// [`bindings`](Self::bindings) and grows in step with the
+    /// declarations, so it is fully bound by construction.
+    pub(crate) fn bound_matrix(&mut self, b: &mut Bindings<'f, T>, a: &'f CsrMatrix<T>) -> MatSlot {
+        b.mats.push(Some(a));
+        self.matrix(a.nrows(), a.ncols())
+    }
+
+    /// Declares an input slot of `v`'s length and binds `v` to it.
+    pub(crate) fn bound_input(&mut self, b: &mut Bindings<'f, T>, v: &'f Vector<T>) -> InSlot {
+        b.ins.push(Some(v));
+        self.input(v.len())
+    }
+
+    /// Declares a mask slot of `m`'s length and binds `m` to it.
+    pub(crate) fn bound_mask(&mut self, b: &mut Bindings<'f, T>, m: &'f Vector<bool>) -> MaskSlot {
+        b.masks.push(Some(m));
+        self.mask(m.len())
+    }
+
+    /// Declares an output slot of `v`'s length and binds `v` to it
+    /// (exclusively, for the table's lifetime).
+    pub(crate) fn bound_output(
+        &mut self,
+        b: &mut Bindings<'f, T>,
+        v: &'f mut Vector<T>,
+    ) -> OutSlot {
+        let len = v.len();
+        b.outs.push(Some(v as *mut Vector<T>));
+        self.output(len)
+    }
+
+    /// An empty bindings table branded for this builder.
+    pub(crate) fn bindings<'b>(&self) -> Bindings<'b, T> {
+        self.graph.bindings(self.id)
+    }
+
+    /// Whether `s` is one of this builder's output slots.
+    pub(crate) fn owns(&self, s: OutSlot) -> bool {
+        s.plan == self.id && s.idx < self.graph.outs.len()
+    }
+
+    /// Declared length of a readable operand of this builder.
+    pub(crate) fn read_len(&self, r: PlanRead) -> usize {
+        self.src_len(self.resolve(r))
     }
 
     fn check_mat(&self, s: MatSlot) -> usize {
         assert!(
-            s.plan == self.id && s.idx < self.mats.len(),
+            s.plan == self.id && s.idx < self.graph.mats.len(),
             "MatSlot does not belong to this plan"
         );
         s.idx
     }
 
     fn check_out(&self, s: OutSlot) -> usize {
-        assert!(
-            s.plan == self.id && s.idx < self.outs.len(),
-            "OutSlot does not belong to this plan"
-        );
+        assert!(self.owns(s), "OutSlot does not belong to this plan");
         s.idx
     }
 
     fn check_mask(&self, s: MaskSlot) -> usize {
         assert!(
-            s.plan == self.id && s.idx < self.masks.len(),
+            s.plan == self.id && s.idx < self.graph.masks.len(),
             "MaskSlot does not belong to this plan"
         );
         s.idx
@@ -678,7 +754,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
         match r {
             PlanRead::In(s) => {
                 assert!(
-                    s.plan == self.id && s.idx < self.ins.len(),
+                    s.plan == self.id && s.idx < self.graph.ins.len(),
                     "InSlot does not belong to this plan"
                 );
                 PlanSrc::In(s.idx)
@@ -692,7 +768,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
             PlanScalar::Const(v) => ScalarRef::Const(v),
             PlanScalar::Param(p) => {
                 assert!(
-                    p.plan == self.id && p.idx < self.params.len(),
+                    p.plan == self.id && p.idx < self.graph.params.len(),
                     "ScalarParam does not belong to this plan"
                 );
                 ScalarRef::Param(p.idx)
@@ -703,19 +779,19 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
     /// Declared length of a readable operand.
     fn src_len(&self, s: PlanSrc) -> usize {
         match s {
-            PlanSrc::In(i) => self.ins[i],
-            PlanSrc::Out(o) => self.outs[o],
+            PlanSrc::In(i) => self.graph.ins[i],
+            PlanSrc::Out(o) => self.graph.outs[o],
         }
     }
 
     fn new_scalar(&mut self) -> ScalarSlot {
-        let idx = self.scalars;
-        self.scalars += 1;
+        let idx = self.graph.scalars;
+        self.graph.scalars += 1;
         ScalarSlot { plan: self.id, idx }
     }
 
     /// Starts recording `y = A ⊕.⊗ x` (default ring: `PlusTimes`).
-    pub fn mxv(&mut self, a: MatSlot, x: impl Into<PlanRead>) -> PlanMxv<'_, T, E> {
+    pub fn mxv(&mut self, a: MatSlot, x: impl Into<PlanRead>) -> PlanMxv<'_, 'f, T, E> {
         let a = self.check_mat(a);
         let x = self.resolve(x.into());
         let desc = self.defaults;
@@ -732,14 +808,18 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
 
     /// Starts recording `y = xᵀA` — an mxv with the transposition
     /// pre-toggled, exactly like the eager `vxm` builder.
-    pub fn vxm(&mut self, x: impl Into<PlanRead>, a: MatSlot) -> PlanMxv<'_, T, E> {
+    pub fn vxm(&mut self, x: impl Into<PlanRead>, a: MatSlot) -> PlanMxv<'_, 'f, T, E> {
         let mut b = self.mxv(a, x);
         b.desc = b.desc.toggled_transpose();
         b
     }
 
     /// Starts recording `w = Op(x, y)` element-wise (default op: `Plus`).
-    pub fn ewise(&mut self, x: impl Into<PlanRead>, y: impl Into<PlanRead>) -> PlanEwise<'_, T, E> {
+    pub fn ewise(
+        &mut self,
+        x: impl Into<PlanRead>,
+        y: impl Into<PlanRead>,
+    ) -> PlanEwise<'_, 'f, T, E> {
         let x = self.resolve(x.into());
         let y = self.resolve(y.into());
         let desc = self.defaults;
@@ -756,7 +836,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
     }
 
     /// Starts recording `out = Op(input)` (default op: `Identity`).
-    pub fn apply(&mut self, input: impl Into<PlanRead>) -> PlanApply<'_, T, E> {
+    pub fn apply(&mut self, input: impl Into<PlanRead>) -> PlanApply<'_, 'f, T, E> {
         let input = self.resolve(input.into());
         let desc = self.defaults;
         PlanApply {
@@ -785,18 +865,18 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
             "axpy operand may not alias its output"
         );
         assert!(
-            self.src_len(y) == self.outs[out],
+            self.src_len(y) == self.graph.outs[out],
             "axpy operand length must match its output slot"
         );
-        self.nodes.push(PlanNode::Axpy { out, alpha, y });
+        self.graph.nodes.push(PlanNode::Axpy { out, alpha, y });
         x
     }
 
     /// Starts recording an in-place indexed update of `out` (the eager
-    /// `transform` / `eWiseLambda`). Closures recorded here must be
-    /// `'static`: values they read per index enter through
-    /// [`PlanTransform::zip`] sources, not captures.
-    pub fn transform(&mut self, out: OutSlot) -> PlanTransform<'_, T, E> {
+    /// `transform` / `eWiseLambda`). Closures recorded here must outlive
+    /// `'f` — `'static` for a builder that compiles, so values they read
+    /// per index enter through [`PlanTransform::zip`] sources, not captures.
+    pub fn transform(&mut self, out: OutSlot) -> PlanTransform<'_, 'f, T, E> {
         let out = self.check_out(out);
         let desc = self.defaults;
         PlanTransform {
@@ -808,7 +888,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
     }
 
     /// Starts recording `⟨x, y⟩` (default ring: `PlusTimes`).
-    pub fn dot(&mut self, x: impl Into<PlanRead>, y: impl Into<PlanRead>) -> PlanDot<'_, T, E> {
+    pub fn dot(&mut self, x: impl Into<PlanRead>, y: impl Into<PlanRead>) -> PlanDot<'_, 'f, T, E> {
         let x = self.resolve(x.into());
         let y = self.resolve(y.into());
         PlanDot {
@@ -823,7 +903,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
     pub fn norm2_squared(&mut self, x: impl Into<PlanRead>) -> ScalarSlot {
         let x = self.resolve(x.into());
         let h = self.new_scalar();
-        self.nodes.push(PlanNode::Dot {
+        self.graph.nodes.push(PlanNode::Dot {
             sid: h.idx,
             x,
             y: x,
@@ -833,7 +913,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
     }
 
     /// Starts recording a fold of `x` over a monoid (default: `Plus`).
-    pub fn reduce(&mut self, x: impl Into<PlanRead>) -> PlanReduce<'_, T, E> {
+    pub fn reduce(&mut self, x: impl Into<PlanRead>) -> PlanReduce<'_, 'f, T, E> {
         let x = self.resolve(x.into());
         let desc = self.defaults;
         PlanReduce {
@@ -845,44 +925,31 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
         }
     }
 
-    /// Digest of the recorded op-graph *shape*: ops, tags, masks,
-    /// descriptors, slot wiring, dimension signature, and the scalar/backend
-    /// types — never concrete buffers or parameter values. Two builders
-    /// that recorded the same graph over the same-shaped slots agree.
-    fn structural_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        std::any::type_name::<T>().hash(&mut h);
-        std::any::type_name::<E>().hash(&mut h);
-        self.mats.hash(&mut h);
-        self.ins.hash(&mut h);
-        self.outs.hash(&mut h);
-        self.masks.hash(&mut h);
-        self.params.len().hash(&mut h);
-        self.scalars.hash(&mut h);
-        for node in &self.nodes {
-            node.hash_structure(&mut h);
-        }
-        h.finish()
+    /// The fused schedule this graph would run right now.
+    pub(crate) fn schedule(&self) -> Vec<PlannedStage> {
+        self.graph.describe(&self.graph.fuse())
     }
 
+    /// Fuses and executes the graph once against `b` — how a pipeline
+    /// finishes. No [`Plan`] is built and no [`PlanCache`] is involved.
+    pub(crate) fn run_once(&self, b: &Bindings<'_, T>) -> Result<PlanResults<T>> {
+        assert!(b.plan == self.id, "Bindings do not belong to this plan");
+        self.graph.execute(self.exec, &self.graph.fuse(), b)
+    }
+}
+
+impl<T: Scalar, E: Exec> PlanBuilder<'static, T, E> {
     /// Runs the fusion pass once and freezes the schedule into an
     /// immutable, reusable [`Plan`].
     pub fn compile(self) -> Plan<T, E> {
         let _span = obs::span_enter("plan.compile", "plan");
-        let shapes: Vec<OpShape> = self.nodes.iter().map(PlanNode::shape).collect();
-        let stages = fuse_shapes(&shapes, &self.outs);
-        let hash = self.structural_hash();
+        let stages = self.graph.fuse();
+        let hash = self.graph.structural_hash::<E>();
         Plan {
             id: self.id,
             exec: self.exec,
-            nodes: self.nodes,
+            graph: self.graph,
             stages,
-            mats: self.mats,
-            ins: self.ins,
-            outs: self.outs,
-            masks: self.masks,
-            params: self.params,
-            scalars: self.scalars,
             hash,
         }
     }
@@ -894,8 +961,8 @@ impl<T: Scalar, E: Exec> PlanBuilder<T, E> {
 
 /// Records `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`PlanBuilder::mxv`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PlanMxv<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanMxv<'p, 'f, T: Scalar, E: Exec> {
+    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
     a: usize,
     x: PlanSrc,
     mask: Option<usize>,
@@ -904,7 +971,7 @@ pub struct PlanMxv<'p, T: Scalar, E: Exec> {
     accum: Option<BinOpTag>,
 }
 
-impl<T: Scalar, E: Exec> PlanMxv<'_, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanMxv<'_, 'f, T, E> {
     /// Computes only the output positions selected by `mask`.
     pub fn mask(mut self, mask: MaskSlot) -> Self {
         self.mask = Some(self.pb.check_mask(mask));
@@ -955,7 +1022,7 @@ impl<T: Scalar, E: Exec> PlanMxv<'_, T, E> {
             self.x.out_index() != Some(out),
             "mxv input may not alias its output"
         );
-        self.pb.nodes.push(PlanNode::Mxv {
+        self.pb.graph.nodes.push(PlanNode::Mxv {
             out,
             a: self.a,
             x: self.x,
@@ -970,8 +1037,8 @@ impl<T: Scalar, E: Exec> PlanMxv<'_, T, E> {
 
 /// Records `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`PlanBuilder::ewise`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PlanEwise<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanEwise<'p, 'f, T: Scalar, E: Exec> {
+    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
     x: PlanSrc,
     y: PlanSrc,
     mask: Option<usize>,
@@ -981,7 +1048,7 @@ pub struct PlanEwise<'p, T: Scalar, E: Exec> {
     accum: Option<BinOpTag>,
 }
 
-impl<T: Scalar, E: Exec> PlanEwise<'_, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanEwise<'_, 'f, T, E> {
     /// Computes only the output positions selected by `mask`.
     pub fn mask(mut self, mask: MaskSlot) -> Self {
         self.mask = Some(self.pb.check_mask(mask));
@@ -1033,7 +1100,7 @@ impl<T: Scalar, E: Exec> PlanEwise<'_, T, E> {
             self.x.out_index() != Some(out) && self.y.out_index() != Some(out),
             "ewise operands may not alias the output"
         );
-        self.pb.nodes.push(PlanNode::Ewise {
+        self.pb.graph.nodes.push(PlanNode::Ewise {
             out,
             x: self.x,
             y: self.y,
@@ -1049,8 +1116,8 @@ impl<T: Scalar, E: Exec> PlanEwise<'_, T, E> {
 
 /// Records `out⟨mask⟩ = out ⊙? Op(input)` (see [`PlanBuilder::apply`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PlanApply<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanApply<'p, 'f, T: Scalar, E: Exec> {
+    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
     input: PlanSrc,
     mask: Option<usize>,
     desc: Descriptor,
@@ -1058,7 +1125,7 @@ pub struct PlanApply<'p, T: Scalar, E: Exec> {
     accum: Option<BinOpTag>,
 }
 
-impl<T: Scalar, E: Exec> PlanApply<'_, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanApply<'_, 'f, T, E> {
     /// Computes only the output positions selected by `mask`.
     pub fn mask(mut self, mask: MaskSlot) -> Self {
         self.mask = Some(self.pb.check_mask(mask));
@@ -1097,7 +1164,7 @@ impl<T: Scalar, E: Exec> PlanApply<'_, T, E> {
             self.input.out_index() != Some(out),
             "apply input may not alias its output"
         );
-        self.pb.nodes.push(PlanNode::Apply {
+        self.pb.graph.nodes.push(PlanNode::Apply {
             out,
             input: self.input,
             mask: self.mask,
@@ -1111,14 +1178,14 @@ impl<T: Scalar, E: Exec> PlanApply<'_, T, E> {
 
 /// Records an in-place indexed update (see [`PlanBuilder::transform`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransform<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanTransform<'p, 'f, T: Scalar, E: Exec> {
+    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
     out: usize,
     mask: Option<usize>,
     desc: Descriptor,
 }
 
-impl<'p, T: Scalar, E: Exec> PlanTransform<'p, T, E> {
+impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<'p, 'f, T, E> {
     /// Updates only the positions selected by `mask`.
     pub fn mask(mut self, mask: MaskSlot) -> Self {
         self.mask = Some(self.pb.check_mask(mask));
@@ -1139,8 +1206,9 @@ impl<'p, T: Scalar, E: Exec> PlanTransform<'p, T, E> {
 
     /// Pairs the update with a vector read at the same index: the terminal
     /// closure receives `(i, &mut out[i], src[i])`. Chain up to three
-    /// sources — this is how a `'static` plan closure reads other slots.
-    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip1<'p, T, E> {
+    /// sources — this is how a `'static` plan closure reads other slots,
+    /// and how any recorded closure reads another op's output.
+    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip1<'p, 'f, T, E> {
         let src = self.pb.resolve(src.into());
         check_zip(self.pb, self.out, src);
         PlanTransformZip1 {
@@ -1153,9 +1221,9 @@ impl<'p, T: Scalar, E: Exec> PlanTransform<'p, T, E> {
     }
 
     /// Records `f(i, &mut out[i])` at every selected index.
-    pub fn apply(self, f: impl Fn(usize, &mut T) + Send + Sync + 'static) -> OutSlot {
+    pub fn apply(self, f: impl Fn(usize, &mut T) + Send + Sync + 'f) -> OutSlot {
         let out = self.out;
-        self.pb.nodes.push(PlanNode::Lambda {
+        self.pb.graph.nodes.push(PlanNode::Lambda {
             out,
             mask: self.mask,
             desc: self.desc,
@@ -1169,16 +1237,15 @@ impl<'p, T: Scalar, E: Exec> PlanTransform<'p, T, E> {
 }
 
 /// Asserts a zip source is legal: it may not alias the transform output,
-/// and (unlike the pipeline, whose buffers exist at record time) its
-/// declared length must match the output's so replay can never index out
-/// of bounds.
-fn check_zip<T: Scalar, E: Exec>(pb: &PlanBuilder<T, E>, out: usize, src: PlanSrc) {
+/// and its declared length must match the output's so execution can never
+/// index out of bounds.
+fn check_zip<T: Scalar, E: Exec>(pb: &PlanBuilder<'_, T, E>, out: usize, src: PlanSrc) {
     assert!(
         src.out_index() != Some(out),
         "zip source may not alias the transform output"
     );
     assert!(
-        pb.src_len(src) == pb.outs[out],
+        pb.src_len(src) == pb.graph.outs[out],
         "zip source length must match the transform output"
     );
 }
@@ -1186,17 +1253,17 @@ fn check_zip<T: Scalar, E: Exec>(pb: &PlanBuilder<T, E>, out: usize, src: PlanSr
 /// Records an indexed update reading one paired source (see
 /// [`PlanTransform::zip`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransformZip1<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanTransformZip1<'p, 'f, T: Scalar, E: Exec> {
+    pb: &'p mut PlanBuilder<'f, T, E>,
     out: usize,
     srcs: [PlanSrc; 1],
     mask: Option<usize>,
     desc: Descriptor,
 }
 
-impl<'p, T: Scalar, E: Exec> PlanTransformZip1<'p, T, E> {
+impl<'p, 'f, T: Scalar, E: Exec> PlanTransformZip1<'p, 'f, T, E> {
     /// Adds a second zipped source.
-    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip2<'p, T, E> {
+    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip2<'p, 'f, T, E> {
         let src = self.pb.resolve(src.into());
         check_zip(self.pb, self.out, src);
         PlanTransformZip2 {
@@ -1209,9 +1276,9 @@ impl<'p, T: Scalar, E: Exec> PlanTransformZip1<'p, T, E> {
     }
 
     /// Records `f(i, &mut out[i], src[i])` at every selected index.
-    pub fn apply(self, f: impl Fn(usize, &mut T, T) + Send + Sync + 'static) -> OutSlot {
+    pub fn apply(self, f: impl Fn(usize, &mut T, T) + Send + Sync + 'f) -> OutSlot {
         let out = self.out;
-        self.pb.nodes.push(PlanNode::Lambda {
+        self.pb.graph.nodes.push(PlanNode::Lambda {
             out,
             mask: self.mask,
             desc: self.desc,
@@ -1227,17 +1294,17 @@ impl<'p, T: Scalar, E: Exec> PlanTransformZip1<'p, T, E> {
 /// Records an indexed update reading two paired sources (see
 /// [`PlanTransform::zip`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransformZip2<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanTransformZip2<'p, 'f, T: Scalar, E: Exec> {
+    pb: &'p mut PlanBuilder<'f, T, E>,
     out: usize,
     srcs: [PlanSrc; 2],
     mask: Option<usize>,
     desc: Descriptor,
 }
 
-impl<'p, T: Scalar, E: Exec> PlanTransformZip2<'p, T, E> {
+impl<'p, 'f, T: Scalar, E: Exec> PlanTransformZip2<'p, 'f, T, E> {
     /// Adds a third zipped source.
-    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip3<'p, T, E> {
+    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip3<'p, 'f, T, E> {
         let src = self.pb.resolve(src.into());
         check_zip(self.pb, self.out, src);
         PlanTransformZip3 {
@@ -1251,9 +1318,9 @@ impl<'p, T: Scalar, E: Exec> PlanTransformZip2<'p, T, E> {
 
     /// Records `f(i, &mut out[i], src1[i], src2[i])` at every selected
     /// index.
-    pub fn apply(self, f: impl Fn(usize, &mut T, T, T) + Send + Sync + 'static) -> OutSlot {
+    pub fn apply(self, f: impl Fn(usize, &mut T, T, T) + Send + Sync + 'f) -> OutSlot {
         let out = self.out;
-        self.pb.nodes.push(PlanNode::Lambda {
+        self.pb.graph.nodes.push(PlanNode::Lambda {
             out,
             mask: self.mask,
             desc: self.desc,
@@ -1269,20 +1336,20 @@ impl<'p, T: Scalar, E: Exec> PlanTransformZip2<'p, T, E> {
 /// Records an indexed update reading three paired sources (see
 /// [`PlanTransform::zip`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransformZip3<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanTransformZip3<'p, 'f, T: Scalar, E: Exec> {
+    pb: &'p mut PlanBuilder<'f, T, E>,
     out: usize,
     srcs: [PlanSrc; 3],
     mask: Option<usize>,
     desc: Descriptor,
 }
 
-impl<T: Scalar, E: Exec> PlanTransformZip3<'_, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanTransformZip3<'_, 'f, T, E> {
     /// Records `f(i, &mut out[i], src1[i], src2[i], src3[i])` at every
     /// selected index.
-    pub fn apply(self, f: impl Fn(usize, &mut T, T, T, T) + Send + Sync + 'static) -> OutSlot {
+    pub fn apply(self, f: impl Fn(usize, &mut T, T, T, T) + Send + Sync + 'f) -> OutSlot {
         let out = self.out;
-        self.pb.nodes.push(PlanNode::Lambda {
+        self.pb.graph.nodes.push(PlanNode::Lambda {
             out,
             mask: self.mask,
             desc: self.desc,
@@ -1297,14 +1364,14 @@ impl<T: Scalar, E: Exec> PlanTransformZip3<'_, T, E> {
 
 /// Records `⟨x, y⟩` (see [`PlanBuilder::dot`]).
 #[must_use = "recording builders do nothing until the terminal `.result()`"]
-pub struct PlanDot<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanDot<'p, 'f, T: Scalar, E: Exec> {
+    pb: &'p mut PlanBuilder<'f, T, E>,
     x: PlanSrc,
     y: PlanSrc,
     ring: RingTag,
 }
 
-impl<T: Scalar, E: Exec> PlanDot<'_, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanDot<'_, 'f, T, E> {
     /// Switches the semiring (default: `PlusTimes`).
     pub fn ring<R: TaggedRing>(mut self, _ring: R) -> Self {
         self.ring = R::TAG;
@@ -1314,7 +1381,7 @@ impl<T: Scalar, E: Exec> PlanDot<'_, T, E> {
     /// Records the dot product, returning the slot of its result.
     pub fn result(self) -> ScalarSlot {
         let h = self.pb.new_scalar();
-        self.pb.nodes.push(PlanNode::Dot {
+        self.pb.graph.nodes.push(PlanNode::Dot {
             sid: h.idx,
             x: self.x,
             y: self.y,
@@ -1326,15 +1393,15 @@ impl<T: Scalar, E: Exec> PlanDot<'_, T, E> {
 
 /// Records a monoid fold (see [`PlanBuilder::reduce`]).
 #[must_use = "recording builders do nothing until the terminal `.result()`"]
-pub struct PlanReduce<'p, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<T, E>,
+pub struct PlanReduce<'p, 'f, T: Scalar, E: Exec> {
+    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
     x: PlanSrc,
     mask: Option<usize>,
     desc: Descriptor,
     monoid: MonoidTag,
 }
 
-impl<T: Scalar, E: Exec> PlanReduce<'_, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanReduce<'_, 'f, T, E> {
     /// Folds only the positions selected by `mask`.
     pub fn mask(mut self, mask: MaskSlot) -> Self {
         self.mask = Some(self.pb.check_mask(mask));
@@ -1362,7 +1429,7 @@ impl<T: Scalar, E: Exec> PlanReduce<'_, T, E> {
     /// Records the fold, returning the slot of its result.
     pub fn result(self) -> ScalarSlot {
         let h = self.pb.new_scalar();
-        self.pb.nodes.push(PlanNode::Reduce {
+        self.pb.graph.nodes.push(PlanNode::Reduce {
             sid: h.idx,
             x: self.x,
             mask: self.mask,
@@ -1389,26 +1456,20 @@ pub struct Plan<T: Scalar, E: Exec> {
     /// Brand shared with the builder's slots and every `Bindings`.
     id: u64,
     exec: E,
-    nodes: Vec<PlanNode<T>>,
+    graph: OpGraph<'static, T>,
     stages: Vec<Stage>,
-    mats: Vec<(usize, usize)>,
-    ins: Vec<usize>,
-    outs: Vec<usize>,
-    masks: Vec<usize>,
-    params: Vec<T>,
-    scalars: usize,
     hash: u64,
 }
 
 impl<T: Scalar, E: Exec> Plan<T, E> {
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.graph.nodes.len()
     }
 
     /// Whether the plan records no operations.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.graph.nodes.is_empty()
     }
 
     /// The shape digest computed at compile time (see the module docs'
@@ -1419,17 +1480,14 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 
     /// The fused schedule, for tests, benchmarks and debugging.
     pub fn schedule(&self) -> Vec<PlannedStage> {
-        self.stages
-            .iter()
-            .map(|s| s.describe_by(|i| self.nodes[i].name()))
-            .collect()
+        self.graph.describe(&self.stages)
     }
 
     /// The `i`-th declared matrix slot (declaration order). Slot accessors
     /// exist so a consumer that got this plan from a [`PlanCache`] hit —
     /// and therefore never saw the builder — can still bind operands.
     pub fn matrix_slot(&self, i: usize) -> MatSlot {
-        assert!(i < self.mats.len(), "matrix slot index out of range");
+        assert!(i < self.graph.mats.len(), "matrix slot index out of range");
         MatSlot {
             plan: self.id,
             idx: i,
@@ -1438,7 +1496,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 
     /// The `i`-th declared input slot (declaration order).
     pub fn input_slot(&self, i: usize) -> InSlot {
-        assert!(i < self.ins.len(), "input slot index out of range");
+        assert!(i < self.graph.ins.len(), "input slot index out of range");
         InSlot {
             plan: self.id,
             idx: i,
@@ -1447,7 +1505,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 
     /// The `i`-th declared output slot (declaration order).
     pub fn output_slot(&self, i: usize) -> OutSlot {
-        assert!(i < self.outs.len(), "output slot index out of range");
+        assert!(i < self.graph.outs.len(), "output slot index out of range");
         OutSlot {
             plan: self.id,
             idx: i,
@@ -1456,7 +1514,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 
     /// The `i`-th declared mask slot (declaration order).
     pub fn mask_slot(&self, i: usize) -> MaskSlot {
-        assert!(i < self.masks.len(), "mask slot index out of range");
+        assert!(i < self.graph.masks.len(), "mask slot index out of range");
         MaskSlot {
             plan: self.id,
             idx: i,
@@ -1465,7 +1523,10 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 
     /// The `i`-th declared scalar parameter (declaration order).
     pub fn param(&self, i: usize) -> ScalarParam {
-        assert!(i < self.params.len(), "scalar parameter index out of range");
+        assert!(
+            i < self.graph.params.len(),
+            "scalar parameter index out of range"
+        );
         ScalarParam {
             plan: self.id,
             idx: i,
@@ -1474,7 +1535,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 
     /// The `i`-th recorded scalar result (recording order).
     pub fn scalar(&self, i: usize) -> ScalarSlot {
-        assert!(i < self.scalars, "scalar result index out of range");
+        assert!(i < self.graph.scalars, "scalar result index out of range");
         ScalarSlot {
             plan: self.id,
             idx: i,
@@ -1484,15 +1545,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
     /// An empty bindings table for this plan: every slot unbound, every
     /// parameter at its declared default.
     pub fn bindings<'b>(&self) -> Bindings<'b, T> {
-        Bindings {
-            plan: self.id,
-            mats: vec![None; self.mats.len()],
-            ins: vec![None; self.ins.len()],
-            masks: vec![None; self.masks.len()],
-            outs: vec![None; self.outs.len()],
-            params: self.params.clone(),
-            _borrows: PhantomData,
-        }
+        self.graph.bindings(self.id)
     }
 
     /// Validates the bindings and executes the fused schedule against
@@ -1503,15 +1556,59 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
     pub fn run(&self, b: &mut Bindings<'_, T>) -> Result<PlanResults<T>> {
         let _span = obs::span_enter("plan.run", "plan");
         assert!(b.plan == self.id, "Bindings do not belong to this plan");
-        self.validate(b)?;
-        let mut scalars = vec![T::ZERO; self.scalars];
-        for stage in &self.stages {
-            self.run_stage(b, stage, &mut scalars)?;
+        self.graph.execute(self.exec, &self.stages, b)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fusion, validation and the interpreter
+// ---------------------------------------------------------------------------
+
+impl<T: Scalar> OpGraph<'_, T> {
+    /// Runs the fusion pass in [`crate::fusion`] over the recorded ops.
+    fn fuse(&self) -> Vec<Stage> {
+        let shapes: Vec<OpShape> = self.nodes.iter().map(PlanNode::shape).collect();
+        fuse_shapes(&shapes, &self.outs)
+    }
+
+    fn describe(&self, stages: &[Stage]) -> Vec<PlannedStage> {
+        stages
+            .iter()
+            .map(|s| s.describe_by(|i| self.nodes[i].name()))
+            .collect()
+    }
+
+    /// Digest of the recorded op-graph *shape*: ops, tags, masks,
+    /// descriptors, slot wiring, dimension signature, and the scalar/backend
+    /// types — never concrete buffers or parameter values. Two builders
+    /// that recorded the same graph over the same-shaped slots agree.
+    fn structural_hash<E: Exec>(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        std::any::type_name::<T>().hash(&mut h);
+        std::any::type_name::<E>().hash(&mut h);
+        self.mats.hash(&mut h);
+        self.ins.hash(&mut h);
+        self.outs.hash(&mut h);
+        self.masks.hash(&mut h);
+        self.params.len().hash(&mut h);
+        self.scalars.hash(&mut h);
+        for node in &self.nodes {
+            node.hash_structure(&mut h);
         }
-        Ok(PlanResults {
-            plan_id: self.id,
-            values: scalars,
-        })
+        h.finish()
+    }
+
+    /// A bindings table sized for the slots declared so far, branded `plan`.
+    fn bindings<'b>(&self, plan: u64) -> Bindings<'b, T> {
+        Bindings {
+            plan,
+            mats: vec![None; self.mats.len()],
+            ins: vec![None; self.ins.len()],
+            masks: vec![None; self.masks.len()],
+            outs: vec![None; self.outs.len()],
+            params: self.params.clone(),
+            _borrows: PhantomData,
+        }
     }
 
     fn validate(&self, b: &Bindings<'_, T>) -> Result<()> {
@@ -1541,7 +1638,32 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
         Ok(())
     }
 
-    // -- execution ----------------------------------------------------------
+    /// The one interpreter: validates `b` against the declarations, then
+    /// runs `stages` (a schedule [`fuse`](Self::fuse) produced for this
+    /// graph) on `exec` through the kernels the eager builders call.
+    fn execute<E: Exec>(
+        &self,
+        exec: E,
+        stages: &[Stage],
+        b: &Bindings<'_, T>,
+    ) -> Result<PlanResults<T>> {
+        self.validate(b)?;
+        let mut scalars = vec![T::ZERO; self.scalars];
+        for stage in stages {
+            match stage {
+                Stage::Single(i) => self.run_node(exec, b, &self.nodes[*i], &mut scalars),
+                Stage::SpmvDot { mxv, dot } => self.run_spmv_dot(exec, b, *mxv, *dot, &mut scalars),
+                Stage::AxpyNorm { axpy, dot } => {
+                    self.run_axpy_norm(exec, b, *axpy, *dot, &mut scalars)
+                }
+                Stage::Loop(run) => self.run_fused_loop(exec, b, run),
+            }?;
+        }
+        Ok(PlanResults {
+            plan_id: b.plan,
+            values: scalars,
+        })
+    }
 
     /// Reborrows a bound output.
     ///
@@ -1582,17 +1704,13 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
         }
     }
 
-    fn run_stage(&self, b: &Bindings<'_, T>, stage: &Stage, scalars: &mut [T]) -> Result<()> {
-        match stage {
-            Stage::Single(i) => self.run_node(b, &self.nodes[*i], scalars),
-            Stage::SpmvDot { mxv, dot } => self.run_spmv_dot(b, *mxv, *dot, scalars),
-            Stage::AxpyNorm { axpy, dot } => self.run_axpy_norm(b, *axpy, *dot, scalars),
-            Stage::Loop(run) => self.run_fused_loop(b, run),
-        }
-    }
-
-    fn run_node(&self, b: &Bindings<'_, T>, node: &PlanNode<T>, scalars: &mut [T]) -> Result<()> {
-        let exec = self.exec;
+    fn run_node<E: Exec>(
+        &self,
+        exec: E,
+        b: &Bindings<'_, T>,
+        node: &PlanNode<'_, T>,
+        scalars: &mut [T],
+    ) -> Result<()> {
         match node {
             PlanNode::Mxv {
                 out,
@@ -1700,8 +1818,9 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
         }
     }
 
-    fn run_spmv_dot(
+    fn run_spmv_dot<E: Exec>(
         &self,
+        exec: E,
         b: &Bindings<'_, T>,
         mxv: usize,
         dot: usize,
@@ -1727,14 +1846,13 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
         // SAFETY: neither `x` nor the dot's other operand names `out`
         // (record-time assertion / the `None` branch above).
         let y = unsafe { self.out_mut(b, out) };
-        scalars[sid] = self
-            .exec
-            .run_spmv_dot::<T, PlusTimes>(y, a, xs, w, product_on_left)?;
+        scalars[sid] = exec.run_spmv_dot::<T, PlusTimes>(y, a, xs, w, product_on_left)?;
         Ok(())
     }
 
-    fn run_axpy_norm(
+    fn run_axpy_norm<E: Exec>(
         &self,
+        exec: E,
         b: &Bindings<'_, T>,
         axpy: usize,
         dot: usize,
@@ -1751,11 +1869,11 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
         let ys = self.src_vec(b, y);
         // SAFETY: record-time assertion — `y` never names `out`.
         let x = unsafe { self.out_mut(b, out) };
-        scalars[sid] = self.exec.run_axpy_norm::<T, PlusTimes>(x, alpha, ys)?;
+        scalars[sid] = exec.run_axpy_norm::<T, PlusTimes>(x, alpha, ys)?;
         Ok(())
     }
 
-    fn run_fused_loop(&self, b: &Bindings<'_, T>, run: &[usize]) -> Result<()> {
+    fn run_fused_loop<E: Exec>(&self, exec: E, b: &Bindings<'_, T>, run: &[usize]) -> Result<()> {
         let n = match &self.nodes[run[0]] {
             PlanNode::Ewise { out, .. }
             | PlanNode::Apply { out, .. }
@@ -1763,7 +1881,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
             | PlanNode::Lambda { out, .. } => self.outs[*out],
             _ => unreachable!("fusion pass only loops element-wise nodes"),
         };
-        let mut elems: Vec<PlanElem<'_, T>> = Vec::with_capacity(run.len());
+        let mut elems: Vec<PlanElem<'_, '_, T>> = Vec::with_capacity(run.len());
         for &i in run {
             match &self.nodes[i] {
                 PlanNode::Ewise {
@@ -1857,7 +1975,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
             }
         }
         let elems = &elems;
-        self.exec.run_for_each(n, move |i| {
+        exec.run_for_each(n, move |i| {
             for e in elems {
                 // SAFETY: each index is visited by exactly one invocation
                 // and run outputs are pairwise disjoint.
@@ -1868,10 +1986,8 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
     }
 }
 
-/// One element-wise op of a fused loop, pre-resolved for the hot loop —
-/// the plan-side mirror of the pipeline's `Elem`, with identical
-/// per-element arithmetic (the bit-identity invariant).
-enum PlanElem<'s, T: Scalar> {
+/// One element-wise op of a fused loop, pre-resolved for the hot loop.
+enum PlanElem<'s, 'f, T: Scalar> {
     Ewise {
         w: UnsafeSlice<'s, T>,
         xs: &'s [T],
@@ -1893,29 +2009,29 @@ enum PlanElem<'s, T: Scalar> {
     },
     Lambda0 {
         out: UnsafeSlice<'s, T>,
-        f: &'s F0<T>,
+        f: &'s F0<'f, T>,
     },
     Lambda1 {
         out: UnsafeSlice<'s, T>,
         ss: &'s [T],
-        f: &'s F1<T>,
+        f: &'s F1<'f, T>,
     },
     Lambda2 {
         out: UnsafeSlice<'s, T>,
         s1: &'s [T],
         s2: &'s [T],
-        f: &'s F2<T>,
+        f: &'s F2<'f, T>,
     },
     Lambda3 {
         out: UnsafeSlice<'s, T>,
         s1: &'s [T],
         s2: &'s [T],
         s3: &'s [T],
-        f: &'s F3<T>,
+        f: &'s F3<'f, T>,
     },
 }
 
-impl<T: Scalar> PlanElem<'_, T> {
+impl<T: Scalar> PlanElem<'_, '_, T> {
     /// Applies this op at index `i` — the same per-element arithmetic the
     /// eager kernel monomorphizes, so the fused loop is bit-identical.
     ///
@@ -2414,8 +2530,32 @@ mod tests {
         assert_eq!(o1.as_slice()[1], -x.as_slice()[1]);
     }
 
+    /// Every [`PlanCache`] feeds the process-wide `plan.cache.*` counters;
+    /// tests that move or read them take turns.
+    static CACHE_COUNTERS: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn pipeline_finish_touches_no_plan_cache() {
+        let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let counters = || {
+            let global = PlanCache::global();
+            let (hit, miss) = cache_metrics();
+            (global.hits(), global.misses(), hit.get(), miss.get())
+        };
+        let before = counters();
+        let a = spd();
+        let p = v(1.0);
+        let mut ap = Vector::zeros(4);
+        let mut pl = ctx::<Sequential>().pipeline();
+        let aph = pl.mxv(&a, &p).into(&mut ap);
+        let d = pl.dot(&p, aph).result();
+        assert!(pl.finish().expect("pipeline runs")[d] > 0.0);
+        assert_eq!(counters(), before);
+    }
+
     #[test]
     fn plan_cache_hits_and_counters() {
+        let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let cache = PlanCache::new();
         let exec = ctx::<Sequential>();
         let key = plan_key(&("negate", 4usize));

@@ -1,30 +1,28 @@
 //! Fused kernels — the nonblocking-execution ablation (paper §VI, §VII-A).
 //!
 //! The related-work section singles out kernel fusion as the key
-//! hand-optimization HPCG vendors apply ("[29] stresses the importance of
+//! hand-optimization HPCG vendors apply ("\[29\] stresses the importance of
 //! kernels fusion to improve access locality and save on bandwidth"), and
-//! cites the ALP nonblocking extension [32] as the GraphBLAS answer. Since
-//! the context layer grew its deferred-execution pipeline, fusion is a
-//! property of the execution layer: [`spmv_dot_fused`] and
-//! [`axpy_norm_fused`] are now **thin wrappers** that record the unfused
-//! op pair into a [`Pipeline`](graphblas::Pipeline) on the caller's
-//! context and let the generic fusion pass merge it — the one
-//! implementation the solver kernels and the ablation bench share.
+//! cites the ALP nonblocking extension \[32\] as the GraphBLAS answer.
+//! Fusion is a property of the execution layer: [`spmv_dot_fused`] and
+//! [`axpy_norm_fused`] are **thin wrappers** that record the unfused op
+//! pair into a one-shot [`Pipeline`](graphblas::Pipeline) on the caller's
+//! context and let the generic fusion pass merge it.
 //!
 //! The original hand-written single-pass loops survive as
 //! [`spmv_dot_hand`] / [`axpy_norm_hand`]: they are the oracles the tests
 //! pin the generic pass against (bit-identical on the sequential backend)
 //! and the "hand-fused" arm of the `fusion_ablation` benchmark's three-way
 //! comparison (hand-fused vs pipeline-fused vs unfused).
-
 //!
 //! Both pairs also exist in **compile-once** form: [`build_spmv_dot_plan`]
 //! and [`build_axpy_norm_plan`] record the same op graphs against
 //! dimensioned slots and freeze the fused schedule into a reusable
-//! [`Plan`](graphblas::Plan); [`spmv_dot_replay`] / [`axpy_norm_replay`]
-//! bind fresh buffers into it. The CG driver compiles each kernel once per
-//! level (through `GrbHpcg`'s plan cache) and replays it every iteration
-//! instead of re-recording and re-fusing the graph.
+//! [`Plan`]; [`spmv_dot_replay`] / [`axpy_norm_replay`] bind fresh buffers
+//! into it. The CG driver compiles each kernel once per level (through
+//! `GrbHpcg`'s plan cache) and replays it every iteration; the one-shot
+//! wrappers run the same graph through the same interpreter, so the two
+//! forms differ only by the compile and bind steps.
 
 use graphblas::{CsrMatrix, Ctx, Exec, Plan, Vector};
 

@@ -24,7 +24,7 @@
 //! bit-identical, which the workspace's property tests pin down.
 //!
 //! Each deferred op graph is **compiled once per level** into a reusable
-//! [`Plan`](graphblas::Plan) held in a per-instance [`PlanCache`]: the
+//! [`Plan`] held in a per-instance [`PlanCache`]: the
 //! first call at a level records and fuses, every later call just rebinds
 //! the iteration's buffers (and scalar parameters such as the CG `α`) and
 //! replays the frozen schedule — recording and fusion drop out of the

@@ -68,59 +68,19 @@ pub fn rbgs_symmetric<E: Exec>(
     rbgs_backward(exec, a, a_diag, colors, r, x, tmp)
 }
 
-/// One symmetric sweep recorded as a single deferred op graph: all
-/// `2 × colors` masked `mxv` + masked update pairs go into one
-/// [`Pipeline`](graphblas::Pipeline) and execute on `finish`.
-///
-/// The iterate and the scratch buffer are *bound* (in-out) vectors; each
-/// color's update reads the scratch through a [`zip`] stage, the deferred
-/// rendering of Listing 3's capture-by-reference lambda. Color steps are
-/// not fusable with each other (the masked `mxv` is not element-wise), so
-/// the graph executes the exact eager kernels in the exact eager order —
-/// bit-identical to [`rbgs_symmetric`] by construction, which the tests
-/// below assert.
-///
-/// [`zip`]: graphblas::pipeline::PipeTransform::zip
-pub fn rbgs_symmetric_pipelined<E: Exec>(
-    exec: Ctx<E>,
-    a: &CsrMatrix<f64>,
-    a_diag: &Vector<f64>,
-    colors: &[Vector<bool>],
-    r: &Vector<f64>,
-    x: &mut Vector<f64>,
-    tmp: &mut Vector<f64>,
-) -> Result<()> {
-    let mut pl = exec.pipeline::<f64>();
-    let xh = pl.bind(x);
-    let th = pl.bind(tmp);
-    let rs = r.as_slice();
-    let ds = a_diag.as_slice();
-    for mask in colors.iter().chain(colors.iter().rev()) {
-        pl.mxv(a, xh).mask(mask).structural().into_handle(th);
-        pl.transform_at(xh)
-            .mask(mask)
-            .structural()
-            .zip(th)
-            .apply(move |i, xi, ti| {
-                let d = ds[i];
-                *xi = (rs[i] - ti + *xi * d) / d;
-            });
-    }
-    pl.finish()?;
-    Ok(())
-}
-
 /// Compiles one symmetric sweep over `num_colors` colors into a reusable
-/// [`Plan`]: the `2 × num_colors` masked `mxv` + masked zipped-update
-/// pairs of [`rbgs_symmetric_pipelined`], recorded once against slots.
+/// [`Plan`]: the `2 × num_colors` masked `mxv` + masked update pairs of
+/// [`rbgs_symmetric`], recorded once against slots.
 ///
 /// Slot layout (what [`rbgs_symmetric_replay`] binds): matrix 0 is `A`,
 /// inputs 0/1 are `r` and the diagonal, outputs 0/1 are the iterate and
 /// the scratch buffer, and mask `k` is the `k`-th color of the
 /// forward-then-backward order. The per-index update reads its operands
-/// through zip sources — the slot-based rendering of the pipeline
-/// version's capture-by-reference lambda — with identical arithmetic, so
-/// replay stays bit-identical to both other forms.
+/// through zip sources — the slot-based rendering of Listing 3's
+/// capture-by-reference lambda — with the eager update's arithmetic.
+/// Color steps are not fusable with each other (the masked `mxv` is not
+/// element-wise), so replay runs the exact eager kernels in the exact
+/// eager order and stays bit-identical to [`rbgs_symmetric`].
 pub fn build_rbgs_plan<E: Exec>(exec: Ctx<E>, n: usize, num_colors: usize) -> Plan<f64, E> {
     let mut pb = exec.plan::<f64>();
     let am = pb.matrix(n, n);
@@ -271,40 +231,23 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_sweep_is_bit_identical_to_eager() {
+    fn compiled_sweep_replays_bit_identical_to_eager() {
         let (a, diag, masks, b) = setup(6);
         for kind in [BackendKind::Sequential, BackendKind::Parallel] {
             let exec = DynCtx::runtime(kind);
+            let plan = build_rbgs_plan(exec, a.nrows(), masks.len());
             let mut x_eager = Vector::from_dense((0..a.nrows()).map(|i| (i % 3) as f64).collect());
-            let mut x_pipe = x_eager.clone();
+            let mut x_plan = x_eager.clone();
             let mut tmp_eager = Vector::zeros(a.nrows());
-            let mut tmp_pipe = Vector::zeros(a.nrows());
+            let mut tmp_plan = Vector::zeros(a.nrows());
             for _ in 0..3 {
                 rbgs_symmetric(exec, &a, &diag, &masks, &b, &mut x_eager, &mut tmp_eager).unwrap();
-                rbgs_symmetric_pipelined(exec, &a, &diag, &masks, &b, &mut x_pipe, &mut tmp_pipe)
+                rbgs_symmetric_replay(&plan, &a, &diag, &masks, &b, &mut x_plan, &mut tmp_plan)
                     .unwrap();
             }
-            assert_eq!(x_eager.as_slice(), x_pipe.as_slice(), "backend {kind}");
-            assert_eq!(tmp_eager.as_slice(), tmp_pipe.as_slice(), "backend {kind}");
+            assert_eq!(x_eager.as_slice(), x_plan.as_slice(), "backend {kind}");
+            assert_eq!(tmp_eager.as_slice(), tmp_plan.as_slice(), "backend {kind}");
         }
-    }
-
-    #[test]
-    fn compiled_sweep_replays_bit_identical_to_eager() {
-        let (a, diag, masks, b) = setup(6);
-        let exec = ctx::<Sequential>();
-        let plan = build_rbgs_plan(exec, a.nrows(), masks.len());
-        let mut x_eager = Vector::from_dense((0..a.nrows()).map(|i| (i % 3) as f64).collect());
-        let mut x_plan = x_eager.clone();
-        let mut tmp_eager = Vector::zeros(a.nrows());
-        let mut tmp_plan = Vector::zeros(a.nrows());
-        for _ in 0..3 {
-            rbgs_symmetric(exec, &a, &diag, &masks, &b, &mut x_eager, &mut tmp_eager).unwrap();
-            rbgs_symmetric_replay(&plan, &a, &diag, &masks, &b, &mut x_plan, &mut tmp_plan)
-                .unwrap();
-        }
-        assert_eq!(x_eager.as_slice(), x_plan.as_slice());
-        assert_eq!(tmp_eager.as_slice(), tmp_plan.as_slice());
     }
 
     #[test]

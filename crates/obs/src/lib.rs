@@ -4,7 +4,7 @@
 //! beyond `std` (consistent with the offline-shim constraint). It has two
 //! halves:
 //!
-//! * [`span`] — a thread-aware RAII tracer. [`span_enter`] (or the
+//! * [`mod@span`] — a thread-aware RAII tracer. [`span_enter`] (or the
 //!   [`span!`] macro) opens a span; dropping the guard records
 //!   `(name, class, start, dur, tid, depth)` into a lock-striped ring
 //!   buffer. A single global [`set_enabled`] flag gates recording: the

@@ -9,7 +9,7 @@
 //! Bit-identicality contract: each output must equal what a direct
 //! `ctx::<Sequential>().mxv` would produce. The sequential kernel folds
 //! a row as `acc = acc + A_ij * x_j` over the row's entries in storage
-//! order starting from `0.0` ([`mxv_exec`]'s loop), so the batched sweep
+//! order starting from `0.0` (`mxv_exec`'s loop), so the batched sweep
 //! keeps that exact per-vector association order — only the *matrix*
 //! traversal is shared, never the accumulation.
 

@@ -9,9 +9,10 @@
 //! *gauge* cluster: the worker sets the tenant's kernel class as the
 //! attribution scope (`Distributed::set_scope`), records the job's
 //! touched-data volume as a local stream, and takes the tagged steps —
-//! so one `CostSummary` mechanism prices every backend. Snapshots for
-//! responses come from [`CostSummary::from_steps`] over the tenant's
-//! accumulated trace.
+//! so one `CostSummary` mechanism prices every backend. Each tenant keeps
+//! one running [`CostSummary`] that charges are folded into
+//! ([`CostSummary::absorb`]) — never the steps themselves, so a tenant's
+//! state and the cost of a snapshot stay constant however long it lives.
 
 use crate::protocol::MeterSnapshot;
 use bsp::{KernelClass, StepCost};
@@ -19,14 +20,27 @@ use graphblas::{CostSummary, Distributed};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-#[derive(Default)]
 struct TenantState {
-    steps: Vec<StepCost>,
+    /// Every step charged so far, folded in charge order.
+    cost: CostSummary,
     jobs: u64,
     plan_hits: u64,
     plan_misses: u64,
     frontier_push: u64,
     frontier_pull: u64,
+}
+
+impl Default for TenantState {
+    fn default() -> TenantState {
+        TenantState {
+            cost: CostSummary::from_steps(1, "tenant", &[]),
+            jobs: 0,
+            plan_hits: 0,
+            plan_misses: 0,
+            frontier_push: 0,
+            frontier_pull: 0,
+        }
+    }
 }
 
 struct Inner {
@@ -65,8 +79,8 @@ impl Metering {
             .tenants
             .entry(tenant.to_string())
             .or_default()
-            .steps
-            .extend(steps);
+            .cost
+            .absorb(&steps);
     }
 
     /// Bills `tenant` with steps recorded by the cluster a distributed
@@ -81,8 +95,8 @@ impl Metering {
             .tenants
             .entry(tenant.to_string())
             .or_default()
-            .steps
-            .extend(steps);
+            .cost
+            .absorb(&steps);
     }
 
     /// Records one compiled-plan cache lookup made on `tenant`'s behalf —
@@ -119,11 +133,10 @@ impl Metering {
         let mut inner = self.inner.lock().expect("meter lock poisoned");
         let state = inner.tenants.entry(tenant.to_string()).or_default();
         state.jobs += 1;
-        let summary = CostSummary::from_steps(1, "tenant", &state.steps);
         MeterSnapshot {
-            modeled_secs: summary.total_secs,
-            h_bytes: summary.total_h_bytes,
-            supersteps: summary.supersteps,
+            modeled_secs: state.cost.total_secs,
+            h_bytes: state.cost.total_h_bytes,
+            supersteps: state.cost.supersteps,
             jobs: state.jobs,
             plan_hits: state.plan_hits,
             plan_misses: state.plan_misses,
@@ -136,10 +149,7 @@ impl Metering {
     /// has never completed a job).
     pub fn summary(&self, tenant: &str) -> Option<CostSummary> {
         let inner = self.inner.lock().expect("meter lock poisoned");
-        inner
-            .tenants
-            .get(tenant)
-            .map(|s| CostSummary::from_steps(1, "tenant", &s.steps))
+        inner.tenants.get(tenant).map(|s| s.cost.clone())
     }
 
     /// All tenants that have been billed, sorted.
@@ -236,5 +246,42 @@ mod tests {
         assert_eq!(s2.jobs, 2);
         assert!(s2.modeled_secs >= s1.modeled_secs);
         assert_eq!(s2.supersteps, 2);
+    }
+
+    #[test]
+    fn long_lived_tenant_keeps_a_running_summary_not_its_steps() {
+        let m = Metering::new();
+        // The same charges on a gauge of our own, steps kept.
+        let side = Distributed::new(1);
+        let mut steps = Vec::new();
+        let mut last = None;
+        for i in 0..10_000usize {
+            let (class, n, k) = if i % 3 == 0 {
+                (KernelClass::Dot, 64 + i % 7, 2)
+            } else {
+                (KernelClass::SpMV, 1024 + i % 5, 1)
+            };
+            m.charge_local("t", class, n, k);
+            last = Some(m.complete_job("t"));
+            side.set_scope(Some(class), None);
+            side.record_local_stream(n, k);
+            side.clear_scope();
+            steps.extend(side.take_steps());
+        }
+        let want = CostSummary::from_steps(1, "tenant", &steps);
+        let snap = last.expect("jobs completed");
+        assert_eq!(snap.modeled_secs.to_bits(), want.total_secs.to_bits());
+        assert_eq!(snap.h_bytes.to_bits(), want.total_h_bytes.to_bits());
+        assert_eq!((snap.supersteps, snap.jobs), (want.supersteps, 10_000));
+        let got = m.summary("t").expect("tenant was billed");
+        assert_eq!(got.per_class.len(), want.per_class.len());
+        for (g, w) in got.per_class.iter().zip(&want.per_class) {
+            assert_eq!((g.class, g.steps), (w.class, w.steps));
+            assert_eq!(g.secs.to_bits(), w.secs.to_bits());
+            assert_eq!(g.h_bytes.to_bits(), w.h_bytes.to_bits());
+        }
+        // The per-class rows are the tenant's only growable storage.
+        let inner = m.inner.lock().expect("meter lock poisoned");
+        assert_eq!(inner.tenants["t"].cost.per_class.len(), 2);
     }
 }

@@ -8,7 +8,7 @@
 //! what a kernel call pays for parallelism is this file and nothing else.
 //!
 //! * **Spin, then park.** An idle worker polls its mailbox for
-//!   [`SPIN`], offering its CPU to any runnable thread between polls, and
+//!   `SPIN`, offering its CPU to any runnable thread between polls, and
 //!   then parks. HPCG issues kernels back to back, tens of microseconds
 //!   apart, and finds the workers still polling; a server between jobs
 //!   finds them asleep and its own threads keep the CPUs. The budget is

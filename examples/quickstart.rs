@@ -121,7 +121,10 @@ fn main() -> Result<(), GrbError> {
     //    symbolic slots, fuse it into an immutable `Plan`, then replay it
     //    with rebound vectors and a mutated scalar parameter — no
     //    re-recording, no re-fusion. This is the path the CG loop and the
-    //    serve workers take on every iteration after the first.
+    //    serve workers take on every iteration after the first. (For a
+    //    graph that runs once, `exec.pipeline()` records the same IR from
+    //    borrowed operands and `finish()` runs it through the same
+    //    interpreter.)
     let n = problem.n();
     let plan = {
         let mut pb = exec.plan::<f64>();
