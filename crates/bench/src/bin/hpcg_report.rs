@@ -9,6 +9,12 @@
 //! the modeled BSP wall-clock (the Fig 3 y-axis) next to the measured
 //! single-machine time.
 //!
+//! Ref runs on the rayon pool. `--threads N` sizes that pool (and with it
+//! `--backend par`); without it the pool is pinned to the thread count the
+//! chosen ALP backend computes on — 1 for `seq`, the node count for
+//! `dist` — so the two summaries compare like with like. The header
+//! prints both counts.
+//!
 //! `--pipeline on|off` (default: on) toggles deferred (fused) execution of
 //! the ALP hot loops — the nonblocking-execution mode of paper §VI. Both
 //! modes are bit-identical; the toggle exists for ablation.
@@ -34,15 +40,6 @@ fn main() {
     let args = Args::from_env();
     let size = args.get_usize("size", 32);
     let iters = args.get_usize("iters", 50);
-    if let Some(t) = args
-        .get_str("threads")
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build_global()
-            .ok();
-    }
     let trace_path = args.get_str("trace").map(str::to_string);
     if trace_path.is_some() {
         obs::set_enabled(true);
@@ -56,10 +53,22 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Ref runs on the rayon pool whatever the ALP backend is: without an
+    // explicit count, give it exactly the threads ALP computes on, so the
+    // two summaries below compare like with like.
+    let ref_threads = args
+        .get_str("threads")
+        .and_then(|s| s.parse::<usize>().ok())
+        .unwrap_or_else(|| exec.threads());
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(ref_threads)
+        .build_global()
+        .ok();
     println!(
-        "ALP backend: {} ({} thread(s)), pipeline {}\n",
+        "ALP backend: {} ({} thread(s)), Ref: {} thread(s), pipeline {}\n",
         exec.backend_name(),
         exec.threads(),
+        ref_threads,
         if pipeline { "on" } else { "off" },
     );
 

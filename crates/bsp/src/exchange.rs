@@ -132,10 +132,23 @@ impl<T: Send> Exchange<T> {
     where
         T: Clone,
     {
+        self.post_allgather_pieces(node, || std::iter::once(chunk));
+    }
+
+    /// [`post_allgather`](Exchange::post_allgather) of a chunk that lies
+    /// in pieces: every peer's mailbox receives the concatenation of
+    /// `pieces()`, copied straight from where the pieces live — a node
+    /// whose shard is a set of ranges of a larger array posts it without
+    /// staging a contiguous copy first.
+    pub fn post_allgather_pieces<'a, I>(&self, node: usize, pieces: impl Fn() -> I)
+    where
+        T: Clone + 'a,
+        I: Iterator<Item = &'a [T]>,
+    {
         for to in (0..self.p).filter(|&to| to != node) {
             self.post(node, to, |buf| {
                 buf.clear();
-                buf.extend_from_slice(chunk);
+                pieces().for_each(|piece| buf.extend_from_slice(piece));
             });
         }
     }
@@ -298,6 +311,20 @@ mod tests {
                 assert!(latest.is_some());
             }
         }
+    }
+
+    #[test]
+    fn pieces_arrive_concatenated() {
+        let ex = Exchange::<u32>::new(2);
+        let whole: Vec<u32> = (0..10).collect();
+        ex.post_allgather_pieces(0, || [&whole[2..4], &whole[7..10]].into_iter());
+        ex.post_allgather_pieces(1, std::iter::empty);
+        ex.complete_allgather_with(1, |peer, chunk| {
+            assert_eq!((peer, chunk), (0, &[2, 3, 7, 8, 9][..]));
+        });
+        ex.complete_allgather_with(0, |peer, chunk| {
+            assert_eq!((peer, chunk), (1, &[][..]));
+        });
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! superstep per exchange — the quantities Table I bounds.
 
 use super::layout::ShardLayout;
-use super::shard::ShardShape;
+use super::shard::{for_owned_selected, ShardShape};
 use crate::container::matrix::{CsrMatrix, GraphMatrix};
 use crate::container::vector::{SparseVector, Vector};
 use crate::descriptor::Descriptor;
@@ -159,11 +159,21 @@ impl ClusterState {
                 nnzs[node] += col_nnz[i];
             });
         } else {
-            for_selected(out_len, mask, desc, |i| {
-                let node = dist.owner(i);
-                rows[node] += 1;
-                nnzs[node] += a.row_nnz(i);
-            });
+            // Node by node over the blocks each owns: no owner lookup per
+            // row, and an unmasked sweep is counted a block at a time.
+            for node in 0..p {
+                if mask.is_none() {
+                    for range in dist.owned_ranges(node) {
+                        rows[node] += range.len();
+                        nnzs[node] += a.rows_nnz(range);
+                    }
+                } else {
+                    for_owned_selected(&dist, node, mask, desc, |i| {
+                        rows[node] += 1;
+                        nnzs[node] += a.row_nnz(i);
+                    });
+                }
+            }
         }
         (rows, nnzs)
     }
@@ -480,6 +490,42 @@ mod tests {
                     "mask={:?} desc={desc:?}",
                     mask.map(|m| m.nnz())
                 );
+            }
+        }
+    }
+
+    /// The per-node walk bills what an owner lookup per selected row would.
+    #[test]
+    fn mxv_partition_is_the_selection_split_by_owner() {
+        use crate::backend::dist::plan::tests::irregular;
+        let a = irregular(23, 31);
+        let n = a.nrows();
+        let sparse = Vector::<bool>::sparse_filled(n, vec![0, 3, 4, 11, 12, 22], true).unwrap();
+        let valued = Vector::<bool>::from_entries(n, &[(0, false), (5, true), (13, true)]).unwrap();
+        let descs = [
+            Descriptor::DEFAULT,
+            Descriptor::STRUCTURAL,
+            Descriptor::STRUCTURAL.with(Descriptor::INVERT_MASK),
+        ];
+        for layout in [ShardLayout::Block, ShardLayout::BlockCyclic { block: 3 }] {
+            for p in [1usize, 2, 3, 7] {
+                let st = ClusterState::new(p, MachineParams::arm_cluster(), layout, None);
+                let dist = layout.dist_for(n, p);
+                for mask in [None, Some(&sparse), Some(&valued)] {
+                    for desc in descs {
+                        let (mut rows, mut nnzs) = (vec![0; p], vec![0; p]);
+                        for_selected(n, mask, desc, |i| {
+                            rows[dist.owner(i)] += 1;
+                            nnzs[dist.owner(i)] += a.row_nnz(i);
+                        });
+                        assert_eq!(
+                            st.mxv_partition(&a, mask, desc),
+                            (rows, nnzs),
+                            "{layout:?} p={p} desc={desc:?} mask={:?}",
+                            mask.map(|m| m.nnz())
+                        );
+                    }
+                }
             }
         }
     }

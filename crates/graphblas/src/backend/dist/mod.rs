@@ -19,6 +19,16 @@
 //!   boundary tail), and every combine is sequenced in deterministic
 //!   owner order — so results stay bit-identical to the sequential
 //!   backend, the property the workspace pins down with property tests;
+//! * what a row sweep needs to know about a matrix under a layout — which
+//!   rows are interior, which input slots the boundary rows read and from
+//!   whom — is a shard plan (the `plan` module): derived by one pass over
+//!   the pattern the first time a matrix is swept on a `(nodes, layout)`
+//!   and cached on the [`CsrMatrix`] itself, whose pattern is immutable,
+//!   so the plan cannot go stale and is freed with its matrix. Interior
+//!   rows read the node's own slots of the input in place; only the
+//!   listed slots are copied for the boundary rows. The exchange is
+//!   untouched by this: every node still posts its whole shard to every
+//!   peer, the Table I allgather the recorder bills;
 //! * the modeled cost is now the **cross-check**: per-node work and
 //!   h-relations are recorded superstep-by-superstep into a
 //!   [`bsp::CostTracker`] exactly as before, and every step additionally
@@ -50,6 +60,7 @@
 
 pub mod cost;
 pub mod layout;
+pub(crate) mod plan;
 mod shard;
 
 pub use layout::ShardLayout;

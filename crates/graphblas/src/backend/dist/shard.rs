@@ -10,10 +10,34 @@
 //! interior rows while peers' shards are in flight, complete the exchange
 //! only for the boundary tail (paper §VII's nonblocking proposal).
 //!
+//! # What a row sweep derives once
+//!
+//! Which rows are interior and which input slots the boundary rows read
+//! depend on (matrix pattern, node count, layout) only, so a sweep does
+//! not work them out: it asks the matrix for its
+//! [`ShardPlan`](super::plan::ShardPlan), built by one pass over the
+//! pattern on the first sweep and cached on the matrix itself (the
+//! pattern is immutable, the plan dies with the matrix, nothing is keyed
+//! by address). With the plan a node
+//!
+//! 1. posts its shard to the mailboxes straight from `x` — the one
+//!    `n/p` copy of a sweep, and the wire: still every node's whole shard
+//!    to every peer, the paper's Table I allgather, which is what
+//!    `cost.rs` records;
+//! 2. sweeps its interior rows reading its own slots of `x` in place;
+//! 3. copies into its `assembled` buffer only the slots its boundary rows
+//!    read — its own before completing the exchange, each peer's out of
+//!    that peer's chunk after;
+//! 4. sweeps the boundary rows from `assembled`.
+//!
+//! `assembled` is therefore *not* a copy of `x`: slots off the plan's
+//! lists hold whatever an earlier sweep left, and no row reads them.
+//!
 //! The steady state allocates nothing that grows with the vectors: the
-//! posted shard, the reassembled input, the boundary list, the reduction
-//! scratch and the mailboxes live in [`Arena`]s, sized by the first
-//! operation and reused by every later one. Arenas belong to the runtime,
+//! boundary rows' input, the boundary list, the sparse-frontier shard,
+//! the reduction scratch and the mailboxes live in [`Arena`]s, sized by
+//! the first operation and reused by every later one (plans are per
+//! matrix and built once). Arenas belong to the runtime,
 //! one per element type and node count, not to a cluster: the pool runs
 //! one superstep at a time process-wide, so clusters of one shape can
 //! share buffers, and the registry (which never drops a cluster) does not
@@ -29,8 +53,8 @@
 //! * **Disjoint writes** (`mxv`, element-wise, apply, lambda): each owned
 //!   output slot is computed by exactly one worker with the same
 //!   per-element expression as the sequential kernel, reading input
-//!   values that are bitwise copies of the global ones (the allgather
-//!   reassembles the exact bytes). Order across slots is irrelevant.
+//!   values that are the global ones or bitwise copies of them (the
+//!   allgather moves the exact bytes). Order across slots is irrelevant.
 //! * **Scratch + owner-order fold** (`dot`, `reduce`, the fused
 //!   epilogues): workers fill a shared per-element scratch array at their
 //!   owned indices, then one ascending fold — the *same*
@@ -158,9 +182,11 @@ struct Arena<T> {
 }
 
 struct NodeArena<T> {
-    /// The shard this node posts.
+    /// The stored frontier entries this node posts (sparse push only: a
+    /// row sweep posts its shard straight from the input).
     shard: Vec<T>,
-    /// The input reassembled from every node's shard.
+    /// Row sweeps: the input at the slots the node's boundary rows read,
+    /// stale everywhere else. Sparse push: the reassembled frontier.
     assembled: Vec<T>,
     /// Owned rows that read remote columns, swept after the exchange.
     boundary: Vec<usize>,
@@ -244,7 +270,7 @@ fn check_mask(n: usize, mask: Option<&Vector<bool>>) -> Result<()> {
 /// Calls `f(i)`, ascending, for every index `node` owns under `dist` that
 /// `mask`/`desc` select — `for_each_selected`'s visit set restricted to one
 /// node, found by walking only that node's blocks.
-fn for_owned_selected<F: FnMut(usize)>(
+pub(super) fn for_owned_selected<F: FnMut(usize)>(
     dist: &BlockCyclic1D,
     node: usize,
     mask: Option<&Vector<bool>>,
@@ -290,12 +316,14 @@ fn for_owned_selected<F: FnMut(usize)>(
 
 /// The split-phase sharded row sweep shared by `mxv` and `spmv_dot`.
 ///
-/// Each worker posts its `x` shard, reassembles the local part, computes
-/// every owned selected row whose columns are all local while peer shards
-/// are in flight, then completes the allgather and sweeps the boundary
-/// tail. `sink(i, acc)` stores row `i`'s accumulator (the only per-kernel
-/// difference) and must touch nothing but row `i`'s slots. Returns the
-/// measured hidden-exchange time.
+/// Each worker posts its `x` shard straight from `xs`, sweeps every owned
+/// selected row the matrix's [`ShardPlan`](super::plan::ShardPlan) flags
+/// interior — reading the node's own slots of `xs` in place — while peer
+/// shards are in flight, then completes the allgather and sweeps the
+/// boundary tail from `assembled`, into which it has copied exactly the
+/// slots the plan lists. `sink(i, acc)` stores row `i`'s accumulator (the
+/// only per-kernel difference) and must touch nothing but row `i`'s
+/// slots. Returns the measured hidden-exchange time.
 fn sharded_row_sweep<T, R, G>(
     a: &CsrMatrix<T>,
     xs: &[T],
@@ -311,6 +339,7 @@ where
 {
     let x_dist = shape.dist(xs.len());
     let row_dist = shape.dist(a.nrows());
+    let plan = a.shard_plan(shape.nodes, shape.layout);
     let arena = shape.arena::<T>();
     run_superstep(shape, |w| {
         let compute_row = |i: usize, src: &[T]| {
@@ -321,46 +350,44 @@ where
             }
             sink(i, acc);
         };
+        let gather = &plan.gathers[w];
         let mut buffers = arena.node(w);
         let NodeArena {
-            shard,
             assembled,
             boundary,
+            ..
         } = &mut *buffers;
-        // Post phase: ship this node's x shard to every peer.
+        // Post phase: ship this node's x shard to every peer, copied into
+        // the mailboxes from where it lies in `xs`.
         let t_post = Instant::now();
-        shard.clear();
-        for range in x_dist.owned_ranges(w) {
-            shard.extend_from_slice(&xs[range]);
-        }
-        arena.exchange.post_allgather(w, shard);
-        // Interior phase, overlapping the in-flight exchange: unpack the
-        // local shard, sweep every owned row that reads only local
-        // columns; boundary rows wait for the peers. Every slot of
-        // `assembled[..n]` is some node's, so stale contents never show.
-        if assembled.len() < xs.len() {
-            assembled.resize(xs.len(), R::zero());
-        }
-        for range in x_dist.owned_ranges(w) {
-            assembled[range.clone()].copy_from_slice(&xs[range]);
-        }
+        arena
+            .exchange
+            .post_allgather_pieces(w, || x_dist.owned_ranges(w).map(|range| &xs[range]));
+        // Interior phase, overlapping the in-flight exchange: interior
+        // rows read only this node's slots of `xs`; boundary rows wait
+        // for the peers.
         boundary.clear();
         for_owned_selected(&row_dist, w, mask, desc, |i| {
-            let (cols, _) = a.row(i);
-            if cols.iter().all(|&c| x_dist.owner(c as usize) == w) {
-                compute_row(i, assembled);
+            if plan.interior[i] {
+                compute_row(i, xs);
             } else {
                 boundary.push(i);
             }
         });
+        // `assembled` is written at the plan's slots only — the union of
+        // the columns this node's boundary rows store — so whatever an
+        // earlier sweep (of any matrix) left elsewhere is never read.
+        if assembled.len() < xs.len() {
+            assembled.resize(xs.len(), R::zero());
+        }
+        for &c in &gather.own {
+            assembled[c as usize] = xs[c as usize];
+        }
         let t_complete = Instant::now();
         // Complete phase: drain the mailboxes, then the boundary tail.
         let last_arrival = arena.exchange.complete_allgather_with(w, |peer, chunk| {
-            let mut taken = 0;
-            for range in x_dist.owned_ranges(peer) {
-                let block = &chunk[taken..taken + range.len()];
-                taken += block.len();
-                assembled[range].copy_from_slice(block);
+            for &(c, offset) in &gather.from_peer[peer] {
+                assembled[c as usize] = chunk[offset as usize];
             }
         });
         let t_boundary = Instant::now();
@@ -821,6 +848,84 @@ where
 mod tests {
     use super::*;
     use crate::backend::dist::cost;
+    use crate::backend::dist::plan::tests::{irregular, stencil27};
+    use crate::exec::fused::spmv_dot_exec;
+    use crate::ops::accum::NoAccum;
+    use crate::ops::semiring::PlusTimes;
+
+    /// A sweep writes `assembled` at the plan's slots only, so everything
+    /// else in it is stale — from an earlier input, another matrix, or
+    /// here NaN. None of it may reach a result: `mxv`, the masked
+    /// structural `mxv` and `spmv_dot` stay bitwise `Sequential`'s.
+    /// (The mailboxes' standing buffers are private to `bsp::Exchange`
+    /// and rewritten whole by every post.)
+    #[test]
+    fn stale_assembled_slots_never_reach_a_result() {
+        let bits = |v: &Vector<f64>| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let poison = |shape: &ShardShape, n: usize| {
+            let arena = shape.arena::<f64>();
+            for w in 0..shape.nodes {
+                let assembled = &mut arena.node(w).assembled;
+                assembled.clear();
+                assembled.resize(n, f64::NAN);
+            }
+        };
+        for a in [stencil27(5, 4, 6), irregular(257, 257)] {
+            let n = a.nrows();
+            let inputs = [0.37, -1.9].map(|scale| {
+                Vector::from_dense((0..n).map(|i| scale * (1 + i % 11) as f64).collect())
+            });
+            let every_third = (0..n as u32).step_by(3).collect();
+            let mask = Vector::<bool>::sparse_filled(n, every_third, true).unwrap();
+            let masked = Some((&mask, Descriptor::STRUCTURAL));
+            let layouts = [ShardLayout::Block, ShardLayout::BlockCyclic { block: 3 }];
+            for layout in layouts {
+                for p in [2usize, 3, 7] {
+                    let shape = ShardShape::new(p, layout, false);
+                    for x in &inputs {
+                        for selection in [None, masked] {
+                            let (m, desc) = selection.unzip();
+                            let desc = desc.unwrap_or(Descriptor::DEFAULT);
+                            let mut want = Vector::filled(n, -7.0);
+                            mxv_exec::<f64, PlusTimes, NoAccum, Sequential>(
+                                &mut want, m, desc, &a, x,
+                            )
+                            .unwrap();
+                            let mut got = Vector::filled(n, -7.0);
+                            poison(&shape, n);
+                            mxv_sharded::<f64, PlusTimes, NoAccum>(
+                                &mut got, m, desc, &a, x, &shape,
+                            )
+                            .unwrap();
+                            assert_eq!(bits(&got), bits(&want), "{layout:?} p={p} mask={m:?}");
+                        }
+                        let mut want = Vector::zeros(n);
+                        let want_dot = spmv_dot_exec::<f64, PlusTimes, Sequential>(
+                            &mut want,
+                            &a,
+                            x,
+                            Some(x),
+                            false,
+                        )
+                        .unwrap();
+                        let mut got = Vector::zeros(n);
+                        poison(&shape, n);
+                        let (got_dot, _) = spmv_dot_sharded::<f64, PlusTimes>(
+                            &mut got,
+                            &a,
+                            x,
+                            Some(x),
+                            false,
+                            &shape,
+                        )
+                        .unwrap();
+                        assert_eq!(bits(&got), bits(&want), "{layout:?} p={p} spmv_dot");
+                        assert_eq!(got_dot.to_bits(), want_dot.to_bits(), "{layout:?} p={p}");
+                    }
+                }
+            }
+        }
+    }
 
     /// The per-node walk must visit exactly what the serial selection
     /// (`cost::for_selected`, itself pinned to the kernels') visits, split

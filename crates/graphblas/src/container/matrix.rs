@@ -9,6 +9,7 @@
 //! `row_ptr` is monotone with `row_ptr[0] == 0`, column indices are strictly
 //! increasing within each row and in bounds.
 
+use crate::backend::dist::plan::ShardPlanCache;
 use crate::error::{check_dims, GrbError, Result};
 use crate::ops::scalar::Scalar;
 
@@ -24,6 +25,9 @@ pub struct CsrMatrix<T> {
     /// then scatters without write conflicts and may run in parallel
     /// (HPCG's restriction matrix has this property: straight injection).
     columns_conflict_free: bool,
+    /// What the distributed backend has derived from the pattern so far
+    /// (see [`ShardPlanCache`]); never part of the matrix's value.
+    shard_plans: ShardPlanCache,
 }
 
 impl<T: Scalar> CsrMatrix<T> {
@@ -159,6 +163,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx,
             values,
             columns_conflict_free,
+            shard_plans: ShardPlanCache::default(),
         })
     }
 
@@ -214,6 +219,11 @@ impl<T: Scalar> CsrMatrix<T> {
         self.columns_conflict_free
     }
 
+    /// The distributed backend's per-layout plans for this pattern.
+    pub(crate) fn shard_plans(&self) -> &ShardPlanCache {
+        &self.shard_plans
+    }
+
     /// The `(columns, values)` slices of row `r`.
     #[inline(always)]
     pub fn row(&self, r: usize) -> (&[u32], &[T]) {
@@ -226,6 +236,12 @@ impl<T: Scalar> CsrMatrix<T> {
     #[inline(always)]
     pub fn row_nnz(&self, r: usize) -> usize {
         self.row_ptr[r + 1] - self.row_ptr[r]
+    }
+
+    /// Number of nonzeroes in the contiguous rows `rows`.
+    #[inline(always)]
+    pub(crate) fn rows_nnz(&self, rows: std::ops::Range<usize>) -> usize {
+        self.row_ptr[rows.end] - self.row_ptr[rows.start]
     }
 
     /// The raw CSR arrays `(row_ptr, col_idx, values)`.
@@ -294,6 +310,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx,
             values,
             columns_conflict_free: self.rows_at_most_one_nnz(),
+            shard_plans: ShardPlanCache::default(),
         }
     }
 

@@ -1,10 +1,11 @@
 //! The sharded steady state allocates nothing that grows with the vectors
 //! (a test binary of its own: it installs a counting global allocator).
 //!
-//! After a warm-up call has sized the runtime's arenas and mailboxes, what
-//! a `dist:2` kernel call still allocates is the cost recorder's O(p)
-//! per-node tallies and the growth of its step list — the same bytes
-//! whether the vectors hold 4 096 or 32 768 elements.
+//! After a warm-up call has sized the runtime's arenas and mailboxes (and
+//! built the matrix's shard plan), what a `dist:2` kernel call still
+//! allocates is the cost recorder's O(p) per-node tallies and the growth
+//! of its step list — the same bytes whether the vectors hold 4 096 or
+//! 32 768 elements.
 
 use graphblas::{CsrMatrix, Distributed, Exec, PlusTimes, Vector};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,6 +85,14 @@ fn steady_state_bytes(n: usize) -> Vec<(&'static str, usize)> {
             .unwrap()
     });
     measure("mxv", &mut || ctx.mxv(&a, &x).into(&mut y).unwrap());
+    // The RBGS colour step; the matrix's shard plan is built in the warm-up.
+    measure("masked mxv", &mut || {
+        ctx.mxv(&a, &x)
+            .mask(&mask)
+            .structural()
+            .into(&mut y)
+            .unwrap()
+    });
     measure("spmv_dot", &mut || {
         let dot = cluster.run_spmv_dot::<f64, PlusTimes>(&mut y, &a, &x, Some(&x), false);
         std::hint::black_box(dot.unwrap());
