@@ -109,6 +109,54 @@ print(f\"obs overhead (tracing off): {o['span_probe_secs']*1e9:.2f} ns/probe \"
       f\"on a {o['kernel_secs']*1e6:.1f} us kernel ({o['ratio']:.6f}x)\")
 " || { echo "BENCH_shared.json obs-overhead gate failed" >&2; exit 1; }
 
+echo "==> colour-pass gate (perf_probe --size 32: eight masked mxv vs one unmasked)"
+# One RBGS half-sweep reads the operator through eight colour masks. The
+# operators are stored colour-major so that costs about what one unmasked
+# sweep over the same rows costs (1.09-1.13x here); stored in index order
+# it costs 1.56-1.63x (every second row in x, y and z). Two single-threaded
+# kernels timed alternately in one process, so the ratio holds on a noisy
+# or one-CPU host.
+cargo run --release -p hpcg-bench --bin perf_probe -- \
+    --size 32 --reps 100 --out target/perf_probe_32.json > /dev/null
+python3 -c "
+import json
+small, c = (json.load(open(path))['color_pass']
+            for path in ['BENCH_shared.json', 'target/perf_probe_32.json'])
+for entry in [small, c]:
+    assert entry['colors'] == 8 and entry['color_pass_secs'] > 0 and entry['spmv_secs'] > 0, entry
+assert c['color_pass_vs_spmv'] <= 1.25, (
+    f\"32^3: a colour pass costs {c['color_pass_vs_spmv']:.3f}x an unmasked sweep; \"
+    'is the operator still stored colour-major?')
+print(f\"32^3 colour pass: {c['color_pass_secs']*1e6:.1f} us vs spmv \"
+      f\"{c['spmv_secs']*1e6:.1f} us ({c['color_pass_vs_spmv']:.3f}x)\")
+" || { echo "colour-pass gate failed" >&2; exit 1; }
+
+echo "==> hpcg_report --json smoke (the BENCH_hpcg.json row format, 16^3)"
+# The committed BENCH_hpcg.json holds the controlled 32^3 headline; here
+# only the writer is checked: three appended rows, every number usable.
+rm -f target/bench_hpcg_smoke.json
+for backend in seq par dist:2; do
+    cargo run --release -p hpcg-bench --bin hpcg_report -- --size 16 --iters 5 \
+        --backend "$backend" --best-of 2 --json target/bench_hpcg_smoke.json > /dev/null
+done
+python3 -c "
+import json, math
+d = json.load(open('target/bench_hpcg_smoke.json'))
+rows = d['rows']
+assert [r['backend'] for r in rows] == ['seq', 'par', 'dist:2'], [r['backend'] for r in rows]
+for r in rows:
+    assert r['host']['logical_cpus'] >= 1 and r['timestamp'], r
+    for key in ['size', 'iters', 'alp_threads', 'ref_threads', 'best_of',
+                'alp_gflops', 'ref_gflops', 'alp_over_ref']:
+        assert math.isfinite(r[key]) and r[key] > 0, (r['backend'], key, r[key])
+    for side in ['alp_secs', 'ref_secs']:
+        for kernel in ['total', 'ddot', 'waxpby', 'spmv', 'mg', 'smoother', 'restrict_refine']:
+            v = r[side][kernel]
+            assert math.isfinite(v) and v > 0, (r['backend'], side, kernel, v)
+    print(f\"{r['backend']}: ALP {r['alp_gflops']:.2f} / Ref {r['ref_gflops']:.2f} GFLOP/s \"
+          f\"= {r['alp_over_ref']:.2f}x\")
+" || { echo "hpcg_report --json gate failed" >&2; exit 1; }
+
 echo "==> par and dist:2 vs seq gates (hpcg_report --size 32 --iters 5, best of 3)"
 # A backend that is slower than Sequential must not pass silently: with at
 # least two CPUs, Parallel's best solve may not lose to Sequential's, and

@@ -27,8 +27,19 @@
 //! instrumentation cost: the per-call price of the span probe every
 //! `Exec` kernel entry now carries, relative to one kernel invocation.
 //! ci.sh gates its ratio at ≤ 1.01.
+//!
+//! A `color_pass` entry times what one RBGS half-sweep asks of the
+//! operator — eight structural masked `mxv`, one per colour mask — against
+//! one unmasked `mxv` over the same rows, alternately, on `Sequential`.
+//! Same rows, same flops: the ratio is what the masks' row access pattern
+//! costs. The operator is stored colour-major (`hpcg::problem`), so each
+//! masked sweep is one contiguous stream: 1.09–1.13 at 32³ on the
+//! reference host (the rest is the index list and the strided output),
+//! against 1.56–1.63 for the same operator stored in index order. ci.sh
+//! gates a 32³ run at ≤ 1.25.
 
 use graphblas::{ctx, Exec, Parallel, PlusTimes, Sequential, Vector};
+use hpcg::coloring::Coloring;
 use hpcg::fused::{
     axpy_norm_fused, axpy_norm_hand, axpy_norm_replay, build_axpy_norm_plan, build_spmv_dot_plan,
     spmv_dot_fused, spmv_dot_hand, spmv_dot_replay,
@@ -267,6 +278,33 @@ fn main() {
         unfused,
     };
 
+    // One colour pass vs one unmasked sweep (see the module docs).
+    let color_masks = Coloring::greedy(&a).masks(n);
+    let (spmv_secs, color_pass_secs) = min_time_pair(
+        |masked| {
+            if masked {
+                for mask in &color_masks {
+                    exec.mxv(black_box(&a), black_box(&x))
+                        .mask(mask)
+                        .structural()
+                        .into(&mut y)
+                        .unwrap();
+                }
+            } else {
+                exec.mxv(black_box(&a), black_box(&x)).into(&mut y).unwrap();
+            }
+            y.as_slice()[n / 2]
+        },
+        reps,
+    );
+    let color_pass_vs_spmv = color_pass_secs / spmv_secs;
+    println!(
+        "colour pass ({} masks, min of {reps}):\n  masked {:9.1} us\n  spmv   {:9.1} us ({color_pass_vs_spmv:.3}x)",
+        color_masks.len(),
+        color_pass_secs * 1e6,
+        spmv_secs * 1e6,
+    );
+
     // Tracing-off overhead. Every `Exec` kernel entry now leads with one
     // `obs::span_enter` whose disabled path is a single relaxed atomic
     // load. Kernel-vs-kernel A/B cannot resolve that (container noise and
@@ -348,12 +386,15 @@ fn main() {
          \"grid\": {size},\n  \"n\": {n},\n  \"reps\": {reps},\n  \"timing\": \"min of reps\",\n  \
          \"kernels\": [\n{kernels_json}\n  ],\n  \
          \"amortization\": [\n{amortization_json}\n  ],\n  \
+         \"color_pass\": {{\"colors\": {}, \"color_pass_secs\": {color_pass_secs:.9e}, \
+         \"spmv_secs\": {spmv_secs:.9e}, \"color_pass_vs_spmv\": {color_pass_vs_spmv:.4}}},\n  \
          \"obs_overhead\": {{\"kernel\": \"spmv_dot\", \
          \"kernel_secs\": {kernel_secs:.9e}, \
          \"span_probe_secs\": {span_probe_secs:.9e}, \"ratio\": {obs_ratio:.6}}}\n}}\n",
         iso_timestamp_utc(),
         HostInfo::gather().to_json(),
         Parallel.threads(),
+        color_masks.len(),
     );
     std::fs::write(&out_path, &json).expect("writing the JSON report must succeed");
     println!("wrote {out_path} ({} bytes)", json.len());

@@ -142,6 +142,12 @@ impl ClusterState {
     ) -> (Vec<usize>, Vec<usize>) {
         let p = self.nodes();
         let transposed = desc.is_transposed();
+        if mask.is_none() && !transposed {
+            // A (pattern, layout) fact, counted when the shard plan was
+            // built: an unmasked sweep bills in O(nodes).
+            let plan = a.shard_plan(p, self.layout);
+            return plan.owned_rows_nnz.iter().copied().unzip();
+        }
         let out_len = if transposed { a.ncols() } else { a.nrows() };
         let dist = self.layout.dist_for(out_len, p);
         let mut rows = vec![0usize; p];
@@ -160,19 +166,12 @@ impl ClusterState {
             });
         } else {
             // Node by node over the blocks each owns: no owner lookup per
-            // row, and an unmasked sweep is counted a block at a time.
+            // selected row.
             for node in 0..p {
-                if mask.is_none() {
-                    for range in dist.owned_ranges(node) {
-                        rows[node] += range.len();
-                        nnzs[node] += a.rows_nnz(range);
-                    }
-                } else {
-                    for_owned_selected(&dist, node, mask, desc, |i| {
-                        rows[node] += 1;
-                        nnzs[node] += a.row_nnz(i);
-                    });
-                }
+                for_owned_selected(&dist, node, mask, desc, |i| {
+                    rows[node] += 1;
+                    nnzs[node] += a.row_nnz(i);
+                });
             }
         }
         (rows, nnzs)
@@ -494,11 +493,17 @@ mod tests {
         }
     }
 
-    /// The per-node walk bills what an owner lookup per selected row would.
+    /// The per-node walk bills what an owner lookup per selected row would
+    /// — whatever order the matrix stores its rows in.
     #[test]
     fn mxv_partition_is_the_selection_split_by_owner() {
-        use crate::backend::dist::plan::tests::irregular;
-        let a = irregular(23, 31);
+        use crate::backend::dist::plan::tests::{irregular, stored_reversed};
+        for a in [irregular(23, 31), stored_reversed(&irregular(23, 31))] {
+            partition_splits_by_owner(&a);
+        }
+    }
+
+    fn partition_splits_by_owner(a: &CsrMatrix<f64>) {
         let n = a.nrows();
         let sparse = Vector::<bool>::sparse_filled(n, vec![0, 3, 4, 11, 12, 22], true).unwrap();
         let valued = Vector::<bool>::from_entries(n, &[(0, false), (5, true), (13, true)]).unwrap();
@@ -519,7 +524,7 @@ mod tests {
                             nnzs[dist.owner(i)] += a.row_nnz(i);
                         });
                         assert_eq!(
-                            st.mxv_partition(&a, mask, desc),
+                            st.mxv_partition(a, mask, desc),
                             (rows, nnzs),
                             "{layout:?} p={p} desc={desc:?} mask={:?}",
                             mask.map(|m| m.nnz())

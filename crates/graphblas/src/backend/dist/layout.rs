@@ -2,9 +2,11 @@
 //!
 //! The paper's hybrid ALP backend assumes a 1D grid of nodes and splits
 //! matrix rows and vector entries either in contiguous blocks or
-//! block-cyclically (§IV). Containers stay opaque, so the layout is pure
-//! cost-model state: it decides which simulated node owns which global
-//! index, and therefore how much each node computes and communicates.
+//! block-cyclically (§IV). Containers stay opaque — the layout never shows
+//! in a result — but it is what the backend executes by: it decides which
+//! node owns which global index, so which rows each worker sweeps, which
+//! input slots it must receive from peers (the matrix's shard plan), and
+//! how much the cost model bills each node for both.
 
 use bsp::dist::BlockCyclic1D;
 

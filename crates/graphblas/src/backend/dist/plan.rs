@@ -40,6 +40,9 @@ pub(crate) struct ShardPlan {
     pub interior: Vec<bool>,
     /// Per node: the input slots its boundary rows read.
     pub gathers: Vec<NodeGather>,
+    /// Per node: `(rows, nonzeroes)` of the rows it owns — what the cost
+    /// recorder bills an unmasked sweep, without walking the rows again.
+    pub owned_rows_nnz: Vec<(usize, usize)>,
 }
 
 /// The columns one node's boundary rows read, split by who owns them.
@@ -61,11 +64,14 @@ impl ShardPlan {
         // Marks the columns already on the current node's list.
         let mut listed = vec![false; a.ncols()];
         let mut cols: Vec<u32> = Vec::new();
+        let mut owned_rows_nnz = vec![(0usize, 0usize); nodes];
         let gathers = (0..nodes)
             .map(|w| {
                 cols.clear();
                 for i in row_dist.owned_ranges(w).flatten() {
                     let (row, _) = a.row(i);
+                    owned_rows_nnz[w].0 += 1;
+                    owned_rows_nnz[w].1 += row.len();
                     if row.iter().all(|&c| x_dist.owner(c as usize) == w) {
                         continue;
                     }
@@ -93,7 +99,11 @@ impl ShardPlan {
                 gather
             })
             .collect();
-        ShardPlan { interior, gathers }
+        ShardPlan {
+            interior,
+            gathers,
+            owned_rows_nnz,
+        }
     }
 }
 
@@ -194,6 +204,16 @@ pub(super) mod tests {
         .unwrap()
     }
 
+    /// `a`, its rows stored last to first.
+    pub fn stored_reversed(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+        let order: Vec<u32> = (0..a.nrows() as u32).rev().collect();
+        CsrMatrix::from_row_fn_stored(a.nrows(), a.ncols(), a.nnz(), &order, |i, row| {
+            let (cols, vals) = a.row(i);
+            row.extend(cols.iter().copied().zip(vals.iter().copied()));
+        })
+        .unwrap()
+    }
+
     const LAYOUTS: [ShardLayout; 3] = [
         ShardLayout::Block,
         ShardLayout::BlockCyclic { block: 3 },
@@ -202,7 +222,13 @@ pub(super) mod tests {
 
     #[test]
     fn flags_and_lists_are_the_per_entry_owner_test_done_once() {
-        for a in [stencil27(6, 5, 7), irregular(190, 257), irregular(257, 190)] {
+        let reordered = stored_reversed(&irregular(190, 257));
+        for a in [
+            stencil27(6, 5, 7),
+            irregular(190, 257),
+            irregular(257, 190),
+            reordered,
+        ] {
             for layout in LAYOUTS {
                 for p in [1usize, 2, 3, 4, 7] {
                     let x_dist = layout.dist_for(a.ncols(), p);
@@ -212,9 +238,12 @@ pub(super) mod tests {
                     assert_eq!(plan.gathers.len(), p);
                     // The union of boundary-row columns, per (node, owner).
                     let mut expect = vec![vec![BTreeSet::new(); p]; p];
+                    let mut owned = vec![(0, 0); p];
                     for i in 0..a.nrows() {
                         let w = row_dist.owner(i);
                         let (cols, _) = a.row(i);
+                        owned[w].0 += 1;
+                        owned[w].1 += cols.len();
                         let local = cols.iter().all(|&c| x_dist.owner(c as usize) == w);
                         assert_eq!(plan.interior[i], local, "{layout:?} p={p} row {i}");
                         if !local {
@@ -223,6 +252,7 @@ pub(super) mod tests {
                             }
                         }
                     }
+                    assert_eq!(plan.owned_rows_nnz, owned, "{layout:?} p={p}");
                     for (w, gather) in plan.gathers.iter().enumerate() {
                         let ctx = format!("{layout:?} p={p} node {w}");
                         // Vec equality with an ascending set: sorted,

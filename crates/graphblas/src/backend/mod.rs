@@ -8,12 +8,14 @@
 //! `current_num_threads()` fixed contiguous chunks, one per thread of the
 //! workspace's persistent worker pool — no work stealing).
 //!
-//! The distributed ("hybrid") backend of the paper lives in [`dist`]: a
-//! cost-accounted [`Exec`](crate::context::Exec) dispatcher over the `bsp`
-//! crate's simulated multi-node machine. It is not a [`Backend`] — its
-//! parallelism lives across simulated nodes, not inside these data-parallel
-//! loops — but a `Ctx<Distributed>` drives the exact same builder surface,
-//! and its supersteps run on the same worker pool.
+//! The distributed ("hybrid") backend of the paper lives in [`dist`]: an
+//! [`Exec`](crate::context::Exec) dispatcher that runs every kernel as BSP
+//! supersteps over sharded rows — one worker per node, shards exchanged
+//! through `bsp::Exchange` — and bills each superstep to the `bsp` crate's
+//! cost model. It is not a [`Backend`] — its parallelism lives across
+//! nodes, not inside these data-parallel loops — but a `Ctx<Distributed>`
+//! drives the exact same builder surface, and its supersteps run on the
+//! same worker pool.
 
 pub mod dist;
 

@@ -8,19 +8,40 @@
 //! Construction validates invariants once; kernels may then rely on them:
 //! `row_ptr` is monotone with `row_ptr[0] == 0`, column indices are strictly
 //! increasing within each row and in bounds.
+//!
+//! # Row numbers vs storage slots
+//!
+//! The three arrays hold the rows in **storage slots**; a row's *number* —
+//! the index the user, every mask and every vector use — need not be its
+//! slot. The paper's §III makes containers opaque exactly so that an
+//! implementation may choose the layout: rows that are swept together can
+//! lie together without anyone renumbering anything. A private map takes a
+//! row number to its slot; it is empty for *index order* (slot = row), which
+//! is what every constructor produces except
+//! [`CsrMatrix::from_row_fn_stored`], whose caller names the order (HPCG's
+//! problem generator stores each operator colour-major, so one RBGS colour
+//! step is one contiguous stream). [`CsrMatrix::row`] and
+//! [`CsrMatrix::row_nnz`] go through the map and are the only row-indexed
+//! access; everything built on them — every kernel, `transpose`, `mxm`,
+//! `extract`, equality — sees the same matrix whatever the storage order,
+//! and computes the same bits. [`CsrMatrix::csr_parts`] returns the arrays
+//! as stored: slot order, not row order.
 
 use crate::backend::dist::plan::ShardPlanCache;
 use crate::error::{check_dims, GrbError, Result};
 use crate::ops::scalar::Scalar;
 
 /// An immutable sparse matrix in Compressed Sparse Row format.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CsrMatrix<T> {
     nrows: usize,
     ncols: usize,
+    /// Indexed by storage slot (see the module docs).
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<T>,
+    /// Row number → storage slot; empty when rows are stored in index order.
+    slot_of_row: Vec<u32>,
     /// True when every column holds at most one nonzero. Transpose-`mxv`
     /// then scatters without write conflicts and may run in parallel
     /// (HPCG's restriction matrix has this property: straight injection).
@@ -104,6 +125,24 @@ impl<T: Scalar> CsrMatrix<T> {
         col_idx: Vec<u32>,
         values: Vec<T>,
     ) -> Result<Self> {
+        Self::from_stored(nrows, ncols, row_ptr, col_idx, values, Vec::new())
+    }
+
+    /// [`from_csr`](Self::from_csr) over arrays in storage order, with the
+    /// row → slot map that says which (a permutation, or empty).
+    fn from_stored(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<T>,
+        slot_of_row: Vec<u32>,
+    ) -> Result<Self> {
+        // Error path only: name the row, not the slot it was found in.
+        let row_at = |slot: usize| {
+            let holds = |&s: &u32| s as usize == slot;
+            slot_of_row.iter().position(holds).unwrap_or(slot)
+        };
         if row_ptr.len() != nrows + 1 {
             return Err(GrbError::InvalidInput(format!(
                 "row_ptr length {} != nrows + 1 = {}",
@@ -122,13 +161,14 @@ impl<T: Scalar> CsrMatrix<T> {
             )));
         }
         check_dims("from_csr", "values vs col_idx", col_idx.len(), values.len())?;
-        for r in 0..nrows {
-            if row_ptr[r] > row_ptr[r + 1] {
+        for s in 0..nrows {
+            if row_ptr[s] > row_ptr[s + 1] {
                 return Err(GrbError::InvalidInput(format!(
-                    "row_ptr not monotone at row {r}"
+                    "row_ptr not monotone at row {}",
+                    row_at(s)
                 )));
             }
-            let seg = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            let seg = &col_idx[row_ptr[s]..row_ptr[s + 1]];
             for (k, &c) in seg.iter().enumerate() {
                 if c as usize >= ncols {
                     return Err(GrbError::IndexOutOfBounds {
@@ -138,7 +178,8 @@ impl<T: Scalar> CsrMatrix<T> {
                 }
                 if k > 0 && seg[k - 1] >= c {
                     return Err(GrbError::InvalidInput(format!(
-                        "columns not strictly increasing in row {r}"
+                        "columns not strictly increasing in row {}",
+                        row_at(s)
                     )));
                 }
             }
@@ -162,6 +203,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             values,
+            slot_of_row,
             columns_conflict_free,
             shard_plans: ShardPlanCache::default(),
         })
@@ -176,23 +218,46 @@ impl<T: Scalar> CsrMatrix<T> {
         nrows: usize,
         ncols: usize,
         nnz_hint: usize,
+        emit: impl FnMut(usize, &mut Vec<(u32, T)>),
+    ) -> Result<Self> {
+        Self::from_row_fn_stored(nrows, ncols, nnz_hint, &[], emit)
+    }
+
+    /// [`from_row_fn`](Self::from_row_fn) with a chosen **storage order**:
+    /// slot `s` of the arrays holds row `storage_order[s]`, and `emit` is
+    /// called in that order so the rows are generated where they will lie —
+    /// no index-order copy of the matrix ever exists. `storage_order` must
+    /// be a permutation of `0..nrows`; empty means index order.
+    ///
+    /// The order is a locality hint and nothing else: the matrix is the one
+    /// `from_row_fn` would build (`==` to it, same `row(i)` for every `i`,
+    /// same results from every operation).
+    pub fn from_row_fn_stored(
+        nrows: usize,
+        ncols: usize,
+        nnz_hint: usize,
+        storage_order: &[u32],
         mut emit: impl FnMut(usize, &mut Vec<(u32, T)>),
     ) -> Result<Self> {
+        let slot_of_row = invert_storage_order(nrows, storage_order)?;
         let mut row_ptr = Vec::with_capacity(nrows + 1);
         let mut col_idx = Vec::with_capacity(nnz_hint);
         let mut values = Vec::with_capacity(nnz_hint);
         let mut scratch: Vec<(u32, T)> = Vec::with_capacity(32);
         row_ptr.push(0);
-        for r in 0..nrows {
+        for slot in 0..nrows {
             scratch.clear();
-            emit(r, &mut scratch);
+            emit(
+                storage_order.get(slot).map_or(slot, |&r| r as usize),
+                &mut scratch,
+            );
             for &(c, v) in scratch.iter() {
                 col_idx.push(c);
                 values.push(v);
             }
             row_ptr.push(col_idx.len());
         }
-        Self::from_csr(nrows, ncols, row_ptr, col_idx, values)
+        Self::from_stored(nrows, ncols, row_ptr, col_idx, values, slot_of_row)
     }
 
     /// Number of rows.
@@ -224,27 +289,39 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.shard_plans
     }
 
+    /// The storage slot holding row `r` (`r` itself in index order) — for
+    /// tests and tools that assert a layout; kernels use [`row`](Self::row).
+    #[inline(always)]
+    pub fn storage_slot(&self, r: usize) -> usize {
+        if self.slot_of_row.is_empty() {
+            r
+        } else {
+            self.slot_of_row[r] as usize
+        }
+    }
+
     /// The `(columns, values)` slices of row `r`.
     #[inline(always)]
     pub fn row(&self, r: usize) -> (&[u32], &[T]) {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
+        let slot = self.storage_slot(r);
+        let lo = self.row_ptr[slot];
+        let hi = self.row_ptr[slot + 1];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
     /// Number of nonzeroes in row `r`.
     #[inline(always)]
     pub fn row_nnz(&self, r: usize) -> usize {
-        self.row_ptr[r + 1] - self.row_ptr[r]
+        let slot = self.storage_slot(r);
+        self.row_ptr[slot + 1] - self.row_ptr[slot]
     }
 
-    /// Number of nonzeroes in the contiguous rows `rows`.
-    #[inline(always)]
-    pub(crate) fn rows_nnz(&self, rows: std::ops::Range<usize>) -> usize {
-        self.row_ptr[rows.end] - self.row_ptr[rows.start]
-    }
-
-    /// The raw CSR arrays `(row_ptr, col_idx, values)`.
+    /// The raw CSR arrays `(row_ptr, col_idx, values)` **in storage
+    /// order**: `row_ptr[s]..row_ptr[s + 1]` delimits the row stored in slot
+    /// `s`, which is row `s` only for an index-order matrix (see the module
+    /// docs). Use [`row`](Self::row) for row-indexed access; this is for
+    /// callers that want the column multiset, the whole value stream, or
+    /// compare matrices they built in index order themselves.
     ///
     /// Exposed for the *reference* (non-GraphBLAS) HPCG implementation,
     /// which the paper explicitly allows to reach past the opaque API
@@ -309,6 +386,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             values,
+            slot_of_row: Vec::new(),
             columns_conflict_free: self.rows_at_most_one_nnz(),
             shard_plans: ShardPlanCache::default(),
         }
@@ -360,13 +438,66 @@ impl<T: Scalar> CsrMatrix<T> {
         })
     }
 
-    /// Estimated resident bytes of the three CSR arrays — the storage-cost
-    /// side of the paper's §III-B restriction-matrix discussion.
+    /// Estimated resident bytes of the three CSR arrays and the slot map —
+    /// the storage-cost side of the paper's §III-B restriction-matrix
+    /// discussion.
     pub fn storage_bytes(&self) -> usize {
         self.row_ptr.len() * std::mem::size_of::<usize>()
             + self.col_idx.len() * std::mem::size_of::<u32>()
             + self.values.len() * std::mem::size_of::<T>()
+            + self.slot_of_row.len() * std::mem::size_of::<u32>()
     }
+}
+
+/// Equality is about content, not layout: the same rows under the same
+/// numbers, however they are stored.
+impl<T: Scalar> PartialEq for CsrMatrix<T> {
+    fn eq(&self, other: &CsrMatrix<T>) -> bool {
+        self.nrows == other.nrows
+            && self.ncols == other.ncols
+            && self.nnz() == other.nnz()
+            && (0..self.nrows).all(|r| self.row(r) == other.row(r))
+    }
+}
+
+/// The row → slot map of `storage_order` (slot → row): empty for index
+/// order, whether given as the empty slice or as the identity.
+fn invert_storage_order(nrows: usize, storage_order: &[u32]) -> Result<Vec<u32>> {
+    if storage_order.is_empty() {
+        return Ok(Vec::new());
+    }
+    check_dims(
+        "storage order",
+        "storage_order vs nrows",
+        nrows,
+        storage_order.len(),
+    )?;
+    const UNSET: u32 = u32::MAX;
+    if nrows >= UNSET as usize {
+        return Err(GrbError::InvalidInput(
+            "a storage order needs nrows < 2^32 - 1".into(),
+        ));
+    }
+    let mut slot_of_row = vec![UNSET; nrows];
+    let mut identity = true;
+    for (slot, &r) in storage_order.iter().enumerate() {
+        match slot_of_row.get_mut(r as usize) {
+            Some(s) if *s == UNSET => *s = slot as u32,
+            Some(_) => {
+                return Err(GrbError::InvalidInput(format!(
+                    "storage order names row {r} twice"
+                )))
+            }
+            None => {
+                return Err(GrbError::IndexOutOfBounds {
+                    index: r as usize,
+                    len: nrows,
+                })
+            }
+        }
+        identity &= r as usize == slot;
+    }
+    Ok(if identity { Vec::new() } else { slot_of_row })
 }
 
 /// A matrix bundled with its transpose: the CSR view for pull-mode (row
@@ -376,10 +507,17 @@ impl<T: Scalar> CsrMatrix<T> {
 /// Direction-optimizing `mxv` needs both orientations of the same
 /// adjacency available at kernel-selection time; `GraphMatrix` pays the
 /// transpose once at construction so per-step mode switches are free.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct GraphMatrix<T> {
     csr: CsrMatrix<T>,
     csc: CsrMatrix<T>,
+}
+
+/// `csc` is `csr`'s transpose by construction, so `csr` decides.
+impl<T: Scalar> PartialEq for GraphMatrix<T> {
+    fn eq(&self, other: &GraphMatrix<T>) -> bool {
+        self.csr == other.csr
+    }
 }
 
 impl<T: Scalar> GraphMatrix<T> {

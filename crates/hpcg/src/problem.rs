@@ -7,6 +7,16 @@
 //! grid dimension and regenerates the stencil on the coarse grid, exactly
 //! as the HPCG reference does (rediscretization, not Galerkin coarsening).
 //!
+//! Every operator is **stored colour-major**: row numbers are HPCG's
+//! lexicographic grid indices and stay so — `b`, the masks, the restriction
+//! matrices and every shard layout are untouched — but inside the
+//! `CsrMatrix` (an opaque container, paper §III) the rows of one parity
+//! octant lie together, so each RBGS colour step streams one contiguous
+//! eighth of the operator instead of every second row in x, y and z.
+//! [`build_stencil_matrix`] generates the rows directly in that order; ALP
+//! and Ref share the matrix, so both get the layout. It is a locality
+//! choice only: every result bit is what an index-order operator gives.
+//!
 //! Per level the generator also precomputes everything the smoothers and
 //! grid-transfer kernels need:
 //!
@@ -18,7 +28,7 @@
 //!   materialized `n/8 × n` CSR restriction matrix (GraphBLAS, §III-B) and
 //!   as a matrix-free [`InjectionOperator`] (the §VII-A extension).
 
-use crate::coloring::Coloring;
+use crate::coloring::{octant_coloring, Coloring};
 use crate::geometry::Grid3;
 use graphblas::{CsrMatrix, GrbError, InjectionOperator, Vector};
 
@@ -40,10 +50,16 @@ pub enum RhsVariant {
     Ones,
 }
 
-/// Builds the 27-point stencil matrix on `grid`.
+/// Builds the 27-point stencil matrix on `grid`, stored colour-major:
+/// rows sorted by [`octant_coloring`] — the classes the greedy colouring
+/// finds on this stencil — and by index within a colour, so every colour
+/// mask selects one contiguous run of storage (see the module docs).
 pub fn build_stencil_matrix(grid: Grid3) -> CsrMatrix<f64> {
     let n = grid.len();
-    CsrMatrix::from_row_fn(n, n, n * 27, |r, row| {
+    let octant = octant_coloring(grid).color;
+    let mut storage_order: Vec<u32> = (0..n as u32).collect();
+    storage_order.sort_by_key(|&r| octant[r as usize]);
+    CsrMatrix::from_row_fn_stored(n, n, n * 27, &storage_order, |r, row| {
         grid.for_each_stencil_neighbor(r, |j| {
             row.push((j as u32, if j == r { DIAG_VALUE } else { OFFDIAG_VALUE }));
         });

@@ -4,7 +4,9 @@
 //!
 //! 1. a **structural masked `mxv`** computing `s_i = Σ_j A_ij·x_j` only for
 //!    `i ∈ C_k` — the structural descriptor makes the kernel follow the
-//!    mask's sparsity pattern without reading its boolean values;
+//!    mask's sparsity pattern without reading its boolean values (and
+//!    the problem generator stores `A` colour-major, so the rows of `C_k`
+//!    are one contiguous run of the CSR arrays, not every second row);
 //! 2. a **masked `transform`** (the paper's `eWiseLambda`) applying
 //!    `x_i ← (r_i − s_i + x_i·A_ii) / A_ii` at the same indices, reading the
 //!    separately stored diagonal vector (GraphBLAS offers no constant-time

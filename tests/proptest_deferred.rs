@@ -298,9 +298,9 @@ proptest! {
     ) {
         check_cg_sequence(ctx::<Sequential>(), &a, &mask_bits, structural, inverted)?;
         check_cg_sequence(ctx::<Parallel>(), &a, &mask_bits, structural, inverted)?;
-        // The distributed backend computes on global state through the
-        // sequential kernels while recording BSP costs: it is held to the
-        // same bitwise contract, eager and pipelined.
+        // The distributed backend runs each kernel as sharded supersteps
+        // on one worker per node while recording BSP costs: it is held to
+        // the same bitwise contract, eager and pipelined.
         check_cg_sequence(Distributed::new(3).ctx(), &a, &mask_bits, structural, inverted)?;
     }
 
