@@ -50,6 +50,14 @@ for e in d['sweep']:
           f\"empty superstep {r*1e6:.2f} us\")
 " || { echo "BENCH_dist.json sharded-execution gate failed" >&2; exit 1; }
 
+echo "==> fig3_weak_scaling smoke (the modeled 2D series)"
+# Fig 3's ALP-2D column re-prices the 1D run's allgathers for a 2D
+# process grid; it must still land between Ref and 1D ALP.
+cargo run --release -p hpcg-bench --bin fig3_weak_scaling -- \
+    --local 8 --iters 1 --nodes 2,4 > target/fig3_smoke.txt
+grep -q "2D layout sits between Ref and 1D ALP at every node count: true" \
+    target/fig3_smoke.txt || { cat target/fig3_smoke.txt; echo "fig3 smoke gate failed" >&2; exit 1; }
+
 echo "==> dist real-exec smoke (dist:4 HPCG vs Sequential, measured overlap)"
 # The determinism stress suite pins HPCG, sparse-frontier BFS and plan
 # replay bitwise-identical to Sequential on dist:p for p in {1,2,3,4,7}

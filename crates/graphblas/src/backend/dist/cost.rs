@@ -1,9 +1,10 @@
 //! Superstep-by-superstep cost recording for the distributed backend.
 //!
 //! Every [`Exec`](crate::context::Exec) entry point of
-//! [`Distributed`](super::Distributed) executes its numerics once on
-//! global state and then calls into `ClusterState` here, which replays
-//! the operation against the cost model: per-node flops and touched bytes
+//! [`Distributed`](super::Distributed) executes its numerics sharded
+//! across the nodes' workers (`shard.rs`) and then calls into
+//! `ClusterState` here, which replays the operation against the cost
+//! model: per-node flops and touched bytes
 //! (from the shard layout and, for masked operations, the *exact* mask
 //! selection), per-node sent/received bytes for the collective the 1D
 //! layout forces (a full allgather of the input vector before every
@@ -55,9 +56,6 @@ pub(crate) struct Scope {
 pub(crate) struct ClusterState {
     pub tracker: CostTracker,
     pub layout: ShardLayout,
-    /// `Some((pr, pc))` switches the pre-`mxv` exchange from the 1D
-    /// allgather to the §VII-B(ii) 2D expand/fold pattern.
-    pub grid2d: Option<(usize, usize)>,
     pub scope: Scope,
     /// The shape the sharded kernels execute under; they take a handle
     /// under the state lock and compute outside it.
@@ -65,18 +63,12 @@ pub(crate) struct ClusterState {
 }
 
 impl ClusterState {
-    pub fn new(
-        nodes: usize,
-        machine: MachineParams,
-        layout: ShardLayout,
-        grid2d: Option<(usize, usize)>,
-    ) -> ClusterState {
+    pub fn new(nodes: usize, machine: MachineParams, layout: ShardLayout) -> ClusterState {
         ClusterState {
             tracker: CostTracker::new(nodes, machine),
             layout,
-            grid2d,
             scope: Scope::default(),
-            shape: Arc::new(ShardShape::new(nodes, layout, grid2d.is_some())),
+            shape: Arc::new(ShardShape::new(nodes, layout)),
         }
     }
 
@@ -88,37 +80,15 @@ impl ClusterState {
         self.scope.class.unwrap_or(default)
     }
 
-    /// Records the pre-`mxv` exchange of an `n`-element input vector.
-    /// Under the 1D layout every node sends its local share to all peers
-    /// (the `Θ(n(p−1)/p)` allgather); under a 2D `pr×pc` grid each node
-    /// exchanges only with its process row and column.
+    /// Records the pre-`mxv` exchange of an `n`-element input vector:
+    /// every node sends its local share to all peers (the `Θ(n(p−1)/p)`
+    /// allgather).
     fn record_input_exchange(&mut self, n: usize) {
         let p = self.nodes();
         let dist = self.layout.dist_for(n, p);
-        match self.grid2d {
-            None => {
-                for from in 0..p {
-                    let bytes = dist.local_len(from) as f64 * ELEM_BYTES;
-                    self.tracker.record_send_all(from, bytes);
-                }
-            }
-            Some((pr, pc)) => {
-                for from in 0..p {
-                    let bytes = dist.local_len(from) as f64 * ELEM_BYTES;
-                    let (r, c) = (from / pc, from % pc);
-                    // Expand along the process column, fold along the row.
-                    for c2 in 0..pc {
-                        if c2 != c {
-                            self.tracker.record_send(from, r * pc + c2, bytes);
-                        }
-                    }
-                    for r2 in 0..pr {
-                        if r2 != r {
-                            self.tracker.record_send(from, r2 * pc + c, bytes);
-                        }
-                    }
-                }
-            }
+        for from in 0..p {
+            let bytes = dist.local_len(from) as f64 * ELEM_BYTES;
+            self.tracker.record_send_all(from, bytes);
         }
     }
 
@@ -514,7 +484,7 @@ mod tests {
         ];
         for layout in [ShardLayout::Block, ShardLayout::BlockCyclic { block: 3 }] {
             for p in [1usize, 2, 3, 7] {
-                let st = ClusterState::new(p, MachineParams::arm_cluster(), layout, None);
+                let st = ClusterState::new(p, MachineParams::arm_cluster(), layout);
                 let dist = layout.dist_for(n, p);
                 for mask in [None, Some(&sparse), Some(&valued)] {
                     for desc in descs {
@@ -547,7 +517,7 @@ mod tests {
     fn allgather_matches_closed_form_on_even_split() {
         use bsp::collectives::allgather_h_bytes;
         let (n, p) = (512usize, 4usize);
-        let mut st = ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block, None);
+        let mut st = ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block);
         st.record_input_exchange(n);
         let step = st.tracker.end_superstep(KernelClass::SpMV, None, false);
         assert_eq!(step.h_bytes, allgather_h_bytes(p, n / p, 8));
@@ -555,7 +525,7 @@ mod tests {
 
     #[test]
     fn single_node_is_communication_free() {
-        let mut st = ClusterState::new(1, MachineParams::arm_cluster(), ShardLayout::Block, None);
+        let mut st = ClusterState::new(1, MachineParams::arm_cluster(), ShardLayout::Block);
         st.record_input_exchange(100);
         st.record_allreduce();
         let step = st.tracker.end_superstep(KernelClass::Dot, None, false);
@@ -563,33 +533,8 @@ mod tests {
     }
 
     #[test]
-    fn grid2d_exchange_is_cheaper_than_1d() {
-        let (n, p) = (1024usize, 16usize);
-        let mut one_d =
-            ClusterState::new(p, MachineParams::arm_cluster(), ShardLayout::Block, None);
-        one_d.record_input_exchange(n);
-        let h1 = one_d
-            .tracker
-            .end_superstep(KernelClass::SpMV, None, false)
-            .h_bytes;
-        let mut two_d = ClusterState::new(
-            p,
-            MachineParams::arm_cluster(),
-            ShardLayout::Block,
-            Some((4, 4)),
-        );
-        two_d.record_input_exchange(n);
-        let h2 = two_d
-            .tracker
-            .end_superstep(KernelClass::SpMV, None, false)
-            .h_bytes;
-        // 1D: (p−1)·n/p per node; 2D: (pr−1 + pc−1)·n/p = 6·n/p vs 15·n/p.
-        assert!((h1 / h2 - 15.0 / 6.0).abs() < 1e-12, "ratio {}", h1 / h2);
-    }
-
-    #[test]
     fn scope_overrides_class_and_level() {
-        let mut st = ClusterState::new(2, MachineParams::arm_cluster(), ShardLayout::Block, None);
+        let mut st = ClusterState::new(2, MachineParams::arm_cluster(), ShardLayout::Block);
         st.scope = Scope {
             class: Some(KernelClass::Smoother),
             level: Some(3),

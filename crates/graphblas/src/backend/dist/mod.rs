@@ -94,9 +94,6 @@ pub struct DistConfig {
     pub machine: MachineParams,
     /// Row/element sharding over the 1D node grid.
     pub layout: ShardLayout,
-    /// `Some((pr, pc))` replaces the 1D pre-`mxv` allgather with the
-    /// §VII-B(ii) 2D expand/fold exchange over a `pr×pc` process grid.
-    pub grid2d: Option<(usize, usize)>,
 }
 
 impl DistConfig {
@@ -107,7 +104,6 @@ impl DistConfig {
             nodes,
             machine: MachineParams::arm_cluster(),
             layout: ShardLayout::Block,
-            grid2d: None,
         }
     }
 
@@ -122,14 +118,6 @@ impl DistConfig {
     #[must_use]
     pub fn layout(mut self, layout: ShardLayout) -> DistConfig {
         self.layout = layout;
-        self
-    }
-
-    /// Switches the pre-`mxv` exchange to a 2D `pr×pc` process grid.
-    #[must_use]
-    pub fn grid2d(mut self, pr: usize, pc: usize) -> DistConfig {
-        assert!(pr * pc == self.nodes, "process grid must cover all nodes");
-        self.grid2d = Some((pr, pc));
         self
     }
 }
@@ -157,7 +145,7 @@ impl Distributed {
 
     /// Creates a cluster with explicit configuration.
     pub fn with_config(config: DistConfig) -> Distributed {
-        let state = ClusterState::new(config.nodes, config.machine, config.layout, config.grid2d);
+        let state = ClusterState::new(config.nodes, config.machine, config.layout);
         let mut reg = registry().write().unwrap();
         let id = reg.len();
         reg.push(Arc::new(Mutex::new(state)));

@@ -78,9 +78,9 @@
 //! onto the modeled trace via [`bsp::cost::CostTracker`] overlap
 //! attribution, and 0 by construction on one node (no peers).
 //!
-//! Transposed `mxv`, `mxm`, and 2D process grids keep the global
-//! sequential kernels (their exchange structure differs; the recorder
-//! still models them), reporting zero overlap.
+//! Transposed `mxv` and `mxm` keep the global sequential kernels (their
+//! exchange structure differs; the recorder still models them), reporting
+//! zero overlap.
 
 use super::layout::ShardLayout;
 use crate::backend::Backend;
@@ -90,7 +90,7 @@ use crate::descriptor::Descriptor;
 use crate::error::{check_dims, Result};
 use crate::exec::fold_selected;
 use crate::exec::mxv::mxv_exec;
-use crate::exec::sparse::{mxv_sparse_exec, FrontierMode, PUSH_PULL_THRESHOLD};
+use crate::exec::sparse::{FrontierMode, PUSH_PULL_THRESHOLD};
 use crate::ops::accum::{AccumMode, AccumWith};
 use crate::ops::binary::BinaryOp;
 use crate::ops::monoid::Monoid;
@@ -115,9 +115,6 @@ pub(crate) struct ShardShape {
     pub nodes: usize,
     /// Row/element sharding over the 1D node grid.
     pub layout: ShardLayout,
-    /// 2D process grids exchange along both grid axes; 1D sharded
-    /// execution falls back to the global kernels under them.
-    pub grid2d: bool,
     /// Stable obs thread ids, one per node, labeled `node k/p`; a part
     /// records under its node's id for the length of the superstep, so the
     /// Chrome trace shows one named per-node track across operations.
@@ -125,7 +122,7 @@ pub(crate) struct ShardShape {
 }
 
 impl ShardShape {
-    pub fn new(nodes: usize, layout: ShardLayout, grid2d: bool) -> ShardShape {
+    pub fn new(nodes: usize, layout: ShardLayout) -> ShardShape {
         let tids = (0..nodes)
             .map(|w| {
                 let tid = obs::alloc_tid();
@@ -136,7 +133,6 @@ impl ShardShape {
         ShardShape {
             nodes,
             layout,
-            grid2d,
             tids,
         }
     }
@@ -417,7 +413,7 @@ where
     R: Semiring<T>,
     A: AccumMode<T>,
 {
-    if desc.is_transposed() || shape.grid2d {
+    if desc.is_transposed() {
         mxv_exec::<T, R, A, Sequential>(y, mask, desc, a, x)?;
         return Ok(0.0);
     }
@@ -449,10 +445,6 @@ where
     R: Semiring<T>,
     A: AccumMode<T>,
 {
-    if shape.grid2d {
-        let mode = mxv_sparse_exec::<T, R, A, Sequential>(y, mask, desc, m, x)?;
-        return Ok((mode, 0.0));
-    }
     if desc.is_transposed() {
         check_dims("mxv_sparse^T", "x vs nrows", m.nrows(), x.len())?;
         check_dims("mxv_sparse^T", "y vs ncols", m.ncols(), y.len())?;
@@ -561,10 +553,6 @@ where
     T: Scalar,
     R: Semiring<T>,
 {
-    if shape.grid2d {
-        let v = crate::exec::fused::spmv_dot_exec::<T, R, Sequential>(y, a, x, w, product_on_left)?;
-        return Ok((v, 0.0));
-    }
     check_dims("spmv_dot", "x vs ncols", a.ncols(), x.len())?;
     check_dims("spmv_dot", "y vs nrows", a.nrows(), y.len())?;
     if let Some(w) = w {
@@ -881,7 +869,7 @@ mod tests {
             let layouts = [ShardLayout::Block, ShardLayout::BlockCyclic { block: 3 }];
             for layout in layouts {
                 for p in [2usize, 3, 7] {
-                    let shape = ShardShape::new(p, layout, false);
+                    let shape = ShardShape::new(p, layout);
                     for x in &inputs {
                         for selection in [None, masked] {
                             let (m, desc) = selection.unzip();

@@ -823,7 +823,7 @@ impl<E: Exec> Ctx<E> {
     /// buffers/scalars — record once, run every iteration. See the
     /// [`crate::plan`] module docs.
     pub fn plan<T: Scalar>(&self) -> PlanBuilder<'static, T, E> {
-        PlanBuilder::new(self.exec, self.defaults)
+        PlanBuilder::new(self.exec, self.defaults, false)
     }
 }
 

@@ -66,13 +66,14 @@
 //! # Deferred execution (nonblocking pipelines)
 //!
 //! The same builders can *record* instead of executing. There is one
-//! recorded form — ops over dimensioned slots ([`plan`]) — one fusion pass
-//! ([`fusion`]) and one interpreter, with two front doors. The one-shot
-//! door is [`Ctx::pipeline`]: a [`Pipeline`] turns each borrowed operand
-//! into a bound slot as it records, and `finish()` fuses and runs the graph
-//! once — an `mxv` feeding a `dot` becomes one SpMV-with-epilogue sweep, an
-//! `axpy` feeding a norm one fused stream, adjacent element-wise stages one
-//! loop. Results are bit-identical to the eager path on every backend.
+//! recorded form — ops over dimensioned slots ([`plan`]) — one family of
+//! recorders, one fusion pass ([`fusion`]) and one interpreter, with two
+//! front doors. The one-shot door is [`Ctx::pipeline`]: a [`Pipeline`]
+//! turns each borrowed operand into a bound slot as it records, and
+//! `finish()` fuses and runs the graph once — an `mxv` feeding a `dot`
+//! becomes one SpMV-with-epilogue sweep, an `axpy` feeding a norm one fused
+//! stream, adjacent element-wise stages one loop. Results are bit-identical
+//! to the eager path on every backend.
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Sequential, Vector};
@@ -106,8 +107,8 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`context`] | [`Ctx`], [`DynCtx`], [`BackendKind`] and the operation builders |
-//! | [`plan`] | the slot-based op IR and its interpreter; [`Plan`]: compile once, replay; the [`PlanCache`] |
-//! | [`pipeline`] | [`Pipeline`]: the typed one-shot front door onto the same IR, plus the runtime algebra tags |
+//! | [`plan`] | the slot-based op IR, its recorders and its interpreter; [`Plan`]: compile once, replay; the [`PlanCache`] |
+//! | [`pipeline`] | [`Pipeline`]: the one-shot front door, recording borrowed operands through the same recorders; the runtime algebra tags |
 //! | [`fusion`] | the generic fusion pass over recorded ops |
 //! | [`ops`] | algebraic structures: binary/unary operators, monoids, semirings, accumulation modes |
 //! | [`container`] | [`Vector`] (dense or sparse pattern), [`SparseVector`] frontiers, [`CsrMatrix`] and the dual-orientation [`GraphMatrix`] |
@@ -116,7 +117,6 @@
 //! | [`backend`] | [`Sequential`] and [`Parallel`] execution backends |
 //! | [`backend::dist`] | [`Distributed`]: the whole surface on a simulated BSP cluster, costs recorded per superstep |
 //! | [`exec`] | the kernels behind the builders (incl. the fused entry points) |
-//! | [`linop`] | matrix-free [`LinearOperator`] extension (paper §VII-A) |
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -130,7 +130,6 @@ pub mod error;
 pub mod exec;
 pub mod fusion;
 pub mod io;
-pub mod linop;
 pub mod ops;
 pub mod pipeline;
 pub mod plan;
@@ -147,7 +146,6 @@ pub use context::{
 pub use descriptor::Descriptor;
 pub use error::{GrbError, Result};
 pub use fusion::PlannedStage;
-pub use linop::{InjectionOperator, LinearOperator};
 pub use ops::accum::{AccumMode, AccumWith, NoAccum};
 pub use ops::binary::{BinaryOp, Divide, First, Land, Lor, Max, Min, Minus, Plus, Second, Times};
 pub use ops::monoid::Monoid;
@@ -155,12 +153,12 @@ pub use ops::scalar::Scalar;
 pub use ops::semiring::{MaxTimes, MinPlus, PlusTimes, Semiring};
 pub use ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse, UnaryOp};
 pub use pipeline::{
-    BinOpTag, MonoidTag, PipeInput, Pipeline, PipelineResults, RingTag, ScalarHandle, TaggedBinOp,
+    BinOpTag, MonoidTag, Pipeline, PipelineResults, RingTag, ScalarHandle, TaggedBinOp,
     TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag, VecHandle,
 };
 pub use plan::{
-    plan_key, Bindings, InSlot, MaskSlot, MatSlot, OutSlot, Plan, PlanBuilder, PlanCache, PlanRead,
-    PlanResults, PlanScalar, ScalarParam, ScalarSlot,
+    plan_key, Bindings, InSlot, MaskSlot, MatSlot, Operand, OutSlot, Plan, PlanBuilder, PlanCache,
+    PlanRead, PlanResults, PlanScalar, ScalarParam, ScalarSlot,
 };
 
 pub use exec::extract::{assign_vector, extract_submatrix, extract_vector};

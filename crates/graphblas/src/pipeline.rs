@@ -28,23 +28,29 @@
 //!
 //! # Recording model
 //!
-//! A pipeline owns a [`PlanBuilder`] and a [`Bindings`] table. Every
-//! operand a recorder receives is declared as a slot with the operand's own
-//! dimensions and bound on the spot; the recorders themselves are the plan
-//! recorders with operands translated. They mirror the eager builders on
-//! [`Ctx`](crate::Ctx) — `mxv`, `vxm`, `ewise`, `apply`, `axpy`,
-//! `transform`, `dot`, `reduce`, `norm2_squared` with the same
-//! mask/descriptor/ring/accumulator modifiers. Dataflow between recorded
-//! stages is expressed with handles:
+//! A pipeline owns a [`PlanBuilder`], and its recorders *are* the plan
+//! recorders ([`PlanMxv`] & co.): one set of modifiers, defined once in
+//! [`crate::plan`]. Every operand they take is an [`Operand`] — a
+//! borrowed container, which the builder declares as a slot of the
+//! container's own dimensions and binds on the spot, or the handle of an
+//! earlier stage. They mirror the eager builders on [`Ctx`](crate::Ctx) —
+//! `mxv`, `vxm`, `ewise`, `apply`, `axpy`, `transform`, `dot`, `reduce`,
+//! `norm2_squared` with the same mask/descriptor/ring/accumulator
+//! modifiers. Dataflow between recorded stages is expressed with handles:
 //!
 //! * writing a vector (`.into(&mut y)`, `axpy`, `transform`) borrows it
 //!   exclusively for the pipeline's lifetime and returns a [`VecHandle`];
 //!   later stages use the handle as an *input* operand (the borrow checker
 //!   rules out touching `y` directly until the pipeline is finished);
-//! * in-place updates of an already-recorded vector go through the
-//!   handle-taking forms (`axpy_at`, `transform_at`, `.into_handle`);
+//! * in-place updates of an already-recorded vector pass its handle where
+//!   the vector would go (`.into(h)`, `axpy_at`, `transform_at`);
 //! * scalar-producing stages return a [`ScalarHandle`], redeemed against
 //!   the [`PipelineResults`] that [`Pipeline::finish`] returns.
+//!
+//! The two front doors differ in one policy. An operand-length mismatch
+//! that a [`Ctx::plan`](crate::Ctx::plan) builder panics on at record time
+//! (`axpy`, `zip`) is kept by a pipeline's builder and returned by
+//! [`Pipeline::finish`] before anything runs.
 //!
 //! What the type adds over a bare builder is the `'a` on every operand:
 //! outputs enter exactly once as `&'a mut` and inputs as `&'a`, so the
@@ -80,15 +86,15 @@ use crate::container::matrix::CsrMatrix;
 use crate::container::vector::Vector;
 use crate::context::Exec;
 use crate::descriptor::Descriptor;
-use crate::error::{check_dims, GrbError, Result};
+use crate::error::Result;
 use crate::fusion::PlannedStage;
 use crate::ops::binary::{Divide, Max, Min, Minus, Plus, Times};
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::{MaxTimes, MinPlus, PlusTimes};
 use crate::ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse};
 use crate::plan::{
-    Bindings, OutSlot, PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanRead, PlanReduce,
-    PlanResults, PlanTransform, PlanTransformZip1, ScalarSlot,
+    Operand, OutSlot, PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanRead, PlanReduce,
+    PlanResults, PlanTransform, ScalarSlot,
 };
 
 // ---------------------------------------------------------------------------
@@ -394,7 +400,7 @@ macro_rules! with_monoid {
 pub(crate) use {with_accum, with_binop, with_monoid, with_ring, with_unop};
 
 // ---------------------------------------------------------------------------
-// Handles and operands
+// Handles
 // ---------------------------------------------------------------------------
 
 /// Names the vector output of a recorded stage (or a vector bound with
@@ -412,47 +418,6 @@ pub type ScalarHandle = ScalarSlot;
 /// Scalar results of an executed pipeline, indexed by [`ScalarHandle`].
 pub type PipelineResults<T> = PlanResults<T>;
 
-/// An input operand of a recorded stage: a vector outside the pipeline or
-/// the output of an earlier stage.
-#[derive(Copy, Clone)]
-pub enum PipeInput<'a, T: Scalar> {
-    /// A vector the pipeline only reads (borrowed for its whole lifetime).
-    Ref(&'a Vector<T>),
-    /// The output of an earlier recorded stage.
-    Out(VecHandle),
-}
-
-impl<'a, T: Scalar> From<&'a Vector<T>> for PipeInput<'a, T> {
-    fn from(v: &'a Vector<T>) -> Self {
-        PipeInput::Ref(v)
-    }
-}
-
-impl<T: Scalar> From<VecHandle> for PipeInput<'_, T> {
-    fn from(h: VecHandle) -> Self {
-        PipeInput::Out(h)
-    }
-}
-
-/// Checks a handle against the pipeline whose builder is `pb`.
-fn owned<T: Scalar, E: Exec>(pb: &PlanBuilder<'_, T, E>, h: VecHandle) -> VecHandle {
-    assert!(pb.owns(h), "VecHandle does not belong to this pipeline");
-    h
-}
-
-/// Turns an input operand into a readable slot: a borrowed vector gets a
-/// slot of its own length bound to it, a handle is checked.
-fn read<'a, T: Scalar, E: Exec>(
-    pb: &mut PlanBuilder<'a, T, E>,
-    b: &mut Bindings<'a, T>,
-    input: PipeInput<'a, T>,
-) -> PlanRead {
-    match input {
-        PipeInput::Ref(v) => pb.bound_input(b, v).into(),
-        PipeInput::Out(h) => owned(pb, h).into(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The pipeline
 // ---------------------------------------------------------------------------
@@ -461,21 +426,16 @@ fn read<'a, T: Scalar, E: Exec>(
 /// fuses, and executes on [`finish`](Pipeline::finish). Created by
 /// [`Ctx::pipeline`](crate::Ctx::pipeline); see the [module docs](self).
 pub struct Pipeline<'a, T: Scalar, E: Exec> {
-    /// The recorded graph; its closures may borrow for `'a`.
+    /// The recorded graph and every operand bound into it; its closures
+    /// and bindings borrow for `'a`.
     pb: PlanBuilder<'a, T, E>,
-    /// Every operand handed to a recorder, bound to the slot declared for
-    /// it. Holds the `'a` borrows.
-    b: Bindings<'a, T>,
-    /// First operand-length mismatch that the plan recorders assert on
-    /// (`axpy`, `zip`): the op is left unrecorded and `finish` reports it.
-    err: Option<GrbError>,
 }
 
 impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
     pub(crate) fn new(exec: E, defaults: Descriptor) -> Pipeline<'a, T, E> {
-        let pb = PlanBuilder::new(exec, defaults);
-        let b = pb.bindings();
-        Pipeline { pb, b, err: None }
+        Pipeline {
+            pb: PlanBuilder::new(exec, defaults, true),
+        }
     }
 
     /// Number of operations recorded so far.
@@ -492,54 +452,40 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
     /// iterate a recorded smoother sweep refines), without recording an
     /// operation. Returns its handle for use as operand or in-place target.
     pub fn bind(&mut self, v: &'a mut Vector<T>) -> VecHandle {
-        self.pb.bound_output(&mut self.b, v)
+        v.slot(&mut self.pb)
     }
 
     /// Starts recording `y = A ⊕.⊗ x` (default ring: `PlusTimes`).
     pub fn mxv(
         &mut self,
         a: &'a CsrMatrix<T>,
-        x: impl Into<PipeInput<'a, T>>,
-    ) -> PipeMxv<'_, 'a, T, E> {
-        let a = self.pb.bound_matrix(&mut self.b, a);
-        let x = read(&mut self.pb, &mut self.b, x.into());
-        PipeMxv {
-            inner: self.pb.mxv(a, x),
-            b: &mut self.b,
-        }
+        x: impl Operand<'a, T, PlanRead>,
+    ) -> PlanMxv<'_, 'a, T, E> {
+        self.pb.mxv(a, x)
     }
 
     /// Starts recording `y = xᵀA` — an mxv with the transposition
     /// pre-toggled, exactly like the eager `vxm` builder.
     pub fn vxm(
         &mut self,
-        x: impl Into<PipeInput<'a, T>>,
+        x: impl Operand<'a, T, PlanRead>,
         a: &'a CsrMatrix<T>,
-    ) -> PipeMxv<'_, 'a, T, E> {
-        self.mxv(a, x).transpose()
+    ) -> PlanMxv<'_, 'a, T, E> {
+        self.pb.vxm(x, a)
     }
 
     /// Starts recording `w = Op(x, y)` element-wise (default op: `Plus`).
     pub fn ewise(
         &mut self,
-        x: impl Into<PipeInput<'a, T>>,
-        y: impl Into<PipeInput<'a, T>>,
-    ) -> PipeEwise<'_, 'a, T, E> {
-        let x = read(&mut self.pb, &mut self.b, x.into());
-        let y = read(&mut self.pb, &mut self.b, y.into());
-        PipeEwise {
-            inner: self.pb.ewise(x, y),
-            b: &mut self.b,
-        }
+        x: impl Operand<'a, T, PlanRead>,
+        y: impl Operand<'a, T, PlanRead>,
+    ) -> PlanEwise<'_, 'a, T, E> {
+        self.pb.ewise(x, y)
     }
 
     /// Starts recording `out = Op(input)` (default op: `Identity`).
-    pub fn apply(&mut self, input: impl Into<PipeInput<'a, T>>) -> PipeApply<'_, 'a, T, E> {
-        let input = read(&mut self.pb, &mut self.b, input.into());
-        PipeApply {
-            inner: self.pb.apply(input),
-            b: &mut self.b,
-        }
+    pub fn apply(&mut self, input: impl Operand<'a, T, PlanRead>) -> PlanApply<'_, 'a, T, E> {
+        self.pb.apply(input)
     }
 
     /// Records `x = x + α·y` on a vector entering the pipeline here.
@@ -547,71 +493,50 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         &mut self,
         x: &'a mut Vector<T>,
         alpha: T,
-        y: impl Into<PipeInput<'a, T>>,
+        y: impl Operand<'a, T, PlanRead>,
     ) -> VecHandle {
-        let x = self.bind(x);
-        self.axpy_at(x, alpha, y)
+        self.pb.axpy(x, alpha, y)
     }
 
     /// Records `x = x + α·y` on an already-registered vector.
-    pub fn axpy_at(&mut self, x: VecHandle, alpha: T, y: impl Into<PipeInput<'a, T>>) -> VecHandle {
-        let x = owned(&self.pb, x);
-        let y = read(&mut self.pb, &mut self.b, y.into());
-        let (n, len) = (self.pb.read_len(x.into()), self.pb.read_len(y));
-        match check_dims("axpy", "y vs x", n, len) {
-            Ok(()) => self.pb.axpy(x, alpha, y),
-            Err(e) => {
-                self.err.get_or_insert(e);
-                x
-            }
-        }
+    pub fn axpy_at(
+        &mut self,
+        x: VecHandle,
+        alpha: T,
+        y: impl Operand<'a, T, PlanRead>,
+    ) -> VecHandle {
+        self.pb.axpy(x, alpha, y)
     }
 
     /// Starts recording an in-place indexed update of `out` (the eager
     /// `transform` / `eWiseLambda`).
-    pub fn transform(&mut self, out: &'a mut Vector<T>) -> PipeTransform<'_, 'a, T, E> {
-        let out = self.bind(out);
-        self.transform_at(out)
+    pub fn transform(&mut self, out: &'a mut Vector<T>) -> PlanTransform<'_, 'a, T, E> {
+        self.pb.transform(out)
     }
 
     /// Starts recording an in-place indexed update of an already-registered
     /// vector.
-    pub fn transform_at(&mut self, out: VecHandle) -> PipeTransform<'_, 'a, T, E> {
-        let out = owned(&self.pb, out);
-        PipeTransform {
-            inner: self.pb.transform(out),
-            out,
-            b: &mut self.b,
-            err: &mut self.err,
-        }
+    pub fn transform_at(&mut self, out: VecHandle) -> PlanTransform<'_, 'a, T, E> {
+        self.pb.transform(out)
     }
 
     /// Starts recording `⟨x, y⟩` (default ring: `PlusTimes`).
     pub fn dot(
         &mut self,
-        x: impl Into<PipeInput<'a, T>>,
-        y: impl Into<PipeInput<'a, T>>,
-    ) -> PipeDot<'_, 'a, T, E> {
-        let x = read(&mut self.pb, &mut self.b, x.into());
-        let y = read(&mut self.pb, &mut self.b, y.into());
-        PipeDot {
-            inner: self.pb.dot(x, y),
-        }
+        x: impl Operand<'a, T, PlanRead>,
+        y: impl Operand<'a, T, PlanRead>,
+    ) -> PlanDot<'_, 'a, T, E> {
+        self.pb.dot(x, y)
     }
 
     /// Records `‖x‖² = ⟨x, x⟩` over the arithmetic semiring.
-    pub fn norm2_squared(&mut self, x: impl Into<PipeInput<'a, T>>) -> ScalarHandle {
-        let x = read(&mut self.pb, &mut self.b, x.into());
+    pub fn norm2_squared(&mut self, x: impl Operand<'a, T, PlanRead>) -> ScalarHandle {
         self.pb.norm2_squared(x)
     }
 
     /// Starts recording a fold of `x` over a monoid (default: `Plus`).
-    pub fn reduce(&mut self, x: impl Into<PipeInput<'a, T>>) -> PipeReduce<'_, 'a, T, E> {
-        let x = read(&mut self.pb, &mut self.b, x.into());
-        PipeReduce {
-            inner: self.pb.reduce(x),
-            b: &mut self.b,
-        }
+    pub fn reduce(&mut self, x: impl Operand<'a, T, PlanRead>) -> PlanReduce<'_, 'a, T, E> {
+        self.pb.reduce(x)
     }
 
     /// The fusion plan `finish` would execute right now — for tests,
@@ -628,323 +553,7 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
     /// failing stage are unspecified.
     pub fn finish(self) -> Result<PipelineResults<T>> {
         let _span = obs::span_enter("pipeline.finish", "plan");
-        match self.err {
-            Some(e) => Err(e),
-            None => self.pb.run_once(&self.b),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recording builders
-// ---------------------------------------------------------------------------
-
-/// Records `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`Pipeline::mxv`]).
-#[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PipeMxv<'p, 'a, T: Scalar, E: Exec> {
-    inner: PlanMxv<'p, 'a, T, E>,
-    b: &'p mut Bindings<'a, T>,
-}
-
-impl<'a, T: Scalar, E: Exec> PipeMxv<'_, 'a, T, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        let mask = self.inner.pb.bound_mask(self.b, mask);
-        self.inner = self.inner.mask(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.inner = self.inner.structural();
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.inner = self.inner.invert_mask();
-        self
-    }
-
-    /// Toggles use of the matrix's transpose.
-    pub fn transpose(mut self) -> Self {
-        self.inner = self.inner.transpose();
-        self
-    }
-
-    /// ORs explicit descriptor flags into the builder state.
-    pub fn descriptor(mut self, desc: Descriptor) -> Self {
-        self.inner = self.inner.descriptor(desc);
-        self
-    }
-
-    /// Switches the semiring (default: `PlusTimes`).
-    pub fn ring<R: TaggedRing>(mut self, ring: R) -> Self {
-        self.inner = self.inner.ring(ring);
-        self
-    }
-
-    /// Accumulates into the output through `Op` instead of overwriting.
-    pub fn accum<Op: TaggedBinOp>(mut self, op: Op) -> Self {
-        self.inner = self.inner.accum(op);
-        self
-    }
-
-    /// Records the operation writing into `y`, returning its handle.
-    pub fn into(self, y: &'a mut Vector<T>) -> VecHandle {
-        let y = self.inner.pb.bound_output(self.b, y);
-        self.inner.into(y)
-    }
-
-    /// Records the operation writing into an already-registered vector.
-    pub fn into_handle(self, y: VecHandle) -> VecHandle {
-        let y = owned(self.inner.pb, y);
-        self.inner.into(y)
-    }
-}
-
-/// Records `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`Pipeline::ewise`]).
-#[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PipeEwise<'p, 'a, T: Scalar, E: Exec> {
-    inner: PlanEwise<'p, 'a, T, E>,
-    b: &'p mut Bindings<'a, T>,
-}
-
-impl<'a, T: Scalar, E: Exec> PipeEwise<'_, 'a, T, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        let mask = self.inner.pb.bound_mask(self.b, mask);
-        self.inner = self.inner.mask(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.inner = self.inner.structural();
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.inner = self.inner.invert_mask();
-        self
-    }
-
-    /// Scales the operands before the operator: `Op(α·x, β·y)`.
-    pub fn scaled(mut self, alpha: T, beta: T) -> Self {
-        self.inner = self.inner.scaled(alpha, beta);
-        self
-    }
-
-    /// Switches the element-wise operator (default: `Plus`).
-    pub fn op<Op: TaggedBinOp>(mut self, op: Op) -> Self {
-        self.inner = self.inner.op(op);
-        self
-    }
-
-    /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp: TaggedBinOp>(mut self, op: AccOp) -> Self {
-        self.inner = self.inner.accum(op);
-        self
-    }
-
-    /// Records the operation writing into `w`, returning its handle.
-    pub fn into(self, w: &'a mut Vector<T>) -> VecHandle {
-        let w = self.inner.pb.bound_output(self.b, w);
-        self.inner.into(w)
-    }
-
-    /// Records the operation writing into an already-registered vector.
-    pub fn into_handle(self, w: VecHandle) -> VecHandle {
-        let w = owned(self.inner.pb, w);
-        self.inner.into(w)
-    }
-}
-
-/// Records `out⟨mask⟩ = out ⊙? Op(input)` (see [`Pipeline::apply`]).
-#[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PipeApply<'p, 'a, T: Scalar, E: Exec> {
-    inner: PlanApply<'p, 'a, T, E>,
-    b: &'p mut Bindings<'a, T>,
-}
-
-impl<'a, T: Scalar, E: Exec> PipeApply<'_, 'a, T, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        let mask = self.inner.pb.bound_mask(self.b, mask);
-        self.inner = self.inner.mask(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.inner = self.inner.structural();
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.inner = self.inner.invert_mask();
-        self
-    }
-
-    /// Switches the unary operator (default: `Identity`).
-    pub fn op<Op: TaggedUnaryOp>(mut self, op: Op) -> Self {
-        self.inner = self.inner.op(op);
-        self
-    }
-
-    /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp: TaggedBinOp>(mut self, op: AccOp) -> Self {
-        self.inner = self.inner.accum(op);
-        self
-    }
-
-    /// Records the operation writing into `out`, returning its handle.
-    pub fn into(self, out: &'a mut Vector<T>) -> VecHandle {
-        let out = self.inner.pb.bound_output(self.b, out);
-        self.inner.into(out)
-    }
-
-    /// Records the operation writing into an already-registered vector.
-    pub fn into_handle(self, out: VecHandle) -> VecHandle {
-        let out = owned(self.inner.pb, out);
-        self.inner.into(out)
-    }
-}
-
-/// Records an in-place indexed update (see [`Pipeline::transform`]).
-#[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PipeTransform<'p, 'a, T: Scalar, E: Exec> {
-    inner: PlanTransform<'p, 'a, T, E>,
-    out: VecHandle,
-    b: &'p mut Bindings<'a, T>,
-    err: &'p mut Option<GrbError>,
-}
-
-impl<'p, 'a, T: Scalar, E: Exec> PipeTransform<'p, 'a, T, E> {
-    /// Updates only the positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        let mask = self.inner.pb.bound_mask(self.b, mask);
-        self.inner = self.inner.mask(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.inner = self.inner.structural();
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.inner = self.inner.invert_mask();
-        self
-    }
-
-    /// Pairs the update with a second vector read at the same index: the
-    /// terminal closure receives `(i, &mut out[i], src[i])`. This is how a
-    /// recorded stage reads another stage's output inside a lambda (boxed
-    /// closures cannot capture handles). A `src` whose length differs from
-    /// the output's leaves the update unrecorded and makes
-    /// [`Pipeline::finish`] return the mismatch.
-    pub fn zip(self, src: impl Into<PipeInput<'a, T>>) -> PipeTransformZip<'p, 'a, T, E> {
-        let pb = &mut *self.inner.pb;
-        let src = read(pb, self.b, src.into());
-        let (n, len) = (pb.read_len(self.out.into()), pb.read_len(src));
-        let inner = match check_dims("transform_zip", "src vs output", n, len) {
-            Ok(()) => Some(self.inner.zip(src)),
-            Err(e) => {
-                self.err.get_or_insert(e);
-                None
-            }
-        };
-        PipeTransformZip {
-            inner,
-            out: self.out,
-        }
-    }
-
-    /// Records `f(i, &mut out[i])` at every selected index.
-    pub fn apply(self, f: impl Fn(usize, &mut T) + Send + Sync + 'a) -> VecHandle {
-        self.inner.apply(f)
-    }
-}
-
-/// Records an in-place indexed update reading a paired source (see
-/// [`PipeTransform::zip`]).
-#[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PipeTransformZip<'p, 'a, T: Scalar, E: Exec> {
-    /// `None` when the source's length did not match the output's.
-    inner: Option<PlanTransformZip1<'p, 'a, T, E>>,
-    out: VecHandle,
-}
-
-impl<'a, T: Scalar, E: Exec> PipeTransformZip<'_, 'a, T, E> {
-    /// Records `f(i, &mut out[i], src[i])` at every selected index.
-    pub fn apply(self, f: impl Fn(usize, &mut T, T) + Send + Sync + 'a) -> VecHandle {
-        match self.inner {
-            Some(inner) => inner.apply(f),
-            None => self.out,
-        }
-    }
-}
-
-/// Records `⟨x, y⟩` (see [`Pipeline::dot`]).
-#[must_use = "recording builders do nothing until the terminal `.result()`"]
-pub struct PipeDot<'p, 'a, T: Scalar, E: Exec> {
-    inner: PlanDot<'p, 'a, T, E>,
-}
-
-impl<T: Scalar, E: Exec> PipeDot<'_, '_, T, E> {
-    /// Switches the semiring (default: `PlusTimes`).
-    pub fn ring<R: TaggedRing>(mut self, ring: R) -> Self {
-        self.inner = self.inner.ring(ring);
-        self
-    }
-
-    /// Records the dot product, returning the handle of its result.
-    pub fn result(self) -> ScalarHandle {
-        self.inner.result()
-    }
-}
-
-/// Records a monoid fold (see [`Pipeline::reduce`]).
-#[must_use = "recording builders do nothing until the terminal `.result()`"]
-pub struct PipeReduce<'p, 'a, T: Scalar, E: Exec> {
-    inner: PlanReduce<'p, 'a, T, E>,
-    b: &'p mut Bindings<'a, T>,
-}
-
-impl<'a, T: Scalar, E: Exec> PipeReduce<'_, 'a, T, E> {
-    /// Folds only the positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        let mask = self.inner.pb.bound_mask(self.b, mask);
-        self.inner = self.inner.mask(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.inner = self.inner.structural();
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.inner = self.inner.invert_mask();
-        self
-    }
-
-    /// Switches the monoid (default: `Plus`).
-    pub fn monoid<M: TaggedMonoid>(mut self, monoid: M) -> Self {
-        self.inner = self.inner.monoid(monoid);
-        self
-    }
-
-    /// Records the fold, returning the handle of its result.
-    pub fn result(self) -> ScalarHandle {
-        self.inner.result()
+        self.pb.run_once()
     }
 }
 
@@ -953,6 +562,7 @@ mod tests {
     use super::*;
     use crate::backend::{Parallel, Sequential};
     use crate::context::{ctx, BackendKind, DynCtx};
+    use crate::error::GrbError;
 
     fn a3() -> CsrMatrix<f64> {
         CsrMatrix::from_triplets(

@@ -1,24 +1,32 @@
 //! The op IR, its interpreter, and the compile-once front door: reusable
 //! [`Plan`]s and a [`PlanCache`].
 //!
-//! Deferred execution in this crate has **one** recorded form and **one**
-//! executor, both in this module. Operands are declared as *slots*
-//! (dimensions only), ops are recorded against the slots, the pass in
+//! Deferred execution in this crate has **one** recorded form, **one**
+//! family of recorders and **one** executor, all in this module. Operands
+//! are *slots* (dimensions only), ops are recorded against the slots by
+//! [`PlanBuilder`] and its recorders ([`PlanMxv`] & co.), the pass in
 //! [`crate::fusion`] turns the op list into a fused schedule, and the
 //! interpreter runs a schedule against a [`Bindings`] table that maps each
-//! slot to a concrete buffer. Two front doors build that form:
+//! slot to a concrete buffer. Every operand a recorder takes is an
+//! [`Operand`]: a declared slot, or a borrowed container that the builder
+//! declares and binds itself. Two front doors hand out a builder:
 //!
 //! * [`Ctx::plan`](crate::Ctx::plan) → [`PlanBuilder`] →
-//!   [`compile`](PlanBuilder::compile) → [`Plan`]: the schedule is frozen
-//!   once and every [`Plan::run`] executes it against freshly bound
-//!   buffers. This is what loops use — a CG iteration body, per-request
-//!   serve work;
+//!   [`compile`](PlanBuilder::compile) → [`Plan`]: the caller declares the
+//!   slots, the schedule is frozen once and every [`Plan::run`] executes it
+//!   against freshly bound buffers. This is what loops use — a CG iteration
+//!   body, per-request serve work. The builder is `'static`, so it takes
+//!   slots, not borrows;
 //! * [`Ctx::pipeline`](crate::Ctx::pipeline) →
-//!   [`Pipeline`](crate::pipeline::Pipeline): a typed wrapper that owns a
-//!   `PlanBuilder` and a `Bindings`, declares and binds a slot for every
-//!   borrowed operand it is handed, and on `finish()` fuses, validates and
-//!   runs the graph once. Its lifetime parameter is what lets recorded
-//!   closures borrow and what proves operands outlive execution.
+//!   [`Pipeline`](crate::pipeline::Pipeline): a wrapper around a builder
+//!   whose lifetime is its operands'. It is handed borrowed containers,
+//!   and `finish()` fuses, validates and runs the graph once against them.
+//!   That lifetime is what lets recorded closures borrow and what proves
+//!   operands outlive execution.
+//!
+//! The doors differ in one policy: an operand-length mismatch in `axpy` or
+//! `zip` panics while recording a plan, and is returned by `finish()` from
+//! a pipeline.
 //!
 //! Compile once, replay many times:
 //!
@@ -166,18 +174,6 @@ pub enum PlanRead {
     Out(OutSlot),
 }
 
-impl From<InSlot> for PlanRead {
-    fn from(s: InSlot) -> Self {
-        PlanRead::In(s)
-    }
-}
-
-impl From<OutSlot> for PlanRead {
-    fn from(s: OutSlot) -> Self {
-        PlanRead::Out(s)
-    }
-}
-
 /// A scalar operand of a recorded plan op: a value baked in at recording
 /// time or a [`ScalarParam`] resolved at each run. Mostly constructed through
 /// the `From` impls — pass a `T` or a `ScalarParam` wherever an
@@ -199,6 +195,80 @@ impl<T: Scalar> From<T> for PlanScalar<T> {
 impl<T: Scalar> From<ScalarParam> for PlanScalar<T> {
     fn from(p: ScalarParam) -> Self {
         PlanScalar::Param(p)
+    }
+}
+
+/// What a recorder accepts where it needs a slot of kind `S`: the slot
+/// itself, or a borrowed container — a matrix, a vector read as `&'f`, a
+/// mask, a vector written as `&'f mut` — which the builder declares as a
+/// slot of the container's own dimensions and binds on the spot. That is
+/// how [`Pipeline`](crate::pipeline::Pipeline) records; a builder from
+/// [`Ctx::plan`](crate::Ctx::plan) takes slots, because its operands must
+/// outlive `'static` and [`PlanBuilder::compile`] refuses any it bound.
+pub trait Operand<'f, T: Scalar, S> {
+    /// The slot this operand names in `pb`'s graph.
+    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> S;
+}
+
+impl<'f, T: Scalar> Operand<'f, T, MatSlot> for MatSlot {
+    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> MatSlot {
+        self
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, MatSlot> for &'f CsrMatrix<T> {
+    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> MatSlot {
+        let s = pb.matrix(self.nrows(), self.ncols());
+        pb.bound.mats[s.idx] = Some(self);
+        s
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, PlanRead> for InSlot {
+    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+        PlanRead::In(self)
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, PlanRead> for OutSlot {
+    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+        PlanRead::Out(self)
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, PlanRead> for &'f Vector<T> {
+    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+        let s = pb.input(self.len());
+        pb.bound.ins[s.idx] = Some(self);
+        PlanRead::In(s)
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, MaskSlot> for MaskSlot {
+    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> MaskSlot {
+        self
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, MaskSlot> for &'f Vector<bool> {
+    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> MaskSlot {
+        let s = pb.mask(self.len());
+        pb.bound.masks[s.idx] = Some(self);
+        s
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, OutSlot> for OutSlot {
+    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> OutSlot {
+        self
+    }
+}
+
+impl<'f, T: Scalar> Operand<'f, T, OutSlot> for &'f mut Vector<T> {
+    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> OutSlot {
+        let s = pb.output(self.len());
+        pb.bound.outs[s.idx] = Some(self as *mut Vector<T>);
+        s
     }
 }
 
@@ -573,8 +643,7 @@ fn hash_scalar<T: Scalar, H: Hasher>(h: &mut H, s: &ScalarRef<T>) {
 // ---------------------------------------------------------------------------
 
 /// The one recorded form: ops over declared slots. Both front doors build
-/// it — [`PlanBuilder`] directly, a [`Pipeline`](crate::pipeline::Pipeline)
-/// through the builder it owns — and [`OpGraph::execute`] is the only
+/// it through a [`PlanBuilder`], and [`OpGraph::execute`] is the only
 /// interpreter.
 struct OpGraph<'f, T: Scalar> {
     nodes: Vec<PlanNode<'f, T>>,
@@ -591,45 +660,73 @@ struct OpGraph<'f, T: Scalar> {
     scalars: usize,
 }
 
-/// Records an op graph against declared slots and compiles it into a
-/// reusable [`Plan`]. Created by [`Ctx::plan`](crate::Ctx::plan); see the
-/// [module docs](self).
+/// Records an op graph and compiles it into a reusable [`Plan`]. Created
+/// by [`Ctx::plan`](crate::Ctx::plan); see the [module docs](self).
 ///
 /// The fluent recorders mirror the eager ones on [`Ctx`](crate::Ctx) —
 /// `mxv`, `vxm`, `ewise`, `apply`, `axpy`, `transform`, `dot`, `reduce`,
 /// `norm2_squared` with the same mask/descriptor/ring/accumulator
-/// modifiers — but every vector operand is a slot and every tunable scalar
-/// may be a [`ScalarParam`].
+/// modifiers — but every operand is an [`Operand`]: a declared slot here,
+/// and every tunable scalar may be a [`ScalarParam`].
 ///
-/// `'f` bounds what `transform` closures may borrow.
-/// [`Ctx::plan`](crate::Ctx::plan) hands out `'static` builders, the only
-/// ones that [`compile`](PlanBuilder::compile); the builder inside a
-/// one-shot [`Pipeline`](crate::pipeline::Pipeline) carries its operands'
-/// lifetime and is run exactly once while they are still borrowed.
+/// `'f` bounds what `transform` closures and borrowed operands may
+/// borrow. [`Ctx::plan`](crate::Ctx::plan) hands out `'static` builders,
+/// the only ones that [`compile`](PlanBuilder::compile), so a borrow of a
+/// local never reaches a plan:
+///
+/// ```compile_fail
+/// use graphblas::{ctx, Sequential, Vector};
+///
+/// let x = Vector::from_dense(vec![1.0, 2.0]);
+/// let mut pb = ctx::<Sequential>().plan::<f64>();
+/// let ys = pb.output(2);
+/// pb.apply(&x).into(ys); // `x` does not live for `'static`: declare `pb.input(2)`
+/// let plan = pb.compile();
+/// ```
+///
+/// The builder inside a one-shot [`Pipeline`](crate::pipeline::Pipeline)
+/// carries its operands' lifetime instead and runs exactly once while they
+/// are still borrowed.
 pub struct PlanBuilder<'f, T: Scalar, E: Exec> {
     /// Process-unique id branding this builder's slots (and its plan's).
     id: u64,
     exec: E,
     defaults: Descriptor,
     graph: OpGraph<'f, T>,
+    /// Every slot declared so far; the ones a borrowed [`Operand`] created
+    /// are bound. A pipeline runs against it; `compile` refuses a builder
+    /// with any binding.
+    bound: Bindings<'f, T>,
+    /// Whether a [`Pipeline`](crate::pipeline::Pipeline) owns this builder:
+    /// it names the door in slot-ownership panics and turns a record-time
+    /// operand-length mismatch from a panic into `err`.
+    pipeline: bool,
+    /// The first record-time operand-length mismatch of a pipeline's
+    /// builder, returned by `run_once` before anything runs.
+    err: Option<GrbError>,
 }
 
 impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
-    pub(crate) fn new(exec: E, defaults: Descriptor) -> PlanBuilder<'f, T, E> {
+    pub(crate) fn new(exec: E, defaults: Descriptor, pipeline: bool) -> PlanBuilder<'f, T, E> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let graph = OpGraph {
+            nodes: Vec::new(),
+            mats: Vec::new(),
+            ins: Vec::new(),
+            outs: Vec::new(),
+            masks: Vec::new(),
+            params: Vec::new(),
+            scalars: 0,
+        };
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         PlanBuilder {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            id,
             exec,
             defaults,
-            graph: OpGraph {
-                nodes: Vec::new(),
-                mats: Vec::new(),
-                ins: Vec::new(),
-                outs: Vec::new(),
-                masks: Vec::new(),
-                params: Vec::new(),
-                scalars: 0,
-            },
+            bound: graph.bindings(id),
+            graph,
+            pipeline,
+            err: None,
         }
     }
 
@@ -647,6 +744,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     pub fn matrix(&mut self, nrows: usize, ncols: usize) -> MatSlot {
         let idx = self.graph.mats.len();
         self.graph.mats.push((nrows, ncols));
+        self.bound.mats.push(None);
         MatSlot { plan: self.id, idx }
     }
 
@@ -654,6 +752,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     pub fn input(&mut self, len: usize) -> InSlot {
         let idx = self.graph.ins.len();
         self.graph.ins.push(len);
+        self.bound.ins.push(None);
         InSlot { plan: self.id, idx }
     }
 
@@ -662,6 +761,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     pub fn output(&mut self, len: usize) -> OutSlot {
         let idx = self.graph.outs.len();
         self.graph.outs.push(len);
+        self.bound.outs.push(None);
         OutSlot { plan: self.id, idx }
     }
 
@@ -669,6 +769,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     pub fn mask(&mut self, len: usize) -> MaskSlot {
         let idx = self.graph.masks.len();
         self.graph.masks.push(len);
+        self.bound.masks.push(None);
         MaskSlot { plan: self.id, idx }
     }
 
@@ -677,100 +778,64 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     pub fn param(&mut self, default: T) -> ScalarParam {
         let idx = self.graph.params.len();
         self.graph.params.push(default);
+        self.bound.params.push(default);
         ScalarParam { plan: self.id, idx }
     }
 
-    /// Declares a matrix slot with `a`'s own dimensions and binds `a` to it.
-    /// The four `bound_*` recorders are how a pipeline turns each borrowed
-    /// operand into a slot: `b` is the table it got from
-    /// [`bindings`](Self::bindings) and grows in step with the
-    /// declarations, so it is fully bound by construction.
-    pub(crate) fn bound_matrix(&mut self, b: &mut Bindings<'f, T>, a: &'f CsrMatrix<T>) -> MatSlot {
-        b.mats.push(Some(a));
-        self.matrix(a.nrows(), a.ncols())
-    }
-
-    /// Declares an input slot of `v`'s length and binds `v` to it.
-    pub(crate) fn bound_input(&mut self, b: &mut Bindings<'f, T>, v: &'f Vector<T>) -> InSlot {
-        b.ins.push(Some(v));
-        self.input(v.len())
-    }
-
-    /// Declares a mask slot of `m`'s length and binds `m` to it.
-    pub(crate) fn bound_mask(&mut self, b: &mut Bindings<'f, T>, m: &'f Vector<bool>) -> MaskSlot {
-        b.masks.push(Some(m));
-        self.mask(m.len())
-    }
-
-    /// Declares an output slot of `v`'s length and binds `v` to it
-    /// (exclusively, for the table's lifetime).
-    pub(crate) fn bound_output(
-        &mut self,
-        b: &mut Bindings<'f, T>,
-        v: &'f mut Vector<T>,
-    ) -> OutSlot {
-        let len = v.len();
-        b.outs.push(Some(v as *mut Vector<T>));
-        self.output(len)
-    }
-
-    /// An empty bindings table branded for this builder.
-    pub(crate) fn bindings<'b>(&self) -> Bindings<'b, T> {
-        self.graph.bindings(self.id)
-    }
-
-    /// Whether `s` is one of this builder's output slots.
-    pub(crate) fn owns(&self, s: OutSlot) -> bool {
-        s.plan == self.id && s.idx < self.graph.outs.len()
-    }
-
-    /// Declared length of a readable operand of this builder.
-    pub(crate) fn read_len(&self, r: PlanRead) -> usize {
-        self.src_len(self.resolve(r))
+    /// Panics that a slot of kind `what` is not this builder's, naming the
+    /// front door that made the builder.
+    fn foreign(&self, what: &str) -> ! {
+        let door = if self.pipeline { "pipeline" } else { "plan" };
+        panic!("{what} does not belong to this {door}")
     }
 
     fn check_mat(&self, s: MatSlot) -> usize {
-        assert!(
-            s.plan == self.id && s.idx < self.graph.mats.len(),
-            "MatSlot does not belong to this plan"
-        );
+        if s.plan != self.id || s.idx >= self.graph.mats.len() {
+            self.foreign("MatSlot");
+        }
         s.idx
     }
 
     fn check_out(&self, s: OutSlot) -> usize {
-        assert!(self.owns(s), "OutSlot does not belong to this plan");
+        if s.plan != self.id || s.idx >= self.graph.outs.len() {
+            self.foreign("OutSlot");
+        }
         s.idx
     }
 
     fn check_mask(&self, s: MaskSlot) -> usize {
-        assert!(
-            s.plan == self.id && s.idx < self.graph.masks.len(),
-            "MaskSlot does not belong to this plan"
-        );
+        if s.plan != self.id || s.idx >= self.graph.masks.len() {
+            self.foreign("MaskSlot");
+        }
         s.idx
     }
 
-    fn resolve(&self, r: PlanRead) -> PlanSrc {
-        match r {
+    /// Resolves a readable operand to a checked slot index.
+    fn read(&mut self, x: impl Operand<'f, T, PlanRead>) -> PlanSrc {
+        match x.slot(self) {
             PlanRead::In(s) => {
-                assert!(
-                    s.plan == self.id && s.idx < self.graph.ins.len(),
-                    "InSlot does not belong to this plan"
-                );
+                if s.plan != self.id || s.idx >= self.graph.ins.len() {
+                    self.foreign("InSlot");
+                }
                 PlanSrc::In(s.idx)
             }
             PlanRead::Out(s) => PlanSrc::Out(self.check_out(s)),
         }
     }
 
+    /// Resolves a written operand to a checked output-slot index.
+    fn write(&mut self, y: impl Operand<'f, T, OutSlot>) -> (OutSlot, usize) {
+        let y = y.slot(self);
+        (y, self.check_out(y))
+    }
+
     fn resolve_scalar(&self, s: PlanScalar<T>) -> ScalarRef<T> {
         match s {
             PlanScalar::Const(v) => ScalarRef::Const(v),
             PlanScalar::Param(p) => {
-                assert!(
-                    p.plan == self.id && p.idx < self.graph.params.len(),
-                    "ScalarParam does not belong to this plan"
-                );
+                if p.plan != self.id || p.idx >= self.graph.params.len() {
+                    self.foreign("ScalarParam");
+                }
                 ScalarRef::Param(p.idx)
             }
         }
@@ -784,6 +849,23 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
         }
     }
 
+    /// Checks that operand `src` is as long as output slot `out`. The op
+    /// is recorded either way: a `Ctx::plan` builder panics with `msg`, a
+    /// pipeline's keeps the first mismatch and never runs its graph.
+    fn check_len(
+        &mut self,
+        op: &'static str,
+        what: &'static str,
+        out: usize,
+        src: PlanSrc,
+        msg: &str,
+    ) {
+        if let Err(e) = check_dims(op, what, self.graph.outs[out], self.src_len(src)) {
+            assert!(self.pipeline, "{msg}");
+            self.err.get_or_insert(e);
+        }
+    }
+
     fn new_scalar(&mut self) -> ScalarSlot {
         let idx = self.graph.scalars;
         self.graph.scalars += 1;
@@ -791,9 +873,14 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Starts recording `y = A ⊕.⊗ x` (default ring: `PlusTimes`).
-    pub fn mxv(&mut self, a: MatSlot, x: impl Into<PlanRead>) -> PlanMxv<'_, 'f, T, E> {
+    pub fn mxv(
+        &mut self,
+        a: impl Operand<'f, T, MatSlot>,
+        x: impl Operand<'f, T, PlanRead>,
+    ) -> PlanMxv<'_, 'f, T, E> {
+        let a = a.slot(self);
         let a = self.check_mat(a);
-        let x = self.resolve(x.into());
+        let x = self.read(x);
         let desc = self.defaults;
         PlanMxv {
             pb: self,
@@ -808,20 +895,22 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
 
     /// Starts recording `y = xᵀA` — an mxv with the transposition
     /// pre-toggled, exactly like the eager `vxm` builder.
-    pub fn vxm(&mut self, x: impl Into<PlanRead>, a: MatSlot) -> PlanMxv<'_, 'f, T, E> {
-        let mut b = self.mxv(a, x);
-        b.desc = b.desc.toggled_transpose();
-        b
+    pub fn vxm(
+        &mut self,
+        x: impl Operand<'f, T, PlanRead>,
+        a: impl Operand<'f, T, MatSlot>,
+    ) -> PlanMxv<'_, 'f, T, E> {
+        self.mxv(a, x).transpose()
     }
 
     /// Starts recording `w = Op(x, y)` element-wise (default op: `Plus`).
     pub fn ewise(
         &mut self,
-        x: impl Into<PlanRead>,
-        y: impl Into<PlanRead>,
+        x: impl Operand<'f, T, PlanRead>,
+        y: impl Operand<'f, T, PlanRead>,
     ) -> PlanEwise<'_, 'f, T, E> {
-        let x = self.resolve(x.into());
-        let y = self.resolve(y.into());
+        let x = self.read(x);
+        let y = self.read(y);
         let desc = self.defaults;
         PlanEwise {
             pb: self,
@@ -836,8 +925,8 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Starts recording `out = Op(input)` (default op: `Identity`).
-    pub fn apply(&mut self, input: impl Into<PlanRead>) -> PlanApply<'_, 'f, T, E> {
-        let input = self.resolve(input.into());
+    pub fn apply(&mut self, input: impl Operand<'f, T, PlanRead>) -> PlanApply<'_, 'f, T, E> {
+        let input = self.read(input);
         let desc = self.defaults;
         PlanApply {
             pb: self,
@@ -850,24 +939,22 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Records `x = x + α·y`, where `α` is a constant or a
-    /// [`ScalarParam`]. Returns `x` for operand chaining.
+    /// [`ScalarParam`]. Returns `x`'s slot for operand chaining.
     pub fn axpy(
         &mut self,
-        x: OutSlot,
+        x: impl Operand<'f, T, OutSlot>,
         alpha: impl Into<PlanScalar<T>>,
-        y: impl Into<PlanRead>,
+        y: impl Operand<'f, T, PlanRead>,
     ) -> OutSlot {
-        let out = self.check_out(x);
+        let (x, out) = self.write(x);
         let alpha = self.resolve_scalar(alpha.into());
-        let y = self.resolve(y.into());
+        let y = self.read(y);
         assert!(
             y.out_index() != Some(out),
             "axpy operand may not alias its output"
         );
-        assert!(
-            self.src_len(y) == self.graph.outs[out],
-            "axpy operand length must match its output slot"
-        );
+        let msg = "axpy operand length must match its output slot";
+        self.check_len("axpy", "y vs x", out, y, msg);
         self.graph.nodes.push(PlanNode::Axpy { out, alpha, y });
         x
     }
@@ -876,8 +963,8 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     /// `transform` / `eWiseLambda`). Closures recorded here must outlive
     /// `'f` — `'static` for a builder that compiles, so values they read
     /// per index enter through [`PlanTransform::zip`] sources, not captures.
-    pub fn transform(&mut self, out: OutSlot) -> PlanTransform<'_, 'f, T, E> {
-        let out = self.check_out(out);
+    pub fn transform(&mut self, out: impl Operand<'f, T, OutSlot>) -> PlanTransform<'_, 'f, T, E> {
+        let (_, out) = self.write(out);
         let desc = self.defaults;
         PlanTransform {
             pb: self,
@@ -888,9 +975,13 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Starts recording `⟨x, y⟩` (default ring: `PlusTimes`).
-    pub fn dot(&mut self, x: impl Into<PlanRead>, y: impl Into<PlanRead>) -> PlanDot<'_, 'f, T, E> {
-        let x = self.resolve(x.into());
-        let y = self.resolve(y.into());
+    pub fn dot(
+        &mut self,
+        x: impl Operand<'f, T, PlanRead>,
+        y: impl Operand<'f, T, PlanRead>,
+    ) -> PlanDot<'_, 'f, T, E> {
+        let x = self.read(x);
+        let y = self.read(y);
         PlanDot {
             pb: self,
             x,
@@ -900,8 +991,8 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Records `‖x‖² = ⟨x, x⟩` over the arithmetic semiring.
-    pub fn norm2_squared(&mut self, x: impl Into<PlanRead>) -> ScalarSlot {
-        let x = self.resolve(x.into());
+    pub fn norm2_squared(&mut self, x: impl Operand<'f, T, PlanRead>) -> ScalarSlot {
+        let x = self.read(x);
         let h = self.new_scalar();
         self.graph.nodes.push(PlanNode::Dot {
             sid: h.idx,
@@ -913,8 +1004,8 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Starts recording a fold of `x` over a monoid (default: `Plus`).
-    pub fn reduce(&mut self, x: impl Into<PlanRead>) -> PlanReduce<'_, 'f, T, E> {
-        let x = self.resolve(x.into());
+    pub fn reduce(&mut self, x: impl Operand<'f, T, PlanRead>) -> PlanReduce<'_, 'f, T, E> {
+        let x = self.read(x);
         let desc = self.defaults;
         PlanReduce {
             pb: self,
@@ -930,18 +1021,33 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
         self.graph.describe(&self.graph.fuse())
     }
 
-    /// Fuses and executes the graph once against `b` — how a pipeline
-    /// finishes. No [`Plan`] is built and no [`PlanCache`] is involved.
-    pub(crate) fn run_once(&self, b: &Bindings<'_, T>) -> Result<PlanResults<T>> {
-        assert!(b.plan == self.id, "Bindings do not belong to this plan");
-        self.graph.execute(self.exec, &self.graph.fuse(), b)
+    /// Fuses and executes the graph once against the operands bound while
+    /// recording — how a pipeline finishes. A record-time mismatch is
+    /// returned before anything runs. No [`Plan`] is built and no
+    /// [`PlanCache`] is involved.
+    pub(crate) fn run_once(self) -> Result<PlanResults<T>> {
+        match self.err {
+            Some(e) => Err(e),
+            None => self
+                .graph
+                .execute(self.exec, &self.graph.fuse(), &self.bound),
+        }
     }
 }
 
 impl<T: Scalar, E: Exec> PlanBuilder<'static, T, E> {
     /// Runs the fusion pass once and freezes the schedule into an
     /// immutable, reusable [`Plan`].
+    ///
+    /// # Panics
+    ///
+    /// If an operand was recorded as a borrowed container rather than a
+    /// declared slot: a plan binds its operands per run, through
+    /// [`Plan::bindings`].
     pub fn compile(self) -> Plan<T, E> {
+        if let Some(slot) = self.bound.first_bound() {
+            panic!("compile: {slot} was recorded from a borrowed operand; declare it and bind it per run");
+        }
         let _span = obs::span_enter("plan.compile", "plan");
         let stages = self.graph.fuse();
         let hash = self.graph.structural_hash::<E>();
@@ -962,7 +1068,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<'static, T, E> {
 /// Records `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`PlanBuilder::mxv`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
 pub struct PlanMxv<'p, 'f, T: Scalar, E: Exec> {
-    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
+    pb: &'p mut PlanBuilder<'f, T, E>,
     a: usize,
     x: PlanSrc,
     mask: Option<usize>,
@@ -973,7 +1079,8 @@ pub struct PlanMxv<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'f, T: Scalar, E: Exec> PlanMxv<'_, 'f, T, E> {
     /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: MaskSlot) -> Self {
+    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
+        let mask = mask.slot(self.pb);
         self.mask = Some(self.pb.check_mask(mask));
         self
     }
@@ -1016,8 +1123,8 @@ impl<'f, T: Scalar, E: Exec> PlanMxv<'_, 'f, T, E> {
 
     /// Records the operation writing into `y`, returning the slot back for
     /// operand chaining.
-    pub fn into(self, y: OutSlot) -> OutSlot {
-        let out = self.pb.check_out(y);
+    pub fn into(self, y: impl Operand<'f, T, OutSlot>) -> OutSlot {
+        let (y, out) = self.pb.write(y);
         assert!(
             self.x.out_index() != Some(out),
             "mxv input may not alias its output"
@@ -1038,7 +1145,7 @@ impl<'f, T: Scalar, E: Exec> PlanMxv<'_, 'f, T, E> {
 /// Records `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`PlanBuilder::ewise`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
 pub struct PlanEwise<'p, 'f, T: Scalar, E: Exec> {
-    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
+    pb: &'p mut PlanBuilder<'f, T, E>,
     x: PlanSrc,
     y: PlanSrc,
     mask: Option<usize>,
@@ -1050,7 +1157,8 @@ pub struct PlanEwise<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'f, T: Scalar, E: Exec> PlanEwise<'_, 'f, T, E> {
     /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: MaskSlot) -> Self {
+    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
+        let mask = mask.slot(self.pb);
         self.mask = Some(self.pb.check_mask(mask));
         self
     }
@@ -1094,8 +1202,8 @@ impl<'f, T: Scalar, E: Exec> PlanEwise<'_, 'f, T, E> {
 
     /// Records the operation writing into `w`, returning the slot back for
     /// operand chaining.
-    pub fn into(self, w: OutSlot) -> OutSlot {
-        let out = self.pb.check_out(w);
+    pub fn into(self, w: impl Operand<'f, T, OutSlot>) -> OutSlot {
+        let (w, out) = self.pb.write(w);
         assert!(
             self.x.out_index() != Some(out) && self.y.out_index() != Some(out),
             "ewise operands may not alias the output"
@@ -1117,7 +1225,7 @@ impl<'f, T: Scalar, E: Exec> PlanEwise<'_, 'f, T, E> {
 /// Records `out⟨mask⟩ = out ⊙? Op(input)` (see [`PlanBuilder::apply`]).
 #[must_use = "recording builders do nothing until the terminal `.into(..)`"]
 pub struct PlanApply<'p, 'f, T: Scalar, E: Exec> {
-    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
+    pb: &'p mut PlanBuilder<'f, T, E>,
     input: PlanSrc,
     mask: Option<usize>,
     desc: Descriptor,
@@ -1127,7 +1235,8 @@ pub struct PlanApply<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'f, T: Scalar, E: Exec> PlanApply<'_, 'f, T, E> {
     /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: MaskSlot) -> Self {
+    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
+        let mask = mask.slot(self.pb);
         self.mask = Some(self.pb.check_mask(mask));
         self
     }
@@ -1158,8 +1267,8 @@ impl<'f, T: Scalar, E: Exec> PlanApply<'_, 'f, T, E> {
 
     /// Records the operation writing into `out`, returning the slot back
     /// for operand chaining.
-    pub fn into(self, out_slot: OutSlot) -> OutSlot {
-        let out = self.pb.check_out(out_slot);
+    pub fn into(self, out_slot: impl Operand<'f, T, OutSlot>) -> OutSlot {
+        let (out_slot, out) = self.pb.write(out_slot);
         assert!(
             self.input.out_index() != Some(out),
             "apply input may not alias its output"
@@ -1179,7 +1288,7 @@ impl<'f, T: Scalar, E: Exec> PlanApply<'_, 'f, T, E> {
 /// Records an in-place indexed update (see [`PlanBuilder::transform`]).
 #[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
 pub struct PlanTransform<'p, 'f, T: Scalar, E: Exec> {
-    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
+    pb: &'p mut PlanBuilder<'f, T, E>,
     out: usize,
     mask: Option<usize>,
     desc: Descriptor,
@@ -1187,7 +1296,8 @@ pub struct PlanTransform<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<'p, 'f, T, E> {
     /// Updates only the positions selected by `mask`.
-    pub fn mask(mut self, mask: MaskSlot) -> Self {
+    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
+        let mask = mask.slot(self.pb);
         self.mask = Some(self.pb.check_mask(mask));
         self
     }
@@ -1208,9 +1318,8 @@ impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<'p, 'f, T, E> {
     /// closure receives `(i, &mut out[i], src[i])`. Chain up to three
     /// sources — this is how a `'static` plan closure reads other slots,
     /// and how any recorded closure reads another op's output.
-    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip1<'p, 'f, T, E> {
-        let src = self.pb.resolve(src.into());
-        check_zip(self.pb, self.out, src);
+    pub fn zip(self, src: impl Operand<'f, T, PlanRead>) -> PlanTransformZip1<'p, 'f, T, E> {
+        let src = self.pb.zip_src(self.out, src);
         PlanTransformZip1 {
             pb: self.pb,
             out: self.out,
@@ -1236,18 +1345,20 @@ impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<'p, 'f, T, E> {
     }
 }
 
-/// Asserts a zip source is legal: it may not alias the transform output,
-/// and its declared length must match the output's so execution can never
-/// index out of bounds.
-fn check_zip<T: Scalar, E: Exec>(pb: &PlanBuilder<'_, T, E>, out: usize, src: PlanSrc) {
-    assert!(
-        src.out_index() != Some(out),
-        "zip source may not alias the transform output"
-    );
-    assert!(
-        pb.src_len(src) == pb.graph.outs[out],
-        "zip source length must match the transform output"
-    );
+impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
+    /// Resolves a zip source of the transform writing output slot `out`.
+    /// It may not alias the output, and its declared length must match the
+    /// output's (see `check_len`) so execution never indexes out of bounds.
+    fn zip_src(&mut self, out: usize, src: impl Operand<'f, T, PlanRead>) -> PlanSrc {
+        let src = self.read(src);
+        assert!(
+            src.out_index() != Some(out),
+            "zip source may not alias the transform output"
+        );
+        let msg = "zip source length must match the transform output";
+        self.check_len("transform_zip", "src vs output", out, src, msg);
+        src
+    }
 }
 
 /// Records an indexed update reading one paired source (see
@@ -1263,9 +1374,8 @@ pub struct PlanTransformZip1<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'p, 'f, T: Scalar, E: Exec> PlanTransformZip1<'p, 'f, T, E> {
     /// Adds a second zipped source.
-    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip2<'p, 'f, T, E> {
-        let src = self.pb.resolve(src.into());
-        check_zip(self.pb, self.out, src);
+    pub fn zip(self, src: impl Operand<'f, T, PlanRead>) -> PlanTransformZip2<'p, 'f, T, E> {
+        let src = self.pb.zip_src(self.out, src);
         PlanTransformZip2 {
             pb: self.pb,
             out: self.out,
@@ -1304,9 +1414,8 @@ pub struct PlanTransformZip2<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'p, 'f, T: Scalar, E: Exec> PlanTransformZip2<'p, 'f, T, E> {
     /// Adds a third zipped source.
-    pub fn zip(self, src: impl Into<PlanRead>) -> PlanTransformZip3<'p, 'f, T, E> {
-        let src = self.pb.resolve(src.into());
-        check_zip(self.pb, self.out, src);
+    pub fn zip(self, src: impl Operand<'f, T, PlanRead>) -> PlanTransformZip3<'p, 'f, T, E> {
+        let src = self.pb.zip_src(self.out, src);
         PlanTransformZip3 {
             pb: self.pb,
             out: self.out,
@@ -1394,7 +1503,7 @@ impl<'f, T: Scalar, E: Exec> PlanDot<'_, 'f, T, E> {
 /// Records a monoid fold (see [`PlanBuilder::reduce`]).
 #[must_use = "recording builders do nothing until the terminal `.result()`"]
 pub struct PlanReduce<'p, 'f, T: Scalar, E: Exec> {
-    pub(crate) pb: &'p mut PlanBuilder<'f, T, E>,
+    pb: &'p mut PlanBuilder<'f, T, E>,
     x: PlanSrc,
     mask: Option<usize>,
     desc: Descriptor,
@@ -1403,7 +1512,8 @@ pub struct PlanReduce<'p, 'f, T: Scalar, E: Exec> {
 
 impl<'f, T: Scalar, E: Exec> PlanReduce<'_, 'f, T, E> {
     /// Folds only the positions selected by `mask`.
-    pub fn mask(mut self, mask: MaskSlot) -> Self {
+    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
+        let mask = mask.slot(self.pb);
         self.mask = Some(self.pb.check_mask(mask));
         self
     }
@@ -2161,6 +2271,15 @@ impl<'a, T: Scalar> Bindings<'a, T> {
         self.params[p.idx] = value;
         self
     }
+
+    /// The first bound slot, named for a panic message.
+    fn first_bound(&self) -> Option<String> {
+        let name = |what: &str, i: Option<usize>| i.map(|i| format!("{what} slot {i}"));
+        name("matrix", self.mats.iter().position(Option::is_some))
+            .or_else(|| name("input", self.ins.iter().position(Option::is_some)))
+            .or_else(|| name("mask", self.masks.iter().position(Option::is_some)))
+            .or_else(|| name("output", self.outs.iter().position(Option::is_some)))
+    }
 }
 
 /// Scalar results of one plan replay, indexed by [`ScalarSlot`].
@@ -2659,5 +2778,18 @@ mod tests {
         let os = pb.output(4);
         let short = pb.input(3);
         let _ = pb.transform(os).zip(short);
+    }
+
+    /// The `compile_fail` example on [`PlanBuilder`] shows the type system
+    /// rejecting a borrowed local; a `'static` borrow passes that check, so
+    /// `compile` refuses it instead.
+    #[test]
+    #[should_panic(expected = "compile: input slot 0 was recorded from a borrowed operand")]
+    fn compile_refuses_a_borrowed_operand() {
+        let x: &'static Vector<f64> = Box::leak(Box::new(v(0.0)));
+        let mut pb = ctx::<Sequential>().plan::<f64>();
+        let os = pb.output(4);
+        pb.apply(x).into(os);
+        let _ = pb.compile();
     }
 }

@@ -30,30 +30,11 @@ use graphblas::{DistConfig, Distributed, ShardLayout, Vector};
 /// enough that even the coarsest multigrid level spreads across all nodes.
 const BLOCK: usize = 64;
 
-/// Which matrix/vector layout the (hypothetical) ALP distributed backend
-/// uses. [`AlpLayout::Cyclic1D`] is the paper's actual hybrid backend;
-/// [`AlpLayout::Block2D`] is the §VII-B(ii) proposal — provided so the
-/// weak-scaling harness can show how far it closes the gap to Ref.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum AlpLayout {
-    /// 1D block-cyclic rows: full-vector allgather before every mxv.
-    Cyclic1D,
-    /// 2D `pr×pc` blocks: expand along process columns + fold along rows,
-    /// `(pr−1+pc−1)·n/p` elements per node instead of `(p−1)·n/p`.
-    Block2D {
-        /// Process-grid rows.
-        pr: usize,
-        /// Process-grid columns.
-        pc: usize,
-    },
-}
-
 /// Distributed-ALP HPCG: the GraphBLAS kernels on a `Ctx<Distributed>`
 /// cluster, with BSP costs recorded by the backend and attributed here.
 pub struct AlpDistHpcg {
     inner: GrbHpcg<Distributed>,
     cluster: Distributed,
-    layout: AlpLayout,
     /// Mirror of every superstep drained from the cluster, kept so the
     /// harnesses' `tracker()` view (steps, totals) survives attribution.
     tracker: CostTracker,
@@ -65,43 +46,17 @@ impl AlpDistHpcg {
     /// Builds the distributed context for `nodes` simulated nodes with the
     /// paper's 1D block-cyclic layout.
     pub fn new(problem: Problem, nodes: usize, machine: MachineParams) -> AlpDistHpcg {
-        Self::with_layout(problem, nodes, machine, AlpLayout::Cyclic1D)
-    }
-
-    /// Builds with the §VII-B(ii) 2D block layout (most-square `pr×pc`
-    /// factorization of `nodes`).
-    pub fn new_2d(problem: Problem, nodes: usize, machine: MachineParams) -> AlpDistHpcg {
-        let (pr, pc) = bsp::factor2d(nodes);
-        Self::with_layout(problem, nodes, machine, AlpLayout::Block2D { pr, pc })
-    }
-
-    /// Builds with an explicit layout.
-    pub fn with_layout(
-        problem: Problem,
-        nodes: usize,
-        machine: MachineParams,
-        layout: AlpLayout,
-    ) -> AlpDistHpcg {
-        let mut config = DistConfig::new(nodes)
+        let config = DistConfig::new(nodes)
             .machine(machine)
             .layout(ShardLayout::BlockCyclic { block: BLOCK });
-        if let AlpLayout::Block2D { pr, pc } = layout {
-            config = config.grid2d(pr, pc);
-        }
         let cluster = Distributed::with_config(config);
         let levels = problem.levels.len();
         AlpDistHpcg {
             inner: GrbHpcg::with_ctx(problem, cluster.ctx()),
             cluster,
-            layout,
             tracker: CostTracker::new(nodes, machine),
             timers: KernelTimers::new(levels),
         }
-    }
-
-    /// The layout in use.
-    pub fn layout(&self) -> AlpLayout {
-        self.layout
     }
 
     /// The generic distributed backend handle (cost trace, machine).
@@ -273,10 +228,7 @@ impl Kernels for AlpDistHpcg {
     }
 
     fn name(&self) -> &'static str {
-        match self.layout {
-            AlpLayout::Cyclic1D => "ALP distributed (1D block-cyclic)",
-            AlpLayout::Block2D { .. } => "ALP distributed (2D block, §VII-B ii)",
-        }
+        "ALP distributed (1D block-cyclic)"
     }
 
     fn backend_name(&self) -> &'static str {
@@ -392,49 +344,5 @@ mod tests {
         let mut zf = Vector::filled(512, 1.0);
         k.prolong_add(0, &mut zf, &zc);
         assert_eq!(k.tracker().steps()[1].class, KernelClass::RestrictRefine);
-    }
-}
-
-#[cfg(test)]
-mod layout_tests {
-    use super::*;
-    use crate::geometry::Grid3;
-    use crate::problem::RhsVariant;
-
-    #[test]
-    fn block2d_communicates_less_than_1d_more_than_nothing() {
-        let prob = Problem::build_with(Grid3::cube(16), 1, RhsVariant::Reference).unwrap();
-        let n = prob.n();
-        let p = 16; // 4x4 process grid
-        let mut one_d = AlpDistHpcg::new(prob.clone(), p, MachineParams::arm_cluster());
-        let mut two_d = AlpDistHpcg::new_2d(prob, p, MachineParams::arm_cluster());
-        let x = Vector::filled(n, 1.0);
-        let mut y1 = one_d.alloc(0);
-        let mut y2 = two_d.alloc(0);
-        one_d.spmv(0, &mut y1, &x);
-        two_d.spmv(0, &mut y2, &x);
-        assert_eq!(
-            y1.as_slice(),
-            y2.as_slice(),
-            "layout changes cost, not numerics"
-        );
-        let h1 = one_d.tracker().steps()[0].h_bytes;
-        let h2 = two_d.tracker().steps()[0].h_bytes;
-        // 1D: (p-1)*n/p elements; 2D: (pr-1 + pc-1)*n/p = 6*n/p vs 15*n/p.
-        assert!(h2 < h1, "2D must communicate less: {h2} vs {h1}");
-        assert!(
-            (h1 / h2 - 15.0 / 6.0).abs() < 0.01,
-            "exact ratio 15/6, got {}",
-            h1 / h2
-        );
-        assert!(h2 > 0.0);
-    }
-
-    #[test]
-    fn block2d_layout_reports_its_name() {
-        let prob = Problem::build_with(Grid3::cube(8), 1, RhsVariant::Reference).unwrap();
-        let two_d = AlpDistHpcg::new_2d(prob, 4, MachineParams::arm_cluster());
-        assert_eq!(two_d.layout(), AlpLayout::Block2D { pr: 2, pc: 2 });
-        assert!(two_d.name().contains("2D"));
     }
 }

@@ -20,13 +20,17 @@
 //!
 //! # Execution model
 //!
-//! Kernels execute **once on global state** — the color schedule makes the
-//! distributed algorithm's numerics identical to the shared-memory
-//! schedule, so per-node re-execution would reproduce the same values —
-//! while costs are recorded **per node** from the distribution's exact
-//! owner/halo sets (not closed-form estimates): per-node flops and touched
-//! bytes feed the roofline, per-message byte counts feed the h-relation,
-//! and every exchange closes a BSP superstep. Modeled wall-clock follows
+//! ALP's kernels execute **sharded**: `Ctx<Distributed>` runs each one on
+//! a worker per node over the rows that node owns, with the input shards
+//! moving through `bsp::Exchange`, bit-identical to `Sequential`. Ref's
+//! kernels still execute **once on global state** — the color schedule
+//! makes the distributed algorithm's numerics identical to the
+//! shared-memory schedule, so per-node re-execution would reproduce the
+//! same values. Both record costs **per node** from the distribution's
+//! exact owner/halo sets (not closed-form estimates): per-node flops and
+//! touched bytes feed the roofline, per-message byte counts feed the
+//! h-relation, and every exchange closes a BSP superstep. Modeled
+//! wall-clock follows
 //! `Σ max_i(w_i) + g·max_i(h_i) + l` (Table I). The `table1_bsp_costs`
 //! harness cross-checks recorded volumes against the paper's closed forms.
 //!
@@ -38,9 +42,9 @@ pub mod alp;
 pub mod ref_dist;
 pub mod report;
 
-pub use alp::{AlpDistHpcg, AlpLayout};
+pub use alp::AlpDistHpcg;
 pub use ref_dist::RefDistHpcg;
-pub use report::{run_distributed, DistReport};
+pub use report::{reprice_block2d, run_distributed, DistReport};
 
 use crate::problem::MgLevel;
 use bsp::dist::Distribution;

@@ -4,7 +4,9 @@ use crate::cg::{cg_solve, CgResult, CgWorkspace};
 use crate::kernels::Kernels;
 use crate::mg::MgWorkspace;
 use crate::timers::Kernel;
-use bsp::cost::CostTracker;
+use bsp::collectives::allreduce_h_bytes;
+use bsp::cost::{CostTracker, StepCost};
+use bsp::machine::MachineParams;
 
 /// A distributed implementation: [`Kernels`] plus access to its BSP trace.
 pub trait DistKernels: Kernels {
@@ -107,13 +109,43 @@ pub fn run_distributed<K: DistKernels>(
     (report, cg)
 }
 
+/// Re-prices a 1D ALP trace on `p` nodes for the §VII-B(ii) 2D block
+/// layout: a most-square `pr×pc` process grid ([`bsp::factor2d`]) on
+/// which each node expands its share along its process column and folds
+/// it along its row. Every allgather step's h-relation scales by
+/// `(pr+pc−2)/(p−1)` and its `comm_secs` is recomputed; all else is kept.
+///
+/// The re-pricing is exact. The 1D allgather's `h` is
+/// `(p−1)·max_local·8` bytes and expand/fold's is `(pr+pc−2)·max_local·8`
+/// (`h` is the larger of a node's sent and received bytes), while compute
+/// and sync do not depend on the exchange. A step is an allgather when its
+/// `h` exceeds a scalar allreduce's.
+pub fn reprice_block2d(steps: &[StepCost], p: usize, machine: MachineParams) -> Vec<StepCost> {
+    let (pr, pc) = bsp::factor2d(p);
+    let allreduce = allreduce_h_bytes(p, 8);
+    steps
+        .iter()
+        .map(|&step| {
+            if step.h_bytes <= allreduce {
+                return step;
+            }
+            let h_bytes = step.h_bytes * (pr + pc - 2) as f64 / (p - 1) as f64;
+            StepCost {
+                h_bytes,
+                comm_secs: machine.comm_time(h_bytes),
+                ..step
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distributed::{AlpDistHpcg, RefDistHpcg};
     use crate::geometry::Grid3;
     use crate::problem::{Problem, RhsVariant};
-    use bsp::machine::MachineParams;
+    use graphblas::Vector;
 
     fn problem() -> Problem {
         Problem::build_with(Grid3::cube(16), 3, RhsVariant::Reference).unwrap()
@@ -203,5 +235,93 @@ mod tests {
         let (r2, _) = run_distributed(&mut alp, &b, 2);
         assert!((r1.modeled_secs - r2.modeled_secs).abs() < 1e-12);
         assert_eq!(r1.supersteps, r2.supersteps);
+    }
+
+    /// Every field, to the bit (`Debug` prints each `f64` round-trip).
+    fn bits(steps: &[StepCost]) -> Vec<String> {
+        steps.iter().map(|s| format!("{s:?}")).collect()
+    }
+
+    #[test]
+    fn reprice_block2d_is_the_identity_without_allgathers() {
+        let machine = MachineParams::arm_cluster();
+        let prob = Problem::build_with(Grid3::cube(8), 2, RhsVariant::Reference).unwrap();
+        let b = prob.b.clone();
+
+        let mut one_node = AlpDistHpcg::new(prob.clone(), 1, machine);
+        run_distributed(&mut one_node, &b, 1);
+        let steps = one_node.tracker().steps();
+        assert_eq!(bits(&reprice_block2d(steps, 1, machine)), bits(steps));
+
+        let mut dots = AlpDistHpcg::new(prob, 16, machine);
+        dots.dot(0, &b, &b);
+        dots.dot(1, &Vector::filled(64, 1.0), &Vector::filled(64, 2.0));
+        let steps = dots.tracker().steps();
+        assert!(steps.iter().all(|s| s.h_bytes == allreduce_h_bytes(16, 8)));
+        assert_eq!(bits(&reprice_block2d(steps, 16, machine)), bits(steps));
+    }
+
+    #[test]
+    fn reprice_block2d_scales_only_the_allgathers() {
+        let machine = MachineParams::arm_cluster();
+        let prob = problem();
+        let b = prob.b.clone();
+        let mut alp = AlpDistHpcg::new(prob, 4, machine);
+        run_distributed(&mut alp, &b, 2);
+        let steps = alp.tracker().steps();
+        let repriced = reprice_block2d(steps, 4, machine);
+        let (mut allgathers, mut allreduces) = (0, 0);
+        for (s, r) in steps.iter().zip(&repriced) {
+            if s.h_bytes > allreduce_h_bytes(4, 8) {
+                // A 2×2 grid: each node exchanges with 2 peers, not 3.
+                allgathers += 1;
+                assert_eq!(r.h_bytes, s.h_bytes * 2.0 / 3.0);
+                assert_eq!(r.comm_secs, machine.comm_time(r.h_bytes));
+                let rest = StepCost {
+                    h_bytes: s.h_bytes,
+                    comm_secs: s.comm_secs,
+                    ..*r
+                };
+                assert_eq!(bits(&[rest]), bits(&[*s]));
+            } else {
+                allreduces += usize::from(s.h_bytes > 0.0);
+                assert_eq!(bits(&[*r]), bits(&[*s]));
+            }
+        }
+        assert!(allgathers > 0 && allreduces > 0);
+    }
+
+    /// 1D: each node sends its share to `p − 1 = 15` peers; on the 4×4
+    /// grid to `pr + pc − 2 = 6`. The ratio is exact.
+    #[test]
+    fn reprice_block2d_spmv_at_16_nodes_moves_6_shares_for_15() {
+        let machine = MachineParams::arm_cluster();
+        let prob = Problem::build_with(Grid3::cube(16), 1, RhsVariant::Reference).unwrap();
+        let mut k = AlpDistHpcg::new(prob, 16, machine);
+        let x = Vector::filled(4096, 1.0);
+        let mut y = k.alloc(0);
+        k.spmv(0, &mut y, &x);
+        let h1 = k.tracker().steps()[0].h_bytes;
+        let h2 = reprice_block2d(k.tracker().steps(), 16, machine)[0].h_bytes;
+        assert!(h2 > 0.0);
+        assert_eq!(h1 / h2, 15.0 / 6.0);
+    }
+
+    /// p = 8 lays out as a 2×4 grid: expand/fold sends each share to
+    /// `2 + 4 − 2 = 4` peers where the 1D allgather sends it to 7.
+    #[test]
+    fn reprice_block2d_exchange_is_cheaper_than_1d() {
+        use bsp::collectives::allgather_h_bytes;
+        let machine = MachineParams::arm_cluster();
+        let prob = Problem::build_with(Grid3::cube(16), 1, RhsVariant::Reference).unwrap();
+        let mut k = AlpDistHpcg::new(prob, 8, machine);
+        let x = Vector::filled(4096, 1.0);
+        let mut y = k.alloc(0);
+        k.spmv(0, &mut y, &x);
+        let one_d = k.tracker().steps()[0];
+        let two_d = reprice_block2d(k.tracker().steps(), 8, machine)[0];
+        assert_eq!(one_d.h_bytes, allgather_h_bytes(8, 512, 8));
+        assert_eq!(two_d.h_bytes, (4 * 512 * 8) as f64);
+        assert!(two_d.comm_secs < one_d.comm_secs);
     }
 }

@@ -24,13 +24,13 @@
 //!   constant-time access to matrix entries (§III-A);
 //! * the greedy coloring, its index classes (for the reference RBGS) and
 //!   its sparse boolean masks (for the GraphBLAS RBGS);
-//! * the coarse→fine injection map, as a raw index array (reference), as a
-//!   materialized `n/8 × n` CSR restriction matrix (GraphBLAS, §III-B) and
-//!   as a matrix-free [`InjectionOperator`] (the §VII-A extension).
+//! * the coarse→fine injection map, as a raw index array (reference) and
+//!   as a materialized `n/8 × n` CSR restriction matrix (GraphBLAS,
+//!   §III-B) with one `1.0` per row `i`, at column `f2c[i]`.
 
 use crate::coloring::{octant_coloring, Coloring};
 use crate::geometry::Grid3;
-use graphblas::{CsrMatrix, GrbError, InjectionOperator, Vector};
+use graphblas::{CsrMatrix, GrbError, Vector};
 
 /// Stencil diagonal value (HPCG reference: 26).
 pub const DIAG_VALUE: f64 = 26.0;
@@ -102,9 +102,6 @@ pub struct MgLevel {
     /// The materialized `n_c × n_f` restriction matrix (GraphBLAS form,
     /// §III-B); `None` at the coarsest level.
     pub restriction: Option<CsrMatrix<f64>>,
-    /// The matrix-free injection operator (§VII-A form); `None` at the
-    /// coarsest level.
-    pub injection: Option<InjectionOperator>,
 }
 
 impl MgLevel {
@@ -171,16 +168,18 @@ impl Problem {
             let coloring = Coloring::greedy(&a);
             let color_classes = coloring.classes();
             let color_masks = coloring.masks(g.len());
-            let (f2c, restriction, injection) = if lvl + 1 < num_levels {
+            let (f2c, restriction) = if lvl + 1 < num_levels {
                 let coarse = g.coarsen();
                 let map: Vec<u32> = (0..coarse.len())
                     .map(|gc| g.fine_index_of_coarse(coarse, gc) as u32)
                     .collect();
-                let injection = InjectionOperator::new(g.len(), map.clone())?;
-                let restriction = injection.to_csr::<f64>();
-                (map, Some(restriction), Some(injection))
+                let restriction =
+                    CsrMatrix::from_row_fn(map.len(), g.len(), map.len(), |i, row| {
+                        row.push((map[i], 1.0));
+                    })?;
+                (map, Some(restriction))
             } else {
-                (Vec::new(), None, None)
+                (Vec::new(), None)
             };
             levels.push(MgLevel {
                 grid: g,
@@ -191,7 +190,6 @@ impl Problem {
                 color_masks,
                 f2c,
                 restriction,
-                injection,
             });
             if lvl + 1 < num_levels {
                 g = g.coarsen();
@@ -215,6 +213,7 @@ impl Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphblas::{ctx, Sequential};
 
     #[test]
     fn stencil_matrix_properties() {
@@ -306,6 +305,59 @@ mod tests {
         assert!(Problem::build_with(Grid3::new(12, 12, 12), 4, RhsVariant::Reference).is_err());
         assert!(Problem::build_with(Grid3::new(12, 12, 12), 3, RhsVariant::Reference).is_ok());
         assert!(Problem::build_with(Grid3::cube(4), 0, RhsVariant::Reference).is_err());
+    }
+
+    /// Straight injection: one `1.0` per coarse row, at a fine column that
+    /// strictly increases with the row and stays inside the fine level.
+    #[test]
+    fn restriction_has_one_unit_entry_per_row() {
+        let p = Problem::build_with(Grid3::new(8, 4, 12), 3, RhsVariant::Reference).unwrap();
+        for (l, fine) in p.levels.iter().enumerate() {
+            let Some(r) = &fine.restriction else {
+                assert_eq!(l + 1, p.levels.len(), "only the coarsest level has none");
+                continue;
+            };
+            assert_eq!((r.nrows(), r.ncols()), (p.levels[l + 1].n(), fine.n()));
+            let mut prev = None;
+            for i in 0..r.nrows() {
+                let (cols, vals) = r.row(i);
+                assert_eq!((cols.len(), vals), (1, &[1.0][..]), "row {i}");
+                assert_eq!(cols[0], fine.f2c[i]);
+                assert!(prev < Some(cols[0]) && (cols[0] as usize) < fine.n());
+                prev = Some(cols[0]);
+            }
+        }
+    }
+
+    /// An 8×2×2 grid coarsens to 4×1×1: coarse point `i` sits at fine
+    /// point `2i` of the first line.
+    fn line_restriction() -> CsrMatrix<f64> {
+        let p = Problem::build_with(Grid3::new(8, 2, 2), 2, RhsVariant::Reference).unwrap();
+        p.levels[0].restriction.clone().unwrap()
+    }
+
+    #[test]
+    fn injection_restricts() {
+        let r = line_restriction();
+        let x = Vector::from_dense((0..32).map(|i| i as f64).collect());
+        let mut y = Vector::zeros(4);
+        ctx::<Sequential>().mxv(&r, &x).into(&mut y).unwrap();
+        assert_eq!(y.as_slice(), &[0.0, 2.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn injection_transpose_refines_with_zeros() {
+        let r = line_restriction();
+        let xc = Vector::from_dense(vec![1.0, 2.0, 3.0, 4.0]);
+        let mut yf = Vector::from_dense(vec![9.0; 32]);
+        ctx::<Sequential>()
+            .mxv(&r, &xc)
+            .transpose()
+            .into(&mut yf)
+            .unwrap();
+        let mut want = vec![0.0; 32];
+        want[..8].copy_from_slice(&[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0]);
+        assert_eq!(yf.as_slice(), &want[..]);
     }
 
     #[test]

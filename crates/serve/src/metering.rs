@@ -246,6 +246,11 @@ mod tests {
         assert_eq!(s2.jobs, 2);
         assert!(s2.modeled_secs >= s1.modeled_secs);
         assert_eq!(s2.supersteps, 2);
+        // A tenant that only ran `stats` is charged nothing: +0.0, not the
+        // -0.0 an empty float sum starts from.
+        let idle = m.complete_job("stats-only");
+        assert_eq!(idle.modeled_secs.to_bits(), 0);
+        assert_eq!(idle.h_bytes.to_bits(), 0);
     }
 
     #[test]

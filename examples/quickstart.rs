@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use graphblas::{BackendKind, DynCtx, GrbError, LinearOperator, Minus, Parallel, Vector};
+use graphblas::{BackendKind, DynCtx, GrbError, Minus, Parallel, Vector};
 use hpcg::driver::{flops_per_iteration, run_with_rhs, RunConfig};
 use hpcg::{validate, GrbHpcg, Grid3, Kernels, Problem, RefHpcg, RhsVariant};
 
@@ -101,23 +101,7 @@ fn main() -> Result<(), GrbError> {
         exec.backend_name()
     );
 
-    // 6. The §VII-A storage trade-off: materialized restriction matrix vs
-    //    matrix-free injection operator.
-    let l0 = &problem.levels[0];
-    let (Some(restriction), Some(injection)) = (&l0.restriction, &l0.injection) else {
-        return Err(GrbError::InvalidInput(
-            "the fine level of a 4-level hierarchy must own a restriction".into(),
-        ));
-    };
-    let csr_bytes = LinearOperator::<f64>::storage_bytes(restriction);
-    let inj_bytes = LinearOperator::<f64>::storage_bytes(injection);
-    println!(
-        "\nrestriction storage: materialized CSR {} KB vs matrix-free {} KB ({}x smaller)",
-        csr_bytes / 1024,
-        inj_bytes / 1024,
-        csr_bytes / inj_bytes.max(1)
-    );
-    // 7. Compile once, replay many times: record an op graph against
+    // 6. Compile once, replay many times: record an op graph against
     //    symbolic slots, fuse it into an immutable `Plan`, then replay it
     //    with rebound vectors and a mutated scalar parameter — no
     //    re-recording, no re-fusion. This is the path the CG loop and the
@@ -150,7 +134,7 @@ fn main() -> Result<(), GrbError> {
             plan.schedule().len()
         );
     }
-    // 8. The large-graph subsystem: BFS over a Graph500-style RMAT graph
+    // 7. The large-graph subsystem: BFS over a Graph500-style RMAT graph
     //    on sparse frontiers. `GraphMatrix` keeps both orientations so
     //    the traversal can scatter sparse frontiers through the columns
     //    (push) and sweep dense ones through the rows (pull); the level
@@ -180,8 +164,8 @@ fn main() -> Result<(), GrbError> {
         stats.push_steps,
         stats.pull_steps
     );
-    // 9. Observability: flip the global tracing flag on, replay the plan
-    //    from step 7 under it, and export the spans as Chrome trace-event
+    // 8. Observability: flip the global tracing flag on, replay the plan
+    //    from step 6 under it, and export the spans as Chrome trace-event
     //    JSON. Every kernel, plan compile/run, and (on `dist`) superstep
     //    records a span; with the flag off (the default) the probe in
     //    each kernel costs one relaxed atomic load. Metrics ride along in
@@ -213,7 +197,7 @@ fn main() -> Result<(), GrbError> {
         hist.percentile(50.0),
         obs::global().dump_json()
     );
-    // 10. Sharded distributed execution: the same solver on a simulated
+    // 9. Sharded distributed execution: the same solver on a simulated
     //     4-node BSP cluster whose kernels really execute across 4 worker
     //     threads over sharded containers, split-phase exchanges
     //     overlapping local compute. Results stay bit-identical to

@@ -1,14 +1,12 @@
 //! Breadth integration tests: the GraphBLAS layer's general-purpose
 //! features exercised through HPCG-shaped data — I/O roundtrips feeding
-//! the solver, graph algorithms on the stencil graph, subdomain
-//! extraction, and the 2D distributed layout inside a full CG run.
+//! the solver, graph algorithms on the stencil graph and subdomain
+//! extraction.
 
-use bsp::machine::MachineParams;
 use graphblas::io::{
     read_matrix_market, read_vector_market, write_matrix_market, write_vector_market,
 };
 use graphblas::{algorithms, ctx, extract_submatrix, CsrMatrix, Sequential, Vector};
-use hpcg::distributed::{run_distributed, AlpDistHpcg};
 use hpcg::problem::{build_rhs, build_stencil_matrix, Problem, RhsVariant};
 use hpcg::Grid3;
 use std::io::BufReader;
@@ -134,22 +132,6 @@ fn pagerank_on_stencil_graph_is_uniform_for_interior_symmetry() {
     let total: f64 = rank.as_slice().iter().sum();
     assert!((total - 1.0).abs() < 1e-8);
     assert!(rank.as_slice().iter().all(|&v| v > 0.0));
-}
-
-#[test]
-fn block2d_distributed_cg_matches_1d_numerics() {
-    let p = Problem::build_with(Grid3::cube(16), 3, RhsVariant::Reference).unwrap();
-    let b = p.b.clone();
-    let mut one_d = AlpDistHpcg::new(p.clone(), 4, MachineParams::arm_cluster());
-    let (r1, cg1) = run_distributed(&mut one_d, &b, 5);
-    let mut two_d = AlpDistHpcg::new_2d(p, 4, MachineParams::arm_cluster());
-    let (r2, cg2) = run_distributed(&mut two_d, &b, 5);
-    assert_eq!(
-        cg1.residual_history, cg2.residual_history,
-        "layout is cost-only"
-    );
-    assert!(r2.comm_bytes < r1.comm_bytes, "2D exchanges less");
-    assert!(r2.modeled_secs <= r1.modeled_secs + 1e-12);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! coloring validity, smoother equivalences and solver behaviour on
 //! randomly shaped (small) grids.
 
-use graphblas::{ctx, Sequential, Vector};
+use graphblas::{ctx, CsrMatrix, Ctx, Distributed, Exec, Plus, Sequential, Vector};
 use hpcg::coloring::{octant_coloring, Coloring};
 use hpcg::problem::{build_rhs, build_stencil_matrix, Problem, RhsVariant};
 use hpcg::smoother::{rbgs_grb, rbgs_ref};
@@ -11,6 +11,20 @@ use proptest::prelude::*;
 
 fn arb_grid() -> impl Strategy<Value = Grid3> {
     (2usize..6, 2usize..6, 2usize..6).prop_map(|(x, y, z)| Grid3::new(x, y, z))
+}
+
+/// Refines `zc` into zeros through the restriction's transpose, restricts
+/// the result back, and returns its bits.
+fn refine_then_restrict<E: Exec>(exec: Ctx<E>, r: &CsrMatrix<f64>, zc: &Vector<f64>) -> Vec<u64> {
+    let mut fine = Vector::zeros(r.ncols());
+    exec.mxv(r, zc)
+        .transpose()
+        .accum(Plus)
+        .into(&mut fine)
+        .unwrap();
+    let mut back = Vector::zeros(r.nrows());
+    exec.mxv(r, &fine).into(&mut back).unwrap();
+    back.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -109,20 +123,16 @@ proptest! {
     #[test]
     fn injection_roundtrip_preserves_coarse_values(grid in arb_grid()) {
         // restrict(refine(zc)) == zc: straight injection is a left inverse
-        // of its transpose.
+        // of its transpose. Refinement is the transposed, accumulating
+        // `mxv` every `prolong_add` runs.
         if grid.nx % 2 != 0 || grid.ny % 2 != 0 || grid.nz % 2 != 0 {
             return Ok(());
         }
-        let coarse = grid.coarsen();
-        let map: Vec<u32> =
-            (0..coarse.len()).map(|gc| grid.fine_index_of_coarse(coarse, gc) as u32).collect();
-        let op = graphblas::InjectionOperator::new(grid.len(), map).unwrap();
-        let zc = Vector::from_dense((0..coarse.len()).map(|i| (i % 9) as f64 - 4.0).collect());
-        let mut fine = Vector::zeros(grid.len());
-        graphblas::LinearOperator::<f64>::apply_transpose::<Sequential>(&op, &mut fine, &zc)
-            .unwrap();
-        let mut back = Vector::zeros(coarse.len());
-        graphblas::LinearOperator::<f64>::apply::<Sequential>(&op, &mut back, &fine).unwrap();
-        prop_assert_eq!(back.as_slice(), zc.as_slice());
+        let p = Problem::build_with(grid, 2, RhsVariant::Reference).unwrap();
+        let r = p.levels[0].restriction.as_ref().unwrap();
+        let zc = Vector::from_dense((0..r.nrows()).map(|i| (i % 9) as f64 - 4.0).collect());
+        let want: Vec<u64> = zc.as_slice().iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(refine_then_restrict(ctx::<Sequential>(), r, &zc), want.clone());
+        prop_assert_eq!(refine_then_restrict(Distributed::new(2).ctx(), r, &zc), want);
     }
 }
