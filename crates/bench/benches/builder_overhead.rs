@@ -10,9 +10,14 @@
 //! repeated serve job takes. Replay skips per-call recording and fusion,
 //! so it must never be slower than the re-record pipeline arm.
 //!
+//! The `waxpby_path` and `transform_path` groups put the eager
+//! element-wise builders — each a closure handed to the backend's one
+//! element-write loop — next to the loop a user would write by hand.
+//!
 //! Acceptance gate for the API redesign (PR 1) and the pipeline layer:
-//! builder-API `mxv`/`dot` within noise (≤2 %) of the static path, and the
-//! single-op pipeline path within a few percent on kernels this size.
+//! builder-API `mxv`/`dot`/`ewise`/`transform` within noise (≤2 %) of the
+//! static or hand-written path, and the single-op pipeline path within a
+//! few percent on kernels this size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphblas::{ctx, BackendKind, DynCtx, Sequential, Vector};
@@ -114,9 +119,61 @@ fn bench_dot_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// Vector length of the element-wise arms.
+const ELEMS: usize = 100_000;
+
+fn bench_elementwise_paths(c: &mut Criterion) {
+    let n = ELEMS;
+    let x = Vector::from_dense((0..n).map(|i| (i % 13) as f64).collect());
+    let y = Vector::from_dense((0..n).map(|i| (i % 7) as f64).collect());
+    let mut w = Vector::zeros(n);
+
+    let mut g = c.benchmark_group("waxpby_path");
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function(BenchmarkId::new("hand", "loop"), |b| {
+        b.iter(|| {
+            let (xs, ys) = (black_box(&x).as_slice(), black_box(&y).as_slice());
+            for ((wi, &xi), &yi) in w.as_mut_slice().iter_mut().zip(xs).zip(ys) {
+                *wi = 2.0 * xi + -1.5 * yi;
+            }
+        })
+    });
+    g.bench_function(BenchmarkId::new("builder", "sequential"), |b| {
+        let exec = ctx::<Sequential>();
+        b.iter(|| {
+            exec.ewise(black_box(&x), black_box(&y))
+                .scaled(2.0, -1.5)
+                .into(&mut w)
+                .unwrap()
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("transform_path");
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function(BenchmarkId::new("hand", "loop"), |b| {
+        b.iter(|| {
+            let ys = black_box(&y).as_slice();
+            for (i, wi) in w.as_mut_slice().iter_mut().enumerate() {
+                *wi = 0.5 * *wi + ys[i];
+            }
+        })
+    });
+    g.bench_function(BenchmarkId::new("builder", "sequential"), |b| {
+        let exec = ctx::<Sequential>();
+        b.iter(|| {
+            let ys = black_box(&y).as_slice();
+            exec.transform(&mut w)
+                .apply(|i, wi| *wi = 0.5 * *wi + ys[i])
+                .unwrap()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_mxv_paths, bench_dot_paths
+    targets = bench_mxv_paths, bench_dot_paths, bench_elementwise_paths
 );
 criterion_main!(benches);

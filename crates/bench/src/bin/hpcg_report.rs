@@ -15,14 +15,10 @@
 //! `dist` — so the two summaries compare like with like. The header
 //! prints both counts.
 //!
-//! `--pipeline on|off` (default: on) toggles deferred (fused) execution of
-//! the ALP hot loops — the nonblocking-execution mode of paper §VI. Both
-//! modes are bit-identical; the toggle exists for ablation.
-//!
 //! ```text
 //! cargo run --release -p hpcg-bench --bin hpcg_report \
 //!     [--size 32] [--iters 50] [--threads N] \
-//!     [--backend seq|par|dist[:<nodes>]] [--nodes N] [--pipeline on|off] \
+//!     [--backend seq|par|dist[:<nodes>]] [--nodes N] \
 //!     [--trace out.json] [--json BENCH_hpcg.json] [--best-of K]
 //! ```
 //!
@@ -93,14 +89,6 @@ fn main() {
         obs::set_enabled(true);
     }
     let exec = DynCtx::runtime(args.get_backend(BackendKind::Parallel));
-    let pipeline = match args.get_str("pipeline").unwrap_or("on") {
-        "on" | "true" | "1" => true,
-        "off" | "false" | "0" => false,
-        other => {
-            eprintln!("error: invalid --pipeline {other:?} (expected on|off)");
-            std::process::exit(2);
-        }
-    };
     // Ref runs on the rayon pool whatever the ALP backend is: without an
     // explicit count, give it exactly the threads ALP computes on, so the
     // two summaries below compare like with like.
@@ -113,11 +101,10 @@ fn main() {
         .build_global()
         .ok();
     println!(
-        "ALP backend: {} ({} thread(s)), Ref: {} thread(s), pipeline {}\n",
+        "ALP backend: {} ({} thread(s)), Ref: {} thread(s)\n",
         exec.backend_name(),
         exec.threads(),
         ref_threads,
-        if pipeline { "on" } else { "off" },
     );
 
     let problem = Problem::build_with(Grid3::cube(size), 4, RhsVariant::Reference)
@@ -130,7 +117,6 @@ fn main() {
 
     let b = problem.b.clone();
     let mut alp = GrbHpcg::with_ctx(problem.clone(), exec);
-    alp.set_pipeline(pipeline);
     let v = validate(&mut alp, &b, 500);
     // Each timed run with the cluster's view of it; the fastest is reported.
     let timed_run = |alp: &mut GrbHpcg<BackendKind>| {

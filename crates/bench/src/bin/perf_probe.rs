@@ -38,6 +38,7 @@
 //! against 1.56–1.63 for the same operator stored in index order. ci.sh
 //! gates a 32³ run at ≤ 1.25.
 
+use graphblas::exec::fused::axpy_norm;
 use graphblas::{ctx, Exec, Parallel, PlusTimes, Sequential, Vector};
 use hpcg::coloring::Coloring;
 use hpcg::fused::{
@@ -206,19 +207,11 @@ fn main() {
     // The raw fused kernel computes `r += alpha*q` + norm; `-0.5` matches
     // the hand/pipeline arms' `r -= 0.5*q` convention.
     let raw = min_time(
-        || {
-            Sequential
-                .run_axpy_norm::<f64, PlusTimes>(&mut r, -0.5, black_box(&q))
-                .unwrap()
-        },
+        || axpy_norm::<f64, PlusTimes, _>(Sequential, &mut r, -0.5, black_box(&q)).unwrap(),
         reps,
     );
     let par = min_time(
-        || {
-            Parallel
-                .run_axpy_norm::<f64, PlusTimes>(&mut r, -0.5, black_box(&q))
-                .unwrap()
-        },
+        || axpy_norm::<f64, PlusTimes, _>(Parallel, &mut r, -0.5, black_box(&q)).unwrap(),
         reps,
     );
     let axpy_plan = build_axpy_norm_plan(exec, m);

@@ -15,6 +15,7 @@ use super::layout::ShardLayout;
 use super::shard::{for_owned_selected, ShardShape};
 use crate::container::matrix::{CsrMatrix, GraphMatrix};
 use crate::container::vector::{SparseVector, Vector};
+use crate::context::ElemOp;
 use crate::descriptor::Descriptor;
 use crate::exec::sparse::FrontierMode;
 use bsp::cost::{CostTracker, KernelClass, StepCost};
@@ -260,16 +261,17 @@ impl ClusterState {
             .end_superstep(self.class(KernelClass::SpMV), self.scope.level, false)
     }
 
-    /// Records a purely local streaming step over the mask-selected subset
-    /// of `n` elements, touching `k` vectors at `flops_per_elem` flops.
-    pub fn record_stream(
+    /// Bills every node the flops and bytes of streaming its share of the
+    /// mask-selected subset of `n` elements, touching `k` vectors at
+    /// `flops_per_elem` flops each.
+    fn record_selected_stream(
         &mut self,
         n: usize,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
         k: usize,
         flops_per_elem: f64,
-    ) -> StepCost {
+    ) {
         let p = self.nodes();
         let dist = self.layout.dist_for(n, p);
         let mut counts = vec![0usize; p];
@@ -285,6 +287,19 @@ impl ClusterState {
             self.tracker
                 .record_compute(node, flops_per_elem * c as f64, stream_bytes(k, c));
         }
+    }
+
+    /// Records a purely local streaming step over the mask-selected subset
+    /// of `n` elements, touching `k` vectors at `flops_per_elem` flops.
+    pub fn record_stream(
+        &mut self,
+        n: usize,
+        mask: Option<&Vector<bool>>,
+        desc: Descriptor,
+        k: usize,
+        flops_per_elem: f64,
+    ) -> StepCost {
+        self.record_selected_stream(n, mask, desc, k, flops_per_elem);
         self.tracker
             .end_local_step(self.class(KernelClass::Waxpby), self.scope.level)
     }
@@ -299,34 +314,44 @@ impl ClusterState {
         k: usize,
         flops_per_elem: f64,
     ) -> StepCost {
-        let p = self.nodes();
-        let dist = self.layout.dist_for(n, p);
-        let mut counts = vec![0usize; p];
-        match mask {
-            None => {
-                for (node, c) in counts.iter_mut().enumerate() {
-                    *c = dist.local_len(node);
-                }
-            }
-            Some(_) => for_selected(n, mask, desc, |i| counts[dist.owner(i)] += 1),
-        }
-        for (node, &c) in counts.iter().enumerate() {
-            self.tracker
-                .record_compute(node, flops_per_elem * c as f64, stream_bytes(k, c));
-        }
+        self.record_selected_stream(n, mask, desc, k, flops_per_elem);
         self.record_allreduce();
         self.tracker
             .end_superstep(self.class(KernelClass::Dot), self.scope.level, false)
     }
 
     /// Records a local update stream followed by the allreduce of its
-    /// fused norm — the cost shape of `run_axpy_norm`: one stream instead
-    /// of an update pass plus a separate two-vector reduction pass.
+    /// fused norm — the cost shape of the fused `axpy`+norm: one stream
+    /// instead of an update pass plus a separate two-vector reduction pass.
     pub fn record_stream_with_norm(&mut self, n: usize, k: usize, flops_per_elem: f64) {
         self.record_stream(n, None, Descriptor::DEFAULT, k, flops_per_elem);
         self.record_allreduce();
         self.tracker
             .end_superstep(self.class(KernelClass::Dot), self.scope.level, false);
+    }
+
+    /// Records one element-stream op over `n` elements: the one table from
+    /// an `ElemOp` to the vectors its stream touches, its flops per
+    /// selected element and whether an allreduce closes it.
+    pub fn record_elementwise(
+        &mut self,
+        op: ElemOp,
+        n: usize,
+        mask: Option<&Vector<bool>>,
+        desc: Descriptor,
+    ) {
+        let _closed = match op {
+            ElemOp::Ewise { scaled } => {
+                self.record_stream(n, mask, desc, 3, if scaled { 3.0 } else { 1.0 })
+            }
+            // A lambda typically reads a captured vector besides the
+            // in-place output: billed like axpy (the xpay shape).
+            ElemOp::Axpy | ElemOp::Transform => self.record_stream(n, mask, desc, 3, 2.0),
+            ElemOp::Apply => self.record_stream(n, mask, desc, 2, 1.0),
+            ElemOp::Dot => self.record_reduction(n, mask, desc, 2, 2.0),
+            ElemOp::Reduce => self.record_reduction(n, mask, desc, 1, 1.0),
+            ElemOp::AxpyNorm => return self.record_stream_with_norm(n, 3, 4.0),
+        };
     }
 
     /// Records `mxm` as a setup-time step: each node multiplies its owned

@@ -67,17 +67,15 @@ pub use layout::ShardLayout;
 
 use crate::container::matrix::{CsrMatrix, GraphMatrix};
 use crate::container::vector::{SparseVector, Vector};
-use crate::context::Exec;
+use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::exec::mxm::mxm_exec;
 use crate::exec::sparse::FrontierMode;
 use crate::ops::accum::AccumMode;
-use crate::ops::binary::BinaryOp;
 use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::Semiring;
-use crate::ops::unary::UnaryOp;
 use crate::Sequential;
 use bsp::cost::{CostTracker, KernelClass, StepCost};
 use bsp::machine::MachineParams;
@@ -525,89 +523,35 @@ impl Exec for Distributed {
         Ok(mode)
     }
 
-    fn run_ewise<T: Scalar, Op: BinaryOp<T>, A: AccumMode<T>>(
-        self,
-        w: &mut Vector<T>,
-        mask: Option<&Vector<bool>>,
-        desc: Descriptor,
-        x: &Vector<T>,
-        y: &Vector<T>,
-        scale: Option<(T, T)>,
-    ) -> Result<()> {
-        let _span = obs::span_enter("dist.ewise", "update");
-        let shape = self.shape();
-        let t0 = std::time::Instant::now();
-        shard::ewise_sharded::<T, Op, A>(w, mask, desc, x, y, scale, &shape)?;
-        let flops = if scale.is_some() { 3.0 } else { 1.0 };
-        self.record_measured(t0, 0.0, |s| s.record_stream(w.len(), mask, desc, 3, flops));
-        Ok(())
-    }
-
-    fn run_axpy<T: Scalar>(self, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()> {
-        let _span = obs::span_enter("dist.axpy", "update");
-        let shape = self.shape();
-        let t0 = std::time::Instant::now();
-        shard::axpy_sharded::<T>(x, alpha, y, &shape)?;
-        self.record_measured(t0, 0.0, |s| {
-            s.record_stream(x.len(), None, Descriptor::DEFAULT, 3, 2.0)
-        });
-        Ok(())
-    }
-
-    fn run_apply<T: Scalar, Op: UnaryOp<T>, A: AccumMode<T>>(
-        self,
-        out: &mut Vector<T>,
-        mask: Option<&Vector<bool>>,
-        desc: Descriptor,
-        input: &Vector<T>,
-    ) -> Result<()> {
-        let _span = obs::span_enter("dist.apply", "update");
-        let shape = self.shape();
-        let t0 = std::time::Instant::now();
-        shard::apply_sharded::<T, Op, A>(out, mask, desc, input, &shape)?;
-        self.record_measured(t0, 0.0, |s| s.record_stream(out.len(), mask, desc, 2, 1.0));
-        Ok(())
-    }
-
     fn run_lambda<T: Scalar, F: Fn(usize, &mut T) + Send + Sync>(
         self,
+        op: ElemOp,
         out: &mut Vector<T>,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
         f: F,
     ) -> Result<()> {
-        let _span = obs::span_enter("dist.lambda", "update");
+        let _span = op.span_enter(true);
         let shape = self.shape();
         let t0 = std::time::Instant::now();
-        shard::lambda_sharded::<T, F>(out, mask, desc, f, &shape)?;
-        // A lambda typically reads a captured vector besides the in-place
-        // output; model it as a three-stream update (the xpay shape).
-        self.record_measured(t0, 0.0, |s| s.record_stream(out.len(), mask, desc, 3, 2.0));
+        shard::lambda_sharded::<T, F>(out.as_mut_slice(), mask, desc, f, &shape)?;
+        self.record_measured(t0, 0.0, |s| s.record_elementwise(op, out.len(), mask, desc));
         Ok(())
     }
 
-    fn run_reduce<T: Scalar, M: Monoid<T>>(
+    fn run_fold<T: Scalar, M: Monoid<T>, F: Fn(usize) -> T + Send + Sync>(
         self,
-        x: &Vector<T>,
+        op: ElemOp,
+        n: usize,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
+        map: F,
     ) -> Result<T> {
-        let _span = obs::span_enter("dist.reduce", "dot");
+        let _span = op.span_enter(true);
         let shape = self.shape();
         let t0 = std::time::Instant::now();
-        let v = shard::reduce_sharded::<T, M>(x, mask, desc, &shape)?;
-        self.record_measured(t0, 0.0, |s| s.record_reduction(x.len(), mask, desc, 1, 1.0));
-        Ok(v)
-    }
-
-    fn run_dot<T: Scalar, R: Semiring<T>>(self, x: &Vector<T>, y: &Vector<T>) -> Result<T> {
-        let _span = obs::span_enter("dist.dot", "dot");
-        let shape = self.shape();
-        let t0 = std::time::Instant::now();
-        let v = shard::dot_sharded::<T, R>(x, y, &shape)?;
-        self.record_measured(t0, 0.0, |s| {
-            s.record_reduction(x.len(), None, Descriptor::DEFAULT, 2, 2.0)
-        });
+        let v = shard::fold_sharded::<T, M, F>(n, mask, desc, map, &shape)?;
+        self.record_measured(t0, 0.0, |s| s.record_elementwise(op, n, mask, desc));
         Ok(v)
     }
 
@@ -651,20 +595,6 @@ impl Exec for Distributed {
         self.record_measured(t0, hidden, |s| {
             s.record_mxv(a, x.len(), None, Descriptor::DEFAULT, true)
         });
-        Ok(v)
-    }
-
-    fn run_axpy_norm<T: Scalar, R: Semiring<T>>(
-        self,
-        x: &mut Vector<T>,
-        alpha: T,
-        y: &Vector<T>,
-    ) -> Result<T> {
-        let _span = obs::span_enter("dist.axpy_norm", "fused");
-        let shape = self.shape();
-        let t0 = std::time::Instant::now();
-        let v = shard::axpy_norm_sharded::<T, R>(x, alpha, y, &shape)?;
-        self.record_measured(t0, 0.0, |s| s.record_stream_with_norm(x.len(), 3, 4.0));
         Ok(v)
     }
 }
@@ -857,6 +787,122 @@ mod tests {
         let t = cluster.tracker();
         assert_eq!(t.superstep_count(), 1);
         assert_eq!(t.steps()[0].h_bytes, allreduce_h_bytes(p, 8));
+    }
+
+    /// Runs `call` once on a fresh 3-node block-cyclic cluster and checks
+    /// that it billed exactly the steps `expect` records on a fresh ledger
+    /// of the same shape, field for field (the measured columns aside).
+    fn bills_exactly(
+        call: impl FnOnce(crate::Ctx<Distributed>),
+        expect: impl FnOnce(&mut ClusterState),
+    ) {
+        let config = DistConfig::new(3).layout(ShardLayout::BlockCyclic { block: 3 });
+        let cluster = Distributed::with_config(config);
+        call(cluster.ctx());
+        let mut want = ClusterState::new(config.nodes, config.machine, config.layout);
+        expect(&mut want);
+        let modeled = |steps: &[StepCost]| -> Vec<_> {
+            steps
+                .iter()
+                .map(|s| {
+                    let secs = [s.compute_secs, s.comm_secs, s.sync_secs, s.h_bytes];
+                    (s.class, s.mg_level, s.overlap, secs.map(f64::to_bits))
+                })
+                .collect()
+        };
+        assert_eq!(
+            modeled(&cluster.take_steps()),
+            modeled(want.tracker.steps())
+        );
+    }
+
+    /// One eager call of each element-stream op bills the stream or
+    /// reduction its cost constants describe: vectors touched and flops
+    /// per selected element.
+    #[test]
+    fn each_elementwise_op_bills_its_constants() {
+        let n = 100usize;
+        let x = Vector::from_dense((0..n).map(|i| 1.0 + i as f64).collect());
+        let y = Vector::filled(n, 0.5);
+        let every_fourth = (0..n as u32).step_by(4).collect();
+        let m = Vector::<bool>::sparse_filled(n, every_fourth, true).unwrap();
+        let (sel, all) = (Descriptor::STRUCTURAL, Descriptor::DEFAULT);
+        let mut w = Vector::filled(n, 1.0);
+        bills_exactly(
+            |c| c.ewise(&x, &y).mask(&m).structural().into(&mut w).unwrap(),
+            |s| {
+                s.record_stream(n, Some(&m), sel, 3, 1.0);
+            },
+        );
+        bills_exactly(
+            |c| c.ewise(&x, &y).scaled(2.0, -1.0).into(&mut w).unwrap(),
+            |s| {
+                s.record_stream(n, None, all, 3, 3.0);
+            },
+        );
+        bills_exactly(
+            |c| c.axpy(&mut w, 0.5, &y).unwrap(),
+            |s| {
+                s.record_stream(n, None, all, 3, 2.0);
+            },
+        );
+        bills_exactly(
+            |c| c.apply(&x).mask(&m).structural().into(&mut w).unwrap(),
+            |s| {
+                s.record_stream(n, Some(&m), sel, 2, 1.0);
+            },
+        );
+        let ys = y.as_slice();
+        bills_exactly(
+            |c| {
+                c.transform(&mut w)
+                    .mask(&m)
+                    .structural()
+                    .apply(|i, t| *t += ys[i])
+                    .unwrap()
+            },
+            |s| {
+                s.record_stream(n, Some(&m), sel, 3, 2.0);
+            },
+        );
+        bills_exactly(
+            |c| {
+                c.dot(&x, &y).compute().unwrap();
+            },
+            |s| {
+                s.record_reduction(n, None, all, 2, 2.0);
+            },
+        );
+        bills_exactly(
+            |c| {
+                c.norm2_squared(&x).unwrap();
+            },
+            |s| {
+                s.record_reduction(n, None, all, 2, 2.0);
+            },
+        );
+        bills_exactly(
+            |c| {
+                c.reduce(&x)
+                    .monoid(Max)
+                    .mask(&m)
+                    .structural()
+                    .compute()
+                    .unwrap();
+            },
+            |s| {
+                s.record_reduction(n, Some(&m), sel, 1, 1.0);
+            },
+        );
+        bills_exactly(
+            |c| {
+                let mut pl = c.pipeline();
+                let h = pl.axpy(&mut w, 0.5, &y);
+                pl.norm2_squared(h);
+                pl.finish().unwrap();
+            },
+            |s| s.record_stream_with_norm(n, 3, 4.0),
+        );
     }
 
     #[test]

@@ -50,18 +50,19 @@
 //! exactly one place — combine order of floating-point reductions — so
 //! every kernel here is built from one of two provably-safe shapes:
 //!
-//! * **Disjoint writes** (`mxv`, element-wise, apply, lambda): each owned
-//!   output slot is computed by exactly one worker with the same
-//!   per-element expression as the sequential kernel, reading input
-//!   values that are the global ones or bitwise copies of them (the
+//! * **Disjoint writes** (`mxv`, and `lambda_sharded` — every element-wise
+//!   write): each owned output slot is computed by exactly one worker with
+//!   the same per-element expression as the sequential kernel, reading
+//!   input values that are the global ones or bitwise copies of them (the
 //!   allgather moves the exact bytes). Order across slots is irrelevant.
-//! * **Scratch + owner-order fold** (`dot`, `reduce`, the fused
-//!   epilogues): workers fill a shared per-element scratch array at their
-//!   owned indices, then one ascending fold — the *same*
-//!   `Sequential::fold` / `fold_selected::<Sequential>` the eager kernel
-//!   runs — combines them. The combine is deterministic owner order by
-//!   construction: ascending global index order, which block layouts
-//!   enumerate node by node.
+//! * **Scratch + owner-order fold** (`fold_sharded` — every element-wise
+//!   fold — and `fused_sweep`, the `spmv`+`dot` epilogue): workers fill a
+//!   shared per-element scratch array at their owned indices, then one
+//!   ascending fold — the *same* `Sequential::fold` /
+//!   `fold_selected::<Sequential>` the sequential backend runs — combines
+//!   them. The combine is deterministic owner order by construction:
+//!   ascending global index order, which block layouts enumerate node by
+//!   node.
 //!
 //! The sparse-frontier push kernel reassembles the *full* frontier on
 //! every node (sorted ascending, the kernel's `iter_stored` order) before
@@ -92,11 +93,9 @@ use crate::exec::fold_selected;
 use crate::exec::mxv::mxv_exec;
 use crate::exec::sparse::{FrontierMode, PUSH_PULL_THRESHOLD};
 use crate::ops::accum::{AccumMode, AccumWith};
-use crate::ops::binary::BinaryOp;
 use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::Semiring;
-use crate::ops::unary::UnaryOp;
 use crate::util::UnsafeSlice;
 use crate::Sequential;
 use bsp::dist::Distribution;
@@ -599,204 +598,34 @@ where
     (Sequential::fold::<T, R::Add, _>(n, |i| scratch[i]), hidden)
 }
 
-/// Sharded fused `x ← x + α·y` returning `⟨x, x⟩` of the updated vector.
-pub(crate) fn axpy_norm_sharded<T, R>(
-    x: &mut Vector<T>,
-    alpha: T,
-    y: &Vector<T>,
-    shape: &ShardShape,
-) -> Result<T>
-where
-    T: Scalar,
-    R: Semiring<T>,
-{
-    check_dims("axpy_norm", "y vs x", x.len(), y.len())?;
-    let n = x.len();
-    let dist = shape.dist(n);
-    let ys = y.as_slice();
-    let arena = shape.arena::<T>();
-    let mut scratch = arena.scratch(n, R::zero());
-    {
-        let out = UnsafeSlice::new(x.as_mut_slice());
-        let sc = UnsafeSlice::new(&mut scratch[..n]);
-        run_superstep(shape, |w| {
-            for i in dist.owned_ranges(w).flatten() {
-                // SAFETY: owned indices are disjoint across workers.
-                unsafe {
-                    let slot = out.get_mut(i);
-                    *slot = slot.add(alpha.mul(ys[i]));
-                    *sc.get_mut(i) = R::mul(*slot, *slot);
-                }
-            }
-            0.0
-        });
-    }
-    Ok(Sequential::fold::<T, R::Add, _>(n, |i| scratch[i]))
-}
-
-/// Sharded `⟨x, y⟩` under semiring `R`.
-pub(crate) fn dot_sharded<T, R>(x: &Vector<T>, y: &Vector<T>, shape: &ShardShape) -> Result<T>
-where
-    T: Scalar,
-    R: Semiring<T>,
-{
-    check_dims("dot", "y vs x", x.len(), y.len())?;
-    let n = x.len();
-    let dist = shape.dist(n);
-    let xs = x.as_slice();
-    let ys = y.as_slice();
-    let arena = shape.arena::<T>();
-    let mut scratch = arena.scratch(n, R::zero());
-    {
-        let sc = UnsafeSlice::new(&mut scratch[..n]);
-        run_superstep(shape, |w| {
-            for i in dist.owned_ranges(w).flatten() {
-                // SAFETY: owned indices are disjoint across workers.
-                unsafe { sc.write(i, R::mul(xs[i], ys[i])) };
-            }
-            0.0
-        });
-    }
-    Ok(Sequential::fold::<T, R::Add, _>(n, |i| scratch[i]))
-}
-
-/// Sharded masked monoid reduction of `x`.
-pub(crate) fn reduce_sharded<T, M>(
-    x: &Vector<T>,
+/// Sharded masked fold of `map(i)` over monoid `M`: `map` runs once per
+/// selected index, on its owner, into the scratch the sequential fold then
+/// combines.
+pub(crate) fn fold_sharded<T, M, F>(
+    n: usize,
     mask: Option<&Vector<bool>>,
     desc: Descriptor,
+    map: F,
     shape: &ShardShape,
 ) -> Result<T>
 where
     T: Scalar,
     M: Monoid<T>,
+    F: Fn(usize) -> T + Sync,
 {
-    let n = x.len();
-    check_mask(n, mask)?;
-    let dist = shape.dist(n);
-    let xs = x.as_slice();
-    let arena = shape.arena::<T>();
     // Unselected slots are never read: `fold_selected` maps selected
     // indices only (unselected contribute `M::identity()` directly).
+    let arena = shape.arena::<T>();
     let mut scratch = arena.scratch(n, M::identity());
-    {
-        let sc = UnsafeSlice::new(&mut scratch[..n]);
-        run_superstep(shape, |w| {
-            for_owned_selected(&dist, w, mask, desc, |i| {
-                // SAFETY: owned indices are disjoint across workers.
-                unsafe { sc.write(i, xs[i]) };
-            });
-            0.0
-        });
-    }
+    lambda_sharded(&mut scratch[..n], mask, desc, |i, s| *s = map(i), shape)?;
     // The exact fold structure of the sequential kernel, including its
     // identity handling on unselected indices.
     fold_selected::<Sequential, T, M, _>(n, mask, desc, |i| scratch[i])
 }
 
-/// Sharded `w⟨mask⟩ = w ⊙? Op(αx, βy)`.
-pub(crate) fn ewise_sharded<T, Op, A>(
-    w: &mut Vector<T>,
-    mask: Option<&Vector<bool>>,
-    desc: Descriptor,
-    x: &Vector<T>,
-    y: &Vector<T>,
-    scale: Option<(T, T)>,
-    shape: &ShardShape,
-) -> Result<()>
-where
-    T: Scalar,
-    Op: BinaryOp<T>,
-    A: AccumMode<T>,
-{
-    check_dims("ewise", "x vs output", w.len(), x.len())?;
-    check_dims("ewise", "y vs output", w.len(), y.len())?;
-    let n = w.len();
-    check_mask(n, mask)?;
-    let dist = shape.dist(n);
-    let xs = x.as_slice();
-    let ys = y.as_slice();
-    let out = UnsafeSlice::new(w.as_mut_slice());
-    match scale {
-        None => run_superstep(shape, |node| {
-            for_owned_selected(&dist, node, mask, desc, |i| {
-                // SAFETY: owned indices are disjoint across workers.
-                unsafe { A::store(out.get_mut(i), Op::apply(xs[i], ys[i])) };
-            });
-            0.0
-        }),
-        Some((alpha, beta)) => run_superstep(shape, |node| {
-            for_owned_selected(&dist, node, mask, desc, |i| {
-                // SAFETY: owned indices are disjoint across workers.
-                unsafe {
-                    A::store(out.get_mut(i), Op::apply(alpha.mul(xs[i]), beta.mul(ys[i])));
-                }
-            });
-            0.0
-        }),
-    };
-    Ok(())
-}
-
-/// Sharded `x ← x + α·y`.
-pub(crate) fn axpy_sharded<T>(
-    x: &mut Vector<T>,
-    alpha: T,
-    y: &Vector<T>,
-    shape: &ShardShape,
-) -> Result<()>
-where
-    T: Scalar,
-{
-    check_dims("axpy", "y vs x", x.len(), y.len())?;
-    let dist = shape.dist(x.len());
-    let ys = y.as_slice();
-    let out = UnsafeSlice::new(x.as_mut_slice());
-    run_superstep(shape, |w| {
-        for i in dist.owned_ranges(w).flatten() {
-            // SAFETY: owned indices are disjoint across workers.
-            unsafe {
-                let slot = out.get_mut(i);
-                *slot = slot.add(alpha.mul(ys[i]));
-            }
-        }
-        0.0
-    });
-    Ok(())
-}
-
-/// Sharded `out⟨mask⟩ = out ⊙? Op(input)`.
-pub(crate) fn apply_sharded<T, Op, A>(
-    out: &mut Vector<T>,
-    mask: Option<&Vector<bool>>,
-    desc: Descriptor,
-    input: &Vector<T>,
-    shape: &ShardShape,
-) -> Result<()>
-where
-    T: Scalar,
-    Op: UnaryOp<T>,
-    A: AccumMode<T>,
-{
-    check_dims("apply", "input vs output", out.len(), input.len())?;
-    let n = out.len();
-    check_mask(n, mask)?;
-    let dist = shape.dist(n);
-    let xs = input.as_slice();
-    let slots = UnsafeSlice::new(out.as_mut_slice());
-    run_superstep(shape, |w| {
-        for_owned_selected(&dist, w, mask, desc, |i| {
-            // SAFETY: owned indices are disjoint across workers.
-            unsafe { A::store(slots.get_mut(i), Op::apply(xs[i])) };
-        });
-        0.0
-    });
-    Ok(())
-}
-
-/// Sharded in-place lambda over the selected indices.
+/// Sharded in-place lambda over the selected indices of `out`.
 pub(crate) fn lambda_sharded<T, F>(
-    out: &mut Vector<T>,
+    out: &mut [T],
     mask: Option<&Vector<bool>>,
     desc: Descriptor,
     f: F,
@@ -804,12 +633,12 @@ pub(crate) fn lambda_sharded<T, F>(
 ) -> Result<()>
 where
     T: Scalar,
-    F: Fn(usize, &mut T) + Send + Sync,
+    F: Fn(usize, &mut T) + Sync,
 {
     let n = out.len();
     check_mask(n, mask)?;
     let dist = shape.dist(n);
-    let slots = UnsafeSlice::new(out.as_mut_slice());
+    let slots = UnsafeSlice::new(out);
     run_superstep(shape, |w| {
         for_owned_selected(&dist, w, mask, desc, |i| {
             // SAFETY: owned indices are disjoint across workers.

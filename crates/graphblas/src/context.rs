@@ -53,13 +53,11 @@ use crate::container::matrix::{CsrMatrix, GraphMatrix};
 use crate::container::vector::{SparseVector, Vector};
 use crate::descriptor::Descriptor;
 use crate::error::{GrbError, Result};
-use crate::exec::apply::{apply_exec, ewise_lambda_exec};
-use crate::exec::ewise::{axpy_exec, ewise_exec};
-use crate::exec::fused::{axpy_norm_exec, spmv_dot_exec};
+use crate::exec::fused::spmv_dot_exec;
 use crate::exec::mxm::mxm_exec;
 use crate::exec::mxv::mxv_exec;
-use crate::exec::reduce::{dot_exec, reduce_exec};
 use crate::exec::sparse::{mxv_sparse_exec, FrontierMode};
+use crate::exec::{apply, ewise, fold_selected, for_each_selected, reduce};
 use crate::ops::accum::{AccumMode, AccumWith, NoAccum};
 use crate::ops::binary::{BinaryOp, Plus};
 use crate::ops::monoid::Monoid;
@@ -68,6 +66,7 @@ use crate::ops::semiring::{PlusTimes, Semiring};
 use crate::ops::unary::{Identity, UnaryOp};
 use crate::pipeline::Pipeline;
 use crate::plan::PlanBuilder;
+use crate::util::UnsafeSlice;
 use std::marker::PhantomData;
 
 /// A backend chosen at runtime — the dispatch target of [`DynCtx`].
@@ -177,12 +176,51 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// Which element-wise op an `Exec::run_lambda` / `Exec::run_fold` call
+/// carries out. The kernel shape is the same for all; the tag names the
+/// call's trace span and picks what the distributed backend bills.
+#[doc(hidden)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ElemOp {
+    /// `w = Op(x, y)`; `scaled`: `Op(α·x, β·y)` (HPCG's `waxpby`).
+    Ewise {
+        scaled: bool,
+    },
+    Axpy,
+    Apply,
+    /// `transform`: a caller's `f(i, &mut out[i])`.
+    Transform,
+    Dot,
+    Reduce,
+    /// `x = x + α·y` returning `⟨x, x⟩`, fused into one stream.
+    AxpyNorm,
+}
+
+impl ElemOp {
+    /// Opens the op's kernel span, under its `dist.` name on the
+    /// distributed backend.
+    pub(crate) fn span_enter(self, dist: bool) -> Option<obs::SpanGuard> {
+        let (name, dist_name, class) = match self {
+            ElemOp::Ewise { .. } => ("ewise", "dist.ewise", "update"),
+            ElemOp::Axpy => ("axpy", "dist.axpy", "update"),
+            ElemOp::Apply => ("apply", "dist.apply", "update"),
+            ElemOp::Transform => ("lambda", "dist.lambda", "update"),
+            ElemOp::Dot => ("dot", "dist.dot", "dot"),
+            ElemOp::Reduce => ("reduce", "dist.reduce", "dot"),
+            ElemOp::AxpyNorm => ("axpy_norm", "dist.axpy_norm", "fused"),
+        };
+        obs::span_enter(if dist { dist_name } else { name }, class)
+    }
+}
+
 /// The execution dispatcher behind a [`Ctx`]: forwards each kernel either
 /// statically (a [`Backend`] type — zero cost) or through a runtime match
 /// ([`BackendKind`]).
 ///
 /// The `run_*` methods are plumbing between the builders and the kernels in
-/// [`crate::exec`]; user code never calls them directly.
+/// [`crate::exec`]; user code never calls them directly. Besides the row
+/// sweeps and `run_mxm`, every element-wise op is one of two element
+/// streams: a write, `run_lambda`, or a fold, `run_fold`.
 pub trait Exec: Copy + Send + Sync + 'static {
     /// The degree of parallelism operations will use.
     fn threads(self) -> usize;
@@ -210,49 +248,32 @@ pub trait Exec: Copy + Send + Sync + 'static {
         x: &SparseVector<T>,
     ) -> Result<FrontierMode>;
 
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn run_ewise<T: Scalar, Op: BinaryOp<T>, A: AccumMode<T>>(
-        self,
-        w: &mut Vector<T>,
-        mask: Option<&Vector<bool>>,
-        desc: Descriptor,
-        x: &Vector<T>,
-        y: &Vector<T>,
-        scale: Option<(T, T)>,
-    ) -> Result<()>;
-
-    #[doc(hidden)]
-    fn run_axpy<T: Scalar>(self, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()>;
-
-    #[doc(hidden)]
-    fn run_apply<T: Scalar, Op: UnaryOp<T>, A: AccumMode<T>>(
-        self,
-        out: &mut Vector<T>,
-        mask: Option<&Vector<bool>>,
-        desc: Descriptor,
-        input: &Vector<T>,
-    ) -> Result<()>;
-
+    /// Calls `f(i, &mut out[i])` once at every index `mask` selects under
+    /// `desc`; a parallel backend calls it concurrently for different `i`.
     #[doc(hidden)]
     fn run_lambda<T: Scalar, F: Fn(usize, &mut T) + Send + Sync>(
         self,
+        op: ElemOp,
         out: &mut Vector<T>,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
         f: F,
     ) -> Result<()>;
 
+    /// Folds `map(i)` over monoid `M` across every index of `0..n` that
+    /// `mask` selects under `desc`. `map` is called **exactly once** per
+    /// selected index (concurrently for different indices on a parallel
+    /// backend), so it may write index `i` of a vector it captures — how
+    /// the fused `axpy`+norm updates `x` while folding `⟨x, x⟩`.
     #[doc(hidden)]
-    fn run_reduce<T: Scalar, M: Monoid<T>>(
+    fn run_fold<T: Scalar, M: Monoid<T>, F: Fn(usize) -> T + Send + Sync>(
         self,
-        x: &Vector<T>,
+        op: ElemOp,
+        n: usize,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
+        map: F,
     ) -> Result<T>;
-
-    #[doc(hidden)]
-    fn run_dot<T: Scalar, R: Semiring<T>>(self, x: &Vector<T>, y: &Vector<T>) -> Result<T>;
 
     #[doc(hidden)]
     fn run_mxm<T: Scalar, R: Semiring<T>>(
@@ -273,14 +294,6 @@ pub trait Exec: Copy + Send + Sync + 'static {
         x: &Vector<T>,
         w: Option<&Vector<T>>,
         product_on_left: bool,
-    ) -> Result<T>;
-
-    #[doc(hidden)]
-    fn run_axpy_norm<T: Scalar, R: Semiring<T>>(
-        self,
-        x: &mut Vector<T>,
-        alpha: T,
-        y: &Vector<T>,
     ) -> Result<T>;
 }
 
@@ -319,59 +332,34 @@ macro_rules! impl_exec_for_backend {
                 mxv_sparse_exec::<T, R, A, $backend>(y, mask, desc, m, x)
             }
 
-            fn run_ewise<T: Scalar, Op: BinaryOp<T>, A: AccumMode<T>>(
-                self,
-                w: &mut Vector<T>,
-                mask: Option<&Vector<bool>>,
-                desc: Descriptor,
-                x: &Vector<T>,
-                y: &Vector<T>,
-                scale: Option<(T, T)>,
-            ) -> Result<()> {
-                let _span = obs::span_enter("ewise", "update");
-                ewise_exec::<T, Op, A, $backend>(w, mask, desc, x, y, scale)
-            }
-
-            fn run_axpy<T: Scalar>(self, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()> {
-                let _span = obs::span_enter("axpy", "update");
-                axpy_exec::<T, $backend>(x, alpha, y)
-            }
-
-            fn run_apply<T: Scalar, Op: UnaryOp<T>, A: AccumMode<T>>(
-                self,
-                out: &mut Vector<T>,
-                mask: Option<&Vector<bool>>,
-                desc: Descriptor,
-                input: &Vector<T>,
-            ) -> Result<()> {
-                let _span = obs::span_enter("apply", "update");
-                apply_exec::<T, Op, A, $backend>(out, mask, desc, input)
-            }
-
             fn run_lambda<T: Scalar, F: Fn(usize, &mut T) + Send + Sync>(
                 self,
+                op: ElemOp,
                 out: &mut Vector<T>,
                 mask: Option<&Vector<bool>>,
                 desc: Descriptor,
                 f: F,
             ) -> Result<()> {
-                let _span = obs::span_enter("lambda", "update");
-                ewise_lambda_exec::<T, $backend, F>(out, mask, desc, f)
+                let _span = op.span_enter(false);
+                let n = out.len();
+                let slots = UnsafeSlice::new(out.as_mut_slice());
+                // SAFETY: selected indices are unique per the mask contract,
+                // so each slot is handed to exactly one closure invocation.
+                for_each_selected::<$backend, _>(n, mask, desc, |i| {
+                    f(i, unsafe { slots.get_mut(i) })
+                })
             }
 
-            fn run_reduce<T: Scalar, M: Monoid<T>>(
+            fn run_fold<T: Scalar, M: Monoid<T>, F: Fn(usize) -> T + Send + Sync>(
                 self,
-                x: &Vector<T>,
+                op: ElemOp,
+                n: usize,
                 mask: Option<&Vector<bool>>,
                 desc: Descriptor,
+                map: F,
             ) -> Result<T> {
-                let _span = obs::span_enter("reduce", "dot");
-                reduce_exec::<T, M, $backend>(x, mask, desc)
-            }
-
-            fn run_dot<T: Scalar, R: Semiring<T>>(self, x: &Vector<T>, y: &Vector<T>) -> Result<T> {
-                let _span = obs::span_enter("dot", "dot");
-                dot_exec::<T, R, $backend>(x, y)
+                let _span = op.span_enter(false);
+                fold_selected::<$backend, T, M, F>(n, mask, desc, map)
             }
 
             fn run_mxm<T: Scalar, R: Semiring<T>>(
@@ -399,16 +387,6 @@ macro_rules! impl_exec_for_backend {
             ) -> Result<T> {
                 let _span = obs::span_enter("spmv_dot", "fused");
                 spmv_dot_exec::<T, R, $backend>(y, a, x, w, product_on_left)
-            }
-
-            fn run_axpy_norm<T: Scalar, R: Semiring<T>>(
-                self,
-                x: &mut Vector<T>,
-                alpha: T,
-                y: &Vector<T>,
-            ) -> Result<T> {
-                let _span = obs::span_enter("axpy_norm", "fused");
-                axpy_norm_exec::<T, R, $backend>(x, alpha, y)
             }
         }
     };
@@ -466,53 +444,26 @@ impl Exec for BackendKind {
         kind_dispatch!(self, b => b.run_mxv_sparse::<T, R, A>(y, mask, desc, m, x))
     }
 
-    fn run_ewise<T: Scalar, Op: BinaryOp<T>, A: AccumMode<T>>(
-        self,
-        w: &mut Vector<T>,
-        mask: Option<&Vector<bool>>,
-        desc: Descriptor,
-        x: &Vector<T>,
-        y: &Vector<T>,
-        scale: Option<(T, T)>,
-    ) -> Result<()> {
-        kind_dispatch!(self, b => b.run_ewise::<T, Op, A>(w, mask, desc, x, y, scale))
-    }
-
-    fn run_axpy<T: Scalar>(self, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()> {
-        kind_dispatch!(self, b => b.run_axpy::<T>(x, alpha, y))
-    }
-
-    fn run_apply<T: Scalar, Op: UnaryOp<T>, A: AccumMode<T>>(
-        self,
-        out: &mut Vector<T>,
-        mask: Option<&Vector<bool>>,
-        desc: Descriptor,
-        input: &Vector<T>,
-    ) -> Result<()> {
-        kind_dispatch!(self, b => b.run_apply::<T, Op, A>(out, mask, desc, input))
-    }
-
     fn run_lambda<T: Scalar, F: Fn(usize, &mut T) + Send + Sync>(
         self,
+        op: ElemOp,
         out: &mut Vector<T>,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
         f: F,
     ) -> Result<()> {
-        kind_dispatch!(self, b => b.run_lambda::<T, F>(out, mask, desc, f))
+        kind_dispatch!(self, b => b.run_lambda::<T, F>(op, out, mask, desc, f))
     }
 
-    fn run_reduce<T: Scalar, M: Monoid<T>>(
+    fn run_fold<T: Scalar, M: Monoid<T>, F: Fn(usize) -> T + Send + Sync>(
         self,
-        x: &Vector<T>,
+        op: ElemOp,
+        n: usize,
         mask: Option<&Vector<bool>>,
         desc: Descriptor,
+        map: F,
     ) -> Result<T> {
-        kind_dispatch!(self, b => b.run_reduce::<T, M>(x, mask, desc))
-    }
-
-    fn run_dot<T: Scalar, R: Semiring<T>>(self, x: &Vector<T>, y: &Vector<T>) -> Result<T> {
-        kind_dispatch!(self, b => b.run_dot::<T, R>(x, y))
+        kind_dispatch!(self, b => b.run_fold::<T, M, F>(op, n, mask, desc, map))
     }
 
     fn run_mxm<T: Scalar, R: Semiring<T>>(
@@ -537,15 +488,6 @@ impl Exec for BackendKind {
         product_on_left: bool,
     ) -> Result<T> {
         kind_dispatch!(self, b => b.run_spmv_dot::<T, R>(y, a, x, w, product_on_left))
-    }
-
-    fn run_axpy_norm<T: Scalar, R: Semiring<T>>(
-        self,
-        x: &mut Vector<T>,
-        alpha: T,
-        y: &Vector<T>,
-    ) -> Result<T> {
-        kind_dispatch!(self, b => b.run_axpy_norm::<T, R>(x, alpha, y))
     }
 }
 
@@ -798,14 +740,14 @@ impl<E: Exec> Ctx<E> {
     where
         PlusTimes: Semiring<T>,
     {
-        self.exec.run_dot::<T, PlusTimes>(x, x)
+        reduce::dot::<T, PlusTimes, E>(self.exec, x, x)
     }
 
     /// `x = x + α·y` — in-place `axpy`. Stays a direct method because the
     /// output aliases an input, which the two-operand `ewise` builder
     /// cannot express under Rust's borrow rules.
     pub fn axpy<T: Scalar>(&self, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()> {
-        self.exec.run_axpy::<T>(x, alpha, y)
+        ewise::axpy(self.exec, x, alpha, y)
     }
 
     /// Starts a deferred-execution [`Pipeline`]: the same operation
@@ -1092,8 +1034,9 @@ impl<'a, T: Scalar, Op, A, E: Exec> EwiseBuilder<'a, T, Op, A, E> {
 impl<T: Scalar, Op: BinaryOp<T>, A: AccumMode<T>, E: Exec> EwiseBuilder<'_, T, Op, A, E> {
     /// Executes into `w`. Unselected positions keep their prior values.
     pub fn into(self, w: &mut Vector<T>) -> Result<()> {
-        self.exec
-            .run_ewise::<T, Op, A>(w, self.mask, self.desc, self.x, self.y, self.scale)
+        ewise::ewise::<T, Op, A, E>(
+            self.exec, w, self.mask, self.desc, self.x, self.y, self.scale,
+        )
     }
 }
 
@@ -1152,8 +1095,7 @@ impl<'a, T: Scalar, Op, A, E: Exec> ApplyBuilder<'a, T, Op, A, E> {
 impl<T: Scalar, Op: UnaryOp<T>, A: AccumMode<T>, E: Exec> ApplyBuilder<'_, T, Op, A, E> {
     /// Executes into `out`. Unselected positions keep their prior values.
     pub fn into(self, out: &mut Vector<T>) -> Result<()> {
-        self.exec
-            .run_apply::<T, Op, A>(out, self.mask, self.desc, self.input)
+        apply::apply::<T, Op, A, E>(self.exec, out, self.mask, self.desc, self.input)
     }
 }
 
@@ -1191,7 +1133,7 @@ impl<'a, T: Scalar, E: Exec> TransformBuilder<'a, T, E> {
     /// backend it runs concurrently for different `i`.
     pub fn apply<F: Fn(usize, &mut T) + Send + Sync>(self, f: F) -> Result<()> {
         self.exec
-            .run_lambda::<T, F>(self.out, self.mask, self.desc, f)
+            .run_lambda(ElemOp::Transform, self.out, self.mask, self.desc, f)
     }
 }
 
@@ -1240,7 +1182,7 @@ impl<T: Scalar, M: Monoid<T>, E: Exec> ReduceBuilder<'_, T, M, E> {
     /// Executes, returning the fold (the monoid identity on empty
     /// selections).
     pub fn compute(self) -> Result<T> {
-        self.exec.run_reduce::<T, M>(self.x, self.mask, self.desc)
+        reduce::reduce::<T, M, E>(self.exec, self.x, self.mask, self.desc)
     }
 }
 
@@ -1268,7 +1210,7 @@ impl<'a, T: Scalar, R, E: Exec> DotBuilder<'a, T, R, E> {
 impl<T: Scalar, R: Semiring<T>, E: Exec> DotBuilder<'_, T, R, E> {
     /// Executes, returning the inner product.
     pub fn compute(self) -> Result<T> {
-        self.exec.run_dot::<T, R>(self.x, self.y)
+        reduce::dot::<T, R, E>(self.exec, self.x, self.y)
     }
 }
 

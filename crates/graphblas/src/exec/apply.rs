@@ -1,31 +1,29 @@
-//! Element-wise application: `apply` (unary operator) and `eWiseLambda`
-//! (user lambda at masked positions).
+//! Element-wise application: `apply` (unary operator) and `transform`
+//! (`eWiseLambda`, a caller's lambda at masked positions).
 //!
 //! `eWiseLambda` is the primitive the paper's RBGS update step builds on
 //! (Listing 3, lines 13-17): for every index of the current color, read
 //! `r[i]`, `tmp[i]`, `A_diag[i]` and update `x[i]` in place. Rust renders
 //! the C++ capture-by-reference lambda as a closure that borrows the read
 //! vectors and receives `&mut` access to the one output slot — the
-//! disjointness of masked indices makes the parallel version sound.
-//!
-//! The public ways in are [`Ctx::apply`](crate::Ctx::apply) /
-//! [`Ctx::transform`](crate::Ctx::transform) and their deferred
-//! counterparts on [`Pipeline`](crate::Pipeline); the pre-0.2 free
-//! functions were removed in 0.3.
+//! disjointness of masked indices makes the parallel version sound. It is
+//! every backend's element write, `Exec::run_lambda`: `transform` hands it
+//! the caller's closure, `apply` the body `out[i] ⊙?= Op(input[i])`. The
+//! ways in are [`Ctx::apply`](crate::Ctx::apply) /
+//! [`Ctx::transform`](crate::Ctx::transform) and the plan interpreter behind
+//! [`Ctx::pipeline`](crate::Ctx::pipeline) and [`Ctx::plan`](crate::Ctx::plan).
 
-use crate::backend::Backend;
 use crate::container::vector::Vector;
+use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
-use crate::error::Result;
-use crate::exec::for_each_selected;
+use crate::error::{check_dims, Result};
 use crate::ops::accum::AccumMode;
 use crate::ops::scalar::Scalar;
 use crate::ops::unary::UnaryOp;
-use crate::util::UnsafeSlice;
 
-/// `out⟨mask⟩ = out ⊙? Op(input)` — the unary-application kernel behind the
-/// builder API.
-pub(crate) fn apply_exec<T, Op, A, B>(
+/// `out⟨mask⟩ = out ⊙? Op(input)` on `exec`.
+pub(crate) fn apply<T, Op, A, E>(
+    exec: E,
     out: &mut Vector<T>,
     mask: Option<&Vector<bool>>,
     desc: Descriptor,
@@ -35,40 +33,13 @@ where
     T: Scalar,
     Op: UnaryOp<T>,
     A: AccumMode<T>,
-    B: Backend,
+    E: Exec,
 {
-    crate::error::check_dims("apply", "input vs output", out.len(), input.len())?;
+    check_dims("apply", "input vs output", out.len(), input.len())?;
     let xs = input.as_slice();
-    let n = out.len();
-    let slots = UnsafeSlice::new(out.as_mut_slice());
-    for_each_selected::<B, _>(n, mask, desc, |i| {
-        // SAFETY: selected indices are unique per the mask contract.
-        unsafe { A::store(slots.get_mut(i), Op::apply(xs[i])) };
-    })?;
-    Ok(())
-}
-
-/// Applies `f(i, &mut out[i])` at every selected index — the kernel behind
-/// [`Ctx::transform`](crate::Ctx::transform).
-pub(crate) fn ewise_lambda_exec<T, B, F>(
-    out: &mut Vector<T>,
-    mask: Option<&Vector<bool>>,
-    desc: Descriptor,
-    f: F,
-) -> Result<()>
-where
-    T: Scalar,
-    B: Backend,
-    F: Fn(usize, &mut T) + Send + Sync,
-{
-    let n = out.len();
-    let slots = UnsafeSlice::new(out.as_mut_slice());
-    for_each_selected::<B, _>(n, mask, desc, |i| {
-        // SAFETY: selected indices are unique per the mask contract, so each
-        // slot is handed to exactly one closure invocation.
-        f(i, unsafe { slots.get_mut(i) });
-    })?;
-    Ok(())
+    exec.run_lambda(ElemOp::Apply, out, mask, desc, |i, o| {
+        A::store(o, Op::apply(xs[i]))
+    })
 }
 
 #[cfg(test)]

@@ -1,29 +1,27 @@
-//! Element-wise binary operations on vectors.
-//!
-//! Covers HPCG's `waxpby` kernel (`w = α·x + β·y`, paper §II-C) plus the
-//! general GraphBLAS `eWiseApply`. All variants funnel into one kernel,
-//! `ewise_exec`, generic over the operator, an optional operand scaling
-//! (which turns `Plus` into `waxpby` — fusing the two scalings with the
-//! addition halves memory traffic versus two passes) and an
-//! [`AccumMode`] (which turns `Times` + `AccumWith<Plus>` into the old
-//! `ewise_mul_add`). The public ways in are [`Ctx::ewise`](crate::Ctx::ewise)
-//! (eager) and [`Pipeline::ewise`](crate::Pipeline::ewise) (deferred); the
-//! pre-0.2 free functions were removed in 0.3.
+//! Element-wise binary operations on vectors: HPCG's `waxpby` kernel
+//! (`w = α·x + β·y`, paper §II-C), the general GraphBLAS `eWiseApply` and
+//! CG's in-place `axpy`. Each is one `Exec::run_lambda` call with a fixed
+//! per-element body. `ewise` is generic over the operator, an optional
+//! operand scaling (which turns `Plus` into `waxpby` — fusing the two
+//! scalings with the addition halves memory traffic versus two passes) and
+//! an [`AccumMode`] (which turns `Times` + `AccumWith<Plus>` into a
+//! multiply-add). The ways in are [`Ctx::ewise`](crate::Ctx::ewise) /
+//! [`Ctx::axpy`](crate::Ctx::axpy) and the plan interpreter behind
+//! [`Ctx::pipeline`](crate::Ctx::pipeline) and [`Ctx::plan`](crate::Ctx::plan).
 
-use crate::backend::Backend;
 use crate::container::vector::Vector;
+use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
 use crate::error::{check_dims, Result};
-use crate::exec::for_each_selected;
 use crate::ops::accum::AccumMode;
 use crate::ops::binary::BinaryOp;
 use crate::ops::scalar::Scalar;
-use crate::util::UnsafeSlice;
 
-/// `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` — the single element-wise kernel behind
-/// the builder API. The `scale` branch sits outside the loop, so the
-/// unscaled form pays nothing for the option.
-pub(crate) fn ewise_exec<T, Op, A, B>(
+/// `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` on `exec`. The `scale` branch sits outside
+/// the loop, one closure per arm, so the unscaled form pays nothing for
+/// the option.
+pub(crate) fn ewise<T, Op, A, E>(
+    exec: E,
     w: &mut Vector<T>,
     mask: Option<&Vector<bool>>,
     desc: Descriptor,
@@ -35,53 +33,38 @@ where
     T: Scalar,
     Op: BinaryOp<T>,
     A: AccumMode<T>,
-    B: Backend,
+    E: Exec,
 {
     check_dims("ewise", "x vs output", w.len(), x.len())?;
     check_dims("ewise", "y vs output", w.len(), y.len())?;
     let xs = x.as_slice();
     let ys = y.as_slice();
-    let n = w.len();
-    let slots = UnsafeSlice::new(w.as_mut_slice());
+    let op = ElemOp::Ewise {
+        scaled: scale.is_some(),
+    };
     match scale {
-        None => for_each_selected::<B, _>(n, mask, desc, |i| {
-            // SAFETY: selected indices are unique per the mask contract.
-            unsafe { A::store(slots.get_mut(i), Op::apply(xs[i], ys[i])) };
-        })?,
-        Some((alpha, beta)) => for_each_selected::<B, _>(n, mask, desc, |i| {
-            // SAFETY: selected indices are unique per the mask contract.
-            unsafe {
-                A::store(
-                    slots.get_mut(i),
-                    Op::apply(alpha.mul(xs[i]), beta.mul(ys[i])),
-                )
-            };
-        })?,
+        None => exec.run_lambda(op, w, mask, desc, |i, wi| {
+            A::store(wi, Op::apply(xs[i], ys[i]))
+        }),
+        Some((alpha, beta)) => exec.run_lambda(op, w, mask, desc, |i, wi| {
+            A::store(wi, Op::apply(alpha.mul(xs[i]), beta.mul(ys[i])))
+        }),
     }
-    Ok(())
 }
 
-/// `x = x + α·y` — the in-place `axpy` CG uses for its vector updates.
-///
-/// Stays a dedicated kernel because the output aliases an input, which the
-/// two-operand builder form cannot express under Rust's borrow rules.
-pub(crate) fn axpy_exec<T, B>(x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()>
-where
-    T: Scalar,
-    B: Backend,
-{
+/// `x = x + α·y` on `exec` — the in-place `axpy` CG uses for its vector
+/// updates (see [`Ctx::axpy`](crate::Ctx::axpy)).
+pub(crate) fn axpy<T: Scalar, E: Exec>(
+    exec: E,
+    x: &mut Vector<T>,
+    alpha: T,
+    y: &Vector<T>,
+) -> Result<()> {
     check_dims("axpy", "y vs x", x.len(), y.len())?;
     let ys = y.as_slice();
-    let n = x.len();
-    let slots = UnsafeSlice::new(x.as_mut_slice());
-    B::for_n(n, |i| {
-        // SAFETY: each index visited exactly once.
-        unsafe {
-            let slot = slots.get_mut(i);
-            *slot = slot.add(alpha.mul(ys[i]));
-        }
-    });
-    Ok(())
+    exec.run_lambda(ElemOp::Axpy, x, None, Descriptor::DEFAULT, |i, xi| {
+        *xi = xi.add(alpha.mul(ys[i]))
+    })
 }
 
 #[cfg(test)]

@@ -3,26 +3,28 @@
 //! The paper's related work singles out kernel fusion as the optimization
 //! HPCG vendors hand-write and cites the ALP nonblocking extension as the
 //! GraphBLAS answer: express the operations separately, let the runtime
-//! merge them. These kernels are the merge targets the generic pass in
-//! [`crate::fusion`] lowers onto:
+//! merge them. These are the merge targets the generic pass in
+//! [`crate::fusion`] lowers onto, reached through the plan interpreter of
+//! [`Ctx::pipeline`](crate::Ctx::pipeline) / [`Ctx::plan`](crate::Ctx::plan):
 //!
 //! * `spmv_dot_exec` — `y = A ⊕.⊗ x` with a dot-product epilogue folded
 //!   into the same row sweep (CG's `⟨p, Ap⟩` right after `Ap`);
-//! * `axpy_norm_exec` — `x ← x + α·y` with `⟨x, x⟩` accumulated in the
-//!   same stream (CG's residual norm right after the residual update).
+//! * `axpy_norm` — `x ← x + α·y` with `⟨x, x⟩` accumulated in the same
+//!   stream (CG's residual norm right after the residual update): one
+//!   `Exec::run_fold` whose map also updates `x[i]`.
 //!
 //! # Bit-identity with the eager pair
 //!
-//! Both kernels drive the reduction through the *same* [`Backend::fold`]
-//! the eager `dot` kernel uses, over the same length, with the row/element
-//! computation as a side effect of the fold's map. Because the backends
-//! partition folds deterministically by length, the fused result is
-//! bit-identical to running the unfused pair — the property the pipeline
-//! tests pin down on both backends.
-
+//! Both drive the reduction through the *same* fold the eager `dot` runs,
+//! over the same length, with the row/element computation as a side effect
+//! of the fold's map, which every backend calls exactly once per index.
+//! Because the backends partition folds deterministically by length, the
+//! fused result is bit-identical to running the unfused pair.
 use crate::backend::Backend;
 use crate::container::matrix::CsrMatrix;
 use crate::container::vector::Vector;
+use crate::context::{ElemOp, Exec};
+use crate::descriptor::Descriptor;
 use crate::error::{check_dims, Result};
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::Semiring;
@@ -82,27 +84,29 @@ where
     })
 }
 
-/// `x ← x + α·y`, returning `⟨x, x⟩` of the updated vector in the same pass.
+/// `x ← x + α·y` on `exec`, returning `⟨x, x⟩` of the updated vector from
+/// the same pass.
 ///
-/// The update expression matches the eager `axpy` kernel exactly and the
-/// norm folds through the same backend fold `dot(x, x)` would use, so the
-/// fused pair is bit-identical to running them separately.
-pub(crate) fn axpy_norm_exec<T, R, B>(x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<T>
+/// The update expression is the eager `axpy`'s and the norm folds through
+/// the fold `dot(x, x)` runs, so the fused pair is bit-identical to running
+/// them separately.
+#[doc(hidden)]
+pub fn axpy_norm<T, R, E>(exec: E, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<T>
 where
     T: Scalar,
     R: Semiring<T>,
-    B: Backend,
+    E: Exec,
 {
     check_dims("axpy_norm", "y vs x", x.len(), y.len())?;
     let ys = y.as_slice();
     let n = x.len();
     let out = UnsafeSlice::new(x.as_mut_slice());
-    Ok(B::fold::<T, R::Add, _>(n, |i| {
-        // SAFETY: each index is visited exactly once by the fold.
+    exec.run_fold::<T, R::Add, _>(ElemOp::AxpyNorm, n, None, Descriptor::DEFAULT, |i| {
+        // SAFETY: `run_fold` calls the map exactly once per index.
         let slot = unsafe { out.get_mut(i) };
         *slot = slot.add(alpha.mul(ys[i]));
         R::mul(*slot, *slot)
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -168,7 +172,8 @@ mod tests {
         let norm_eager = exec.norm2_squared(&x_eager).unwrap();
 
         let mut x_fused = x0.clone();
-        let norm_fused = axpy_norm_exec::<f64, PlusTimes, B>(&mut x_fused, alpha, &y).unwrap();
+        let norm_fused =
+            axpy_norm::<f64, PlusTimes, B>(B::default(), &mut x_fused, alpha, &y).unwrap();
         assert_eq!(x_eager.as_slice(), x_fused.as_slice());
         assert_eq!(norm_eager.to_bits(), norm_fused.to_bits());
     }
@@ -194,6 +199,6 @@ mod tests {
             spmv_dot_exec::<f64, PlusTimes, Sequential>(&mut y, &a, &x_bad, None, true).is_err()
         );
         let mut x = Vector::<f64>::zeros(4);
-        assert!(axpy_norm_exec::<f64, PlusTimes, Sequential>(&mut x, 1.0, &x_bad).is_err());
+        assert!(axpy_norm::<f64, PlusTimes, _>(Sequential, &mut x, 1.0, &x_bad).is_err());
     }
 }

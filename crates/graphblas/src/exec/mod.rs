@@ -1,11 +1,23 @@
 //! The GraphBLAS primitives.
 //!
-//! Every primitive is generic over the value domain `T`, an algebraic
-//! structure, and a [`Backend`]. Masked variants follow the
-//! semantics of the paper's Listing 2/3: outputs are computed **only at
-//! selected positions**; unselected positions of the output are left
-//! untouched (no-replace semantics), which is what the RBGS color sweep
-//! relies on.
+//! Every primitive is generic over the value domain `T` and an algebraic
+//! structure. The row sweeps — [`mxv`], the sparse-frontier [`sparse`]
+//! product, the fused `spmv`+`dot` in [`fused`] — and [`mxm`] are kernels
+//! generic over a [`Backend`]. Every element-wise op is instead one of the
+//! two element streams of [`Exec`](crate::Exec): a write,
+//! `Exec::run_lambda` (`f(i, &mut out[i])` at each selected index), or a
+//! fold, `Exec::run_fold` (`map(i)` over a monoid, `map` called exactly
+//! once per selected index). [`ewise`], [`apply`], [`reduce`] and [`fused`]
+//! hold one helper per op that checks the operands and hands its
+//! per-element expression to one of the two; the eager builders on
+//! [`Ctx`](crate::Ctx) and the plan interpreter behind
+//! [`Ctx::pipeline`](crate::Ctx::pipeline) and
+//! [`Ctx::plan`](crate::Ctx::plan) all call these helpers.
+//!
+//! Masked variants follow the semantics of the paper's Listing 2/3: outputs
+//! are computed **only at selected positions**; unselected positions of the
+//! output are left untouched (no-replace semantics), which is what the RBGS
+//! color sweep relies on.
 
 pub mod apply;
 pub mod ewise;
@@ -81,7 +93,8 @@ where
 }
 
 /// Folds `map(i)` over monoid `M` across every selected index (same
-/// selection rules as [`for_each_selected`]).
+/// selection rules as [`for_each_selected`]), calling `map` once per
+/// selected index.
 pub(crate) fn fold_selected<B, T, M, F>(
     n: usize,
     mask: Option<&Vector<bool>>,

@@ -2,25 +2,23 @@
 //!
 //! `dot` is the second of CG's three hot kernels (paper §II-C). In BSP terms
 //! it is also the kernel that forces a global synchronization per CG
-//! iteration, which the distributed simulation accounts for.
-//!
-//! The public ways in are [`Ctx::reduce`](crate::Ctx::reduce) /
-//! [`Ctx::dot`](crate::Ctx::dot) and their deferred counterparts on
-//! [`Pipeline`](crate::Pipeline); the pre-0.2 free functions were removed
-//! in 0.3.
+//! iteration, which the distributed simulation accounts for. Both are one
+//! `Exec::run_fold` with a fixed map (`x[i]`, `x[i] ⊗ y[i]`). The ways in
+//! are [`Ctx::reduce`](crate::Ctx::reduce) / [`Ctx::dot`](crate::Ctx::dot)
+//! and the plan interpreter behind [`Ctx::pipeline`](crate::Ctx::pipeline)
+//! and [`Ctx::plan`](crate::Ctx::plan).
 
-use crate::backend::Backend;
 use crate::container::vector::Vector;
+use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
 use crate::error::{check_dims, Result};
-use crate::exec::fold_selected;
 use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::Semiring;
 
-/// Folds the selected entries of `x` over monoid `M` — the kernel behind
-/// the reduce builder.
-pub(crate) fn reduce_exec<T, M, B>(
+/// Folds the selected entries of `x` over monoid `M` on `exec`.
+pub(crate) fn reduce<T, M, E>(
+    exec: E,
     x: &Vector<T>,
     mask: Option<&Vector<bool>>,
     desc: Descriptor,
@@ -28,24 +26,25 @@ pub(crate) fn reduce_exec<T, M, B>(
 where
     T: Scalar,
     M: Monoid<T>,
-    B: Backend,
+    E: Exec,
 {
     let xs = x.as_slice();
-    fold_selected::<B, T, M, _>(x.len(), mask, desc, |i| xs[i])
+    exec.run_fold::<T, M, _>(ElemOp::Reduce, x.len(), mask, desc, |i| xs[i])
 }
 
-/// `⟨x, y⟩ = ⊕_i x_i ⊗ y_i` over semiring `R` — the kernel behind the dot
-/// builder.
-pub(crate) fn dot_exec<T, R, B>(x: &Vector<T>, y: &Vector<T>) -> Result<T>
+/// `⟨x, y⟩ = ⊕_i x_i ⊗ y_i` over semiring `R` on `exec`.
+pub(crate) fn dot<T, R, E>(exec: E, x: &Vector<T>, y: &Vector<T>) -> Result<T>
 where
     T: Scalar,
     R: Semiring<T>,
-    B: Backend,
+    E: Exec,
 {
     check_dims("dot", "y vs x", x.len(), y.len())?;
     let xs = x.as_slice();
     let ys = y.as_slice();
-    Ok(B::fold::<T, R::Add, _>(x.len(), |i| R::mul(xs[i], ys[i])))
+    exec.run_fold::<T, R::Add, _>(ElemOp::Dot, x.len(), None, Descriptor::DEFAULT, |i| {
+        R::mul(xs[i], ys[i])
+    })
 }
 
 #[cfg(test)]

@@ -88,9 +88,10 @@
 
 use crate::container::matrix::CsrMatrix;
 use crate::container::vector::Vector;
-use crate::context::Exec;
+use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
 use crate::error::{check_dims, GrbError, Result};
+use crate::exec::{apply, ewise, fused, reduce};
 use crate::fusion::{fuse_shapes, OpShape, PlannedStage, ShapeKind, Stage};
 use crate::ops::accum::{AccumWith, NoAccum};
 use crate::ops::binary::{Divide, Max, Min, Minus, Plus, Times};
@@ -1764,7 +1765,7 @@ impl<T: Scalar> OpGraph<'_, T> {
                 Stage::Single(i) => self.run_node(exec, b, &self.nodes[*i], &mut scalars),
                 Stage::SpmvDot { mxv, dot } => self.run_spmv_dot(exec, b, *mxv, *dot, &mut scalars),
                 Stage::AxpyNorm { axpy, dot } => {
-                    self.run_axpy_norm(exec, b, *axpy, *dot, &mut scalars)
+                    self.run_fused_axpy_norm(exec, b, *axpy, *dot, &mut scalars)
                 }
                 Stage::Loop(run) => self.run_fused_loop(exec, b, run),
             }?;
@@ -1858,7 +1859,7 @@ impl<T: Scalar> OpGraph<'_, T> {
                 // SAFETY: record-time assertion — inputs never name `out`.
                 let w = unsafe { self.out_mut(b, *out) };
                 with_binop!(*op, Op => with_accum!(*accum, A =>
-                    exec.run_ewise::<T, Op, A>(w, mask, *desc, xs, ys, scale)))
+                    ewise::ewise::<T, Op, A, E>(exec, w, mask, *desc, xs, ys, scale)))
             }
             PlanNode::Apply {
                 out,
@@ -1873,43 +1874,45 @@ impl<T: Scalar> OpGraph<'_, T> {
                 // SAFETY: record-time assertion — `input` never names `out`.
                 let o = unsafe { self.out_mut(b, *out) };
                 with_unop!(*op, Op => with_accum!(*accum, A =>
-                    exec.run_apply::<T, Op, A>(o, mask, *desc, input)))
+                    apply::apply::<T, Op, A, E>(exec, o, mask, *desc, input)))
             }
             PlanNode::Axpy { out, alpha, y } => {
                 let ys = self.src_vec(b, *y);
                 let alpha = self.scalar_val(b, alpha);
                 // SAFETY: record-time assertion — `y` never names `out`.
                 let x = unsafe { self.out_mut(b, *out) };
-                exec.run_axpy::<T>(x, alpha, ys)
+                ewise::axpy(exec, x, alpha, ys)
             }
             PlanNode::Lambda { out, mask, desc, f } => {
                 let mask = self.mask_vec(b, *mask);
                 // SAFETY: record-time assertions — zip sources never name
                 // `out`; sole exclusive reference to the slot.
                 let o = unsafe { self.out_mut(b, *out) };
+                let op = ElemOp::Transform;
                 match f {
-                    PlanFn::F0(f) => exec.run_lambda(o, mask, *desc, f),
+                    PlanFn::F0(f) => exec.run_lambda(op, o, mask, *desc, f),
                     PlanFn::F1(s, f) => {
                         let ss = self.src_vec(b, *s).as_slice();
-                        exec.run_lambda(o, mask, *desc, move |i, t| f(i, t, ss[i]))
+                        exec.run_lambda(op, o, mask, *desc, move |i, t| f(i, t, ss[i]))
                     }
                     PlanFn::F2(srcs, f) => {
                         let s1 = self.src_vec(b, srcs[0]).as_slice();
                         let s2 = self.src_vec(b, srcs[1]).as_slice();
-                        exec.run_lambda(o, mask, *desc, move |i, t| f(i, t, s1[i], s2[i]))
+                        exec.run_lambda(op, o, mask, *desc, move |i, t| f(i, t, s1[i], s2[i]))
                     }
                     PlanFn::F3(srcs, f) => {
                         let s1 = self.src_vec(b, srcs[0]).as_slice();
                         let s2 = self.src_vec(b, srcs[1]).as_slice();
                         let s3 = self.src_vec(b, srcs[2]).as_slice();
-                        exec.run_lambda(o, mask, *desc, move |i, t| f(i, t, s1[i], s2[i], s3[i]))
+                        let f = move |i, t: &mut T| f(i, t, s1[i], s2[i], s3[i]);
+                        exec.run_lambda(op, o, mask, *desc, f)
                     }
                 }
             }
             PlanNode::Dot { sid, x, y, ring } => {
                 let xs = self.src_vec(b, *x);
                 let ys = self.src_vec(b, *y);
-                scalars[*sid] = with_ring!(*ring, R => exec.run_dot::<T, R>(xs, ys))?;
+                scalars[*sid] = with_ring!(*ring, R => reduce::dot::<T, R, E>(exec, xs, ys))?;
                 Ok(())
             }
             PlanNode::Reduce {
@@ -1922,7 +1925,7 @@ impl<T: Scalar> OpGraph<'_, T> {
                 let xs = self.src_vec(b, *x);
                 let mask = self.mask_vec(b, *mask);
                 scalars[*sid] =
-                    with_monoid!(*monoid, M => exec.run_reduce::<T, M>(xs, mask, *desc))?;
+                    with_monoid!(*monoid, M => reduce::reduce::<T, M, E>(exec, xs, mask, *desc))?;
                 Ok(())
             }
         }
@@ -1960,7 +1963,7 @@ impl<T: Scalar> OpGraph<'_, T> {
         Ok(())
     }
 
-    fn run_axpy_norm<E: Exec>(
+    fn run_fused_axpy_norm<E: Exec>(
         &self,
         exec: E,
         b: &Bindings<'_, T>,
@@ -1979,7 +1982,7 @@ impl<T: Scalar> OpGraph<'_, T> {
         let ys = self.src_vec(b, y);
         // SAFETY: record-time assertion — `y` never names `out`.
         let x = unsafe { self.out_mut(b, out) };
-        scalars[sid] = exec.run_axpy_norm::<T, PlusTimes>(x, alpha, ys)?;
+        scalars[sid] = fused::axpy_norm::<T, PlusTimes, E>(exec, x, alpha, ys)?;
         Ok(())
     }
 

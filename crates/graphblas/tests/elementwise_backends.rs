@@ -1,0 +1,408 @@
+//! Every element-wise and fold op, on every backend, through every front
+//! door, at sizes that split a `Parallel` loop.
+//!
+//! The cross-backend property tests elsewhere draw vectors shorter than
+//! `backend::MIN_CHUNK = 512`, so no `Parallel` loop ever splits there.
+//! This target runs `ewise` (plain, scaled, masked, structural, inverted,
+//! accumulating), `apply`, `transform`, `axpy`, `dot`, `norm2_squared`,
+//! `reduce` (Plus / Min / Max under masks) and the fused `axpy` + norm at
+//! sizes on both sides of that threshold, on `Sequential`, `Parallel` (pool
+//! pinned to two threads, so loops really split) and `Distributed` on 2 and
+//! 3 nodes under three layouts — each through an eager call, a `Pipeline`
+//! and a compiled plan replayed twice on rebound buffers.
+//!
+//! On one backend the three doors agree bit for bit. Across backends,
+//! vector results (disjoint writes) equal `Sequential`'s bit for bit
+//! everywhere, and scalar results (folds) do on `Distributed`. `Parallel`
+//! re-associates its folds, so its scalars are compared within a relative
+//! 1e-12 and counted. A test binary of its own: it pins the global pool.
+
+use graphblas::{
+    ctx_on, AdditiveInverse, BackendKind, DistConfig, Distributed, DynCtx, Max, Min, Minus, Plus,
+    ShardLayout, Times, Vector,
+};
+use std::sync::OnceLock;
+
+/// Sizes below, at and above `backend::MIN_CHUNK = 512` (a 2-thread pool
+/// splits a loop from 513 items on).
+const SIZES: [usize; 7] = [37, 300, 511, 512, 513, 1025, 2600];
+
+const ALPHA: f64 = -0.375;
+const BETA: f64 = 1.0 / 3.0;
+
+/// Every backend under test; the clusters are made once (each
+/// `Distributed::new` registers a cluster for the life of the process).
+fn backends() -> &'static [BackendKind] {
+    static BACKENDS: OnceLock<Vec<BackendKind>> = OnceLock::new();
+    BACKENDS.get_or_init(|| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build_global()
+            .expect("the shim's global pool setting cannot fail");
+        let mut all = vec![BackendKind::Sequential, BackendKind::Parallel];
+        for p in [2, 3] {
+            for layout in [
+                ShardLayout::Block,
+                ShardLayout::BlockCyclic { block: 3 },
+                ShardLayout::BlockCyclic { block: 64 },
+            ] {
+                let cluster = Distributed::with_config(DistConfig::new(p).layout(layout));
+                all.push(BackendKind::Dist(cluster));
+            }
+        }
+        all
+    })
+}
+
+/// The operands of one size: `x` and `y` are positive (so a re-associated
+/// sum stays within a relative bound), `w` is the output's prior value,
+/// `pattern` a sparse mask read structurally and `valued` a mask with
+/// stored `false` entries, read by value.
+struct Inputs {
+    x: Vector<f64>,
+    y: Vector<f64>,
+    w: Vector<f64>,
+    pattern: Vector<bool>,
+    valued: Vector<bool>,
+}
+
+impl Inputs {
+    fn new(n: usize) -> Inputs {
+        let vec = |f: fn(usize) -> f64| Vector::from_dense((0..n).map(f).collect());
+        let stored = (0..n as u32).filter(|i| i % 3 != 1).collect();
+        let entries: Vec<(u32, bool)> = (0..n as u32)
+            .filter(|i| i % 5 != 0)
+            .map(|i| (i, i % 2 == 0))
+            .collect();
+        Inputs {
+            x: vec(|i| 1.0 / (3.0 + i as f64) + 0.1),
+            y: vec(|i| ((i * 37) % 101) as f64 / 7.0 + 1.0 / (1.0 + i as f64)),
+            w: vec(|i| 0.25 * i as f64 - 1.0 + 1.0 / (7.0 + i as f64)),
+            pattern: Vector::sparse_filled(n, stored, true).unwrap(),
+            valued: Vector::from_entries(n, &entries).unwrap(),
+        }
+    }
+}
+
+/// One op under test. Write ops update `w`; folds leave it alone and
+/// return a scalar; `AxpyNorm` does both.
+#[derive(Copy, Clone, Debug)]
+enum Case {
+    EwisePlain,
+    EwiseTimes,
+    EwiseScaled,
+    EwiseMasked,
+    EwiseStructural,
+    EwiseInverted,
+    EwiseAccum,
+    Apply,
+    ApplyMaskedAccum,
+    Transform,
+    TransformMasked,
+    Axpy,
+    Dot,
+    Norm2,
+    ReducePlus,
+    ReducePlusMasked,
+    ReduceMinMasked,
+    ReduceMaxInverted,
+    AxpyNorm,
+}
+
+const CASES: [Case; 19] = [
+    Case::EwisePlain,
+    Case::EwiseTimes,
+    Case::EwiseScaled,
+    Case::EwiseMasked,
+    Case::EwiseStructural,
+    Case::EwiseInverted,
+    Case::EwiseAccum,
+    Case::Apply,
+    Case::ApplyMaskedAccum,
+    Case::Transform,
+    Case::TransformMasked,
+    Case::Axpy,
+    Case::Dot,
+    Case::Norm2,
+    Case::ReducePlus,
+    Case::ReducePlusMasked,
+    Case::ReduceMinMasked,
+    Case::ReduceMaxInverted,
+    Case::AxpyNorm,
+];
+
+/// What one run of a case produced: `w` afterwards and the fold, if any.
+#[derive(Debug, PartialEq)]
+struct Output {
+    w: Vec<u64>,
+    scalar: Option<f64>,
+}
+
+fn bits(v: &Vector<f64>) -> Vec<u64> {
+    v.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The transform body, shared by the eager closure and the recorded zip.
+fn blend(t: &mut f64, yi: f64) {
+    *t = 0.5 * *t + yi;
+}
+
+fn eager(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
+    let (x, y, ys) = (&inp.x, &inp.y, inp.y.as_slice());
+    let (pattern, valued) = (&inp.pattern, &inp.valued);
+    let mut w = inp.w.clone();
+    let scalar = match case {
+        Case::EwisePlain => exec.ewise(x, y).into(&mut w).map(|_| None),
+        Case::EwiseTimes => exec.ewise(x, y).op(Times).into(&mut w).map(|_| None),
+        Case::EwiseScaled => exec
+            .ewise(x, y)
+            .scaled(ALPHA, BETA)
+            .into(&mut w)
+            .map(|_| None),
+        Case::EwiseMasked => exec
+            .ewise(x, y)
+            .op(Minus)
+            .mask(valued)
+            .into(&mut w)
+            .map(|_| None),
+        Case::EwiseStructural => exec
+            .ewise(x, y)
+            .scaled(ALPHA, BETA)
+            .mask(pattern)
+            .structural()
+            .into(&mut w)
+            .map(|_| None),
+        Case::EwiseInverted => exec
+            .ewise(x, y)
+            .op(Times)
+            .mask(pattern)
+            .structural()
+            .invert_mask()
+            .into(&mut w)
+            .map(|_| None),
+        Case::EwiseAccum => exec
+            .ewise(x, y)
+            .op(Times)
+            .accum(Plus)
+            .into(&mut w)
+            .map(|_| None),
+        Case::Apply => exec.apply(x).into(&mut w).map(|_| None),
+        Case::ApplyMaskedAccum => exec
+            .apply(x)
+            .op(AdditiveInverse)
+            .mask(valued)
+            .invert_mask()
+            .accum(Plus)
+            .into(&mut w)
+            .map(|_| None),
+        Case::Transform => exec
+            .transform(&mut w)
+            .apply(|i, t| blend(t, ys[i]))
+            .map(|_| None),
+        Case::TransformMasked => exec
+            .transform(&mut w)
+            .mask(pattern)
+            .structural()
+            .apply(|i, t| blend(t, ys[i]))
+            .map(|_| None),
+        Case::Axpy => exec.axpy(&mut w, ALPHA, y).map(|_| None),
+        Case::Dot => exec.dot(x, y).compute().map(Some),
+        Case::Norm2 => exec.norm2_squared(x).map(Some),
+        Case::ReducePlus => exec.reduce(x).compute().map(Some),
+        Case::ReducePlusMasked => exec
+            .reduce(y)
+            .mask(pattern)
+            .structural()
+            .compute()
+            .map(Some),
+        Case::ReduceMinMasked => exec.reduce(y).monoid(Min).mask(valued).compute().map(Some),
+        Case::ReduceMaxInverted => exec
+            .reduce(y)
+            .monoid(Max)
+            .mask(pattern)
+            .structural()
+            .invert_mask()
+            .compute()
+            .map(Some),
+        Case::AxpyNorm => exec
+            .axpy(&mut w, ALPHA, y)
+            .and_then(|_| exec.norm2_squared(&w))
+            .map(Some),
+    }
+    .unwrap();
+    Output {
+        w: bits(&w),
+        scalar,
+    }
+}
+
+/// Records `case` on a pipeline or a plan builder (their recorders are one
+/// family), given its operands as borrowed vectors or as slots. Evaluates
+/// to the fold's handle, if the case has one.
+macro_rules! record {
+    ($b:ident, $case:expr, $x:expr, $y:expr, $w:expr, $pattern:expr, $valued:expr) => {
+        match $case {
+            Case::EwisePlain => {
+                $b.ewise($x, $y).into($w);
+                None
+            }
+            Case::EwiseTimes => {
+                $b.ewise($x, $y).op(Times).into($w);
+                None
+            }
+            Case::EwiseScaled => {
+                $b.ewise($x, $y).scaled(ALPHA, BETA).into($w);
+                None
+            }
+            Case::EwiseMasked => {
+                $b.ewise($x, $y).op(Minus).mask($valued).into($w);
+                None
+            }
+            Case::EwiseStructural => {
+                $b.ewise($x, $y)
+                    .scaled(ALPHA, BETA)
+                    .mask($pattern)
+                    .structural()
+                    .into($w);
+                None
+            }
+            Case::EwiseInverted => {
+                $b.ewise($x, $y)
+                    .op(Times)
+                    .mask($pattern)
+                    .structural()
+                    .invert_mask()
+                    .into($w);
+                None
+            }
+            Case::EwiseAccum => {
+                $b.ewise($x, $y).op(Times).accum(Plus).into($w);
+                None
+            }
+            Case::Apply => {
+                $b.apply($x).into($w);
+                None
+            }
+            Case::ApplyMaskedAccum => {
+                $b.apply($x)
+                    .op(AdditiveInverse)
+                    .mask($valued)
+                    .invert_mask()
+                    .accum(Plus)
+                    .into($w);
+                None
+            }
+            Case::Transform => {
+                $b.transform($w).zip($y).apply(|_, t, yi| blend(t, yi));
+                None
+            }
+            Case::TransformMasked => {
+                $b.transform($w)
+                    .mask($pattern)
+                    .structural()
+                    .zip($y)
+                    .apply(|_, t, yi| blend(t, yi));
+                None
+            }
+            Case::Axpy => {
+                $b.axpy($w, ALPHA, $y);
+                None
+            }
+            Case::Dot => Some($b.dot($x, $y).result()),
+            Case::Norm2 => Some($b.norm2_squared($x)),
+            Case::ReducePlus => Some($b.reduce($x).result()),
+            Case::ReducePlusMasked => Some($b.reduce($y).mask($pattern).structural().result()),
+            Case::ReduceMinMasked => Some($b.reduce($y).monoid(Min).mask($valued).result()),
+            Case::ReduceMaxInverted => Some(
+                $b.reduce($y)
+                    .monoid(Max)
+                    .mask($pattern)
+                    .structural()
+                    .invert_mask()
+                    .result(),
+            ),
+            Case::AxpyNorm => {
+                let h = $b.axpy($w, ALPHA, $y);
+                Some($b.norm2_squared(h))
+            }
+        }
+    };
+}
+
+fn pipeline(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
+    let mut w = inp.w.clone();
+    let mut pl = exec.pipeline();
+    let handle = record!(pl, case, &inp.x, &inp.y, &mut w, &inp.pattern, &inp.valued);
+    let results = pl.finish().unwrap();
+    Output {
+        scalar: handle.map(|h| results[h]),
+        w: bits(&w),
+    }
+}
+
+/// Compiles `case` once and replays it twice, each time on a fresh copy of
+/// `w`; both replays must agree.
+fn plan(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
+    let n = inp.w.len();
+    let mut pb = exec.plan::<f64>();
+    let (xs, ys, ws) = (pb.input(n), pb.input(n), pb.output(n));
+    let (pattern, valued) = (pb.mask(n), pb.mask(n));
+    let handle = record!(pb, case, xs, ys, ws, pattern, valued);
+    let plan = pb.compile();
+    let replay = || {
+        let mut w = inp.w.clone();
+        let mut b = plan.bindings();
+        b.bind_input(xs, &inp.x)
+            .bind_input(ys, &inp.y)
+            .bind_output(ws, &mut w)
+            .bind_mask(pattern, &inp.pattern)
+            .bind_mask(valued, &inp.valued);
+        let results = plan.run(&mut b).unwrap();
+        Output {
+            scalar: handle.map(|h| results[h]),
+            w: bits(&w),
+        }
+    };
+    let first = replay();
+    assert_eq!(first, replay(), "{case:?}: a replay diverged");
+    first
+}
+
+#[test]
+fn every_elementwise_and_fold_op_matches_sequential_through_every_door() {
+    let (mut par_folds, mut par_folds_inexact) = (0usize, 0usize);
+    for n in SIZES {
+        let inp = Inputs::new(n);
+        for case in CASES {
+            let oracle = eager(ctx_on(BackendKind::Sequential), case, &inp);
+            for &backend in backends() {
+                let exec = ctx_on(backend);
+                let got = eager(exec, case, &inp);
+                let what = format!("{case:?} on {backend} at n={n}");
+                assert_eq!(got, pipeline(exec, case, &inp), "{what}: pipeline vs eager");
+                assert_eq!(got, plan(exec, case, &inp), "{what}: plan vs eager");
+                assert_eq!(got.w, oracle.w, "{what}: vector vs Sequential");
+                match (got.scalar, oracle.scalar) {
+                    (None, None) => {}
+                    (Some(s), Some(want)) if matches!(backend, BackendKind::Parallel) => {
+                        par_folds += 1;
+                        if s.to_bits() != want.to_bits() {
+                            par_folds_inexact += 1;
+                        }
+                        let rel = ((s - want) / want).abs();
+                        assert!(rel <= 1e-12, "{what}: {s} vs {want} (rel {rel:e})");
+                    }
+                    (Some(s), Some(want)) => {
+                        assert_eq!(s.to_bits(), want.to_bits(), "{what}: {s} vs {want}");
+                    }
+                    other => panic!("{what}: fold presence differs: {other:?}"),
+                }
+            }
+        }
+    }
+    eprintln!(
+        "Parallel folds: {par_folds} compared within a relative 1e-12, \
+         {par_folds_inexact} of them not bit-identical to Sequential"
+    );
+    assert!(par_folds > 0);
+}

@@ -5,11 +5,23 @@
 //! superstep's node 0 runs on the calling thread; a thread records under a
 //! `node k/p` track only for the length of the superstep it serves.
 
-use graphblas::{ctx, CsrMatrix, Distributed, Exec, Parallel, Vector};
+use graphblas::{
+    ctx, ctx_on, BackendKind, CsrMatrix, DistConfig, Distributed, DynCtx, Exec, Max, Parallel,
+    ShardLayout, Vector,
+};
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
+
+/// Span recording is process-global; tests that switch it on take this
+/// lock so the parallel test runner cannot interleave them.
+fn trace_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn parallel_spans_after_a_superstep_stay_off_the_node_tracks() {
+    let _lock = trace_lock();
     // Two chunks per `Parallel` kernel, so the pool worker that just served
     // node 2/2 runs the second one.
     rayon::ThreadPoolBuilder::new()
@@ -58,5 +70,87 @@ fn parallel_spans_after_a_superstep_stay_off_the_node_tracks() {
             "{} recorded on a node track",
             span.name
         );
+    }
+}
+
+/// The kernel spans one eager call leaves behind: everything but the
+/// `dist` ledger's retrospective superstep slices and a pipeline's own
+/// `finish` span.
+fn kernel_spans(call: impl FnOnce()) -> Vec<(&'static str, &'static str)> {
+    obs::clear();
+    obs::set_enabled(true);
+    call();
+    obs::set_enabled(false);
+    obs::snapshot()
+        .into_iter()
+        .filter(|s| !matches!(s.class, "superstep" | "plan"))
+        .map(|s| (s.name, s.class))
+        .collect()
+}
+
+/// Each element-wise and fold op emits exactly one kernel span per eager
+/// call, under the name and class the trace categories (`update`, `dot`,
+/// `fused`) count — on `Sequential` and on a 3-node block-cyclic cluster.
+#[test]
+fn each_elementwise_op_emits_one_named_span() {
+    let _lock = trace_lock();
+    let cluster =
+        Distributed::with_config(DistConfig::new(3).layout(ShardLayout::BlockCyclic { block: 3 }));
+    let n = 100usize;
+    let x = Vector::from_dense((0..n).map(|i| 1.0 + i as f64).collect());
+    let y = Vector::filled(n, 0.5);
+    let mask = Vector::<bool>::sparse_filled(n, (0..n as u32).step_by(4).collect(), true).unwrap();
+    type Call = fn(DynCtx, &Vector<f64>, &Vector<f64>, &Vector<bool>, &mut Vector<f64>);
+    let cases: [(&str, &str, Call); 9] = [
+        ("ewise", "update", |c, x, y, m, w| {
+            c.ewise(x, y).mask(m).structural().into(w).unwrap()
+        }),
+        ("ewise", "update", |c, x, y, _, w| {
+            c.ewise(x, y).scaled(2.0, -1.0).into(w).unwrap()
+        }),
+        ("axpy", "update", |c, _, y, _, w| c.axpy(w, 0.5, y).unwrap()),
+        ("apply", "update", |c, x, _, m, w| {
+            c.apply(x).mask(m).structural().into(w).unwrap()
+        }),
+        ("lambda", "update", |c, _, y, _, w| {
+            let ys = y.as_slice();
+            c.transform(w).apply(|i, t| *t += ys[i]).unwrap()
+        }),
+        ("dot", "dot", |c, x, y, _, _| {
+            c.dot(x, y).compute().unwrap();
+        }),
+        ("dot", "dot", |c, x, _, _, _| {
+            c.norm2_squared(x).unwrap();
+        }),
+        ("reduce", "dot", |c, x, _, m, _| {
+            c.reduce(x)
+                .monoid(Max)
+                .mask(m)
+                .structural()
+                .compute()
+                .unwrap();
+        }),
+        ("axpy_norm", "fused", |c, _, y, _, w| {
+            let mut pl = c.pipeline();
+            let h = pl.axpy(w, 0.5, y);
+            pl.norm2_squared(h);
+            pl.finish().unwrap();
+        }),
+    ];
+    for (name, class, call) in cases {
+        for (backend, prefix) in [
+            (BackendKind::Sequential, ""),
+            (BackendKind::Dist(cluster), "dist."),
+        ] {
+            let mut w = Vector::filled(n, 1.0);
+            let spans = kernel_spans(|| call(ctx_on(backend), &x, &y, &mask, &mut w));
+            let want = format!("{prefix}{name}");
+            assert_eq!(spans.len(), 1, "{want} on {backend}: {spans:?}");
+            assert_eq!(
+                (spans[0].0, spans[0].1),
+                (want.as_str(), class),
+                "on {backend}"
+            );
+        }
     }
 }

@@ -80,8 +80,9 @@ impl AlpDistHpcg {
     }
 
     /// Enables or disables deferred (pipeline-fused) execution of the hot
-    /// loops, exactly as on the shared-memory implementation. Fused pairs
-    /// cost one sweep plus one allreduce instead of two full supersteps.
+    /// loops, exactly as [`GrbHpcg::set_pipeline`] does: only bit-identity
+    /// tests switch it off. Fused pairs cost one sweep plus one allreduce
+    /// instead of two full supersteps.
     pub fn set_pipeline(&mut self, enabled: bool) {
         self.inner.set_pipeline(enabled);
     }

@@ -20,8 +20,9 @@
 //! CG pairs `spmv`+`⟨p, Ap⟩` and residual-`axpy`+`‖r‖²` fuse into single
 //! passes, the MG residual/restrict chain and the RBGS sweep execute as
 //! recorded graphs. [`GrbHpcg::set_pipeline`] switches back to eager
-//! per-primitive execution (`hpcg_report --pipeline off`); both modes are
-//! bit-identical, which the workspace's property tests pin down.
+//! per-primitive execution; both modes are bit-identical, and the eager
+//! mode exists only as the oracle the bit-identity tests compare the
+//! deferred one against.
 //!
 //! Each deferred op graph is **compiled once per level** into a reusable
 //! [`Plan`] held in a per-instance [`PlanCache`]: the
@@ -88,7 +89,11 @@ impl<E: Exec> GrbHpcg<E> {
     }
 
     /// Enables or disables deferred (pipeline-fused) execution of the hot
-    /// loops. On by default; both modes produce bit-identical results.
+    /// loops. On by default, and no binary switches it off: the eager mode
+    /// is the oracle four bit-identity tests run the deferred one against
+    /// (`cg.rs`, this module's, `distributed/alp.rs`'s and the workspace's
+    /// `tests/proptest_deferred.rs`). Both modes produce bit-identical
+    /// results.
     pub fn set_pipeline(&mut self, enabled: bool) {
         self.pipeline = enabled;
     }
