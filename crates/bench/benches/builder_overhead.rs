@@ -14,13 +14,19 @@
 //! element-wise builders — each a closure handed to the backend's one
 //! element-write loop — next to the loop a user would write by hand.
 //!
+//! The `chain_path` group runs three adjacent element-wise ops (a scaled
+//! `ewise`, an `axpy`, an `ewise` under `Times`) as three eager calls, as
+//! one `Pipeline`, and as a plan compiled once and replayed. Recorded
+//! element-wise ops run one stage each through the eager helpers, so the
+//! pipeline arm should sit within a few percent of the eager one.
+//!
 //! Acceptance gate for the API redesign (PR 1) and the pipeline layer:
 //! builder-API `mxv`/`dot`/`ewise`/`transform` within noise (≤2 %) of the
 //! static or hand-written path, and the single-op pipeline path within a
 //! few percent on kernels this size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use graphblas::{ctx, BackendKind, DynCtx, Sequential, Vector};
+use graphblas::{ctx, BackendKind, DynCtx, Sequential, Times, Vector};
 use hpcg::problem::build_stencil_matrix;
 use hpcg::Grid3;
 use std::hint::black_box;
@@ -171,9 +177,59 @@ fn bench_elementwise_paths(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_chain_paths(c: &mut Criterion) {
+    let n = SIZE * SIZE * SIZE;
+    let x = Vector::from_dense((0..n).map(|i| (i % 13) as f64).collect());
+    let y = Vector::from_dense((0..n).map(|i| (i % 7) as f64).collect());
+    let (mut w, mut u, mut v) = (Vector::zeros(n), Vector::zeros(n), Vector::zeros(n));
+
+    let mut g = c.benchmark_group("chain_path");
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function(BenchmarkId::new("eager", "sequential"), |b| {
+        let exec = ctx::<Sequential>();
+        b.iter(|| {
+            let (x, y) = (black_box(&x), black_box(&y));
+            exec.ewise(x, y).scaled(2.0, -1.5).into(&mut w).unwrap();
+            exec.axpy(&mut u, 0.5, y).unwrap();
+            exec.ewise(x, y).op(Times).into(&mut v).unwrap();
+        })
+    });
+    g.bench_function(BenchmarkId::new("pipeline", "sequential"), |b| {
+        let exec = ctx::<Sequential>();
+        b.iter(|| {
+            let (x, y) = (black_box(&x), black_box(&y));
+            let mut pl = exec.pipeline();
+            pl.ewise(x, y).scaled(2.0, -1.5).into(&mut w);
+            pl.axpy(&mut u, 0.5, y);
+            pl.ewise(x, y).op(Times).into(&mut v);
+            pl.finish().unwrap();
+        })
+    });
+    g.bench_function(BenchmarkId::new("plan", "sequential"), |b| {
+        let exec = ctx::<Sequential>();
+        let mut pb = exec.plan::<f64>();
+        let (xs, ys) = (pb.input(n), pb.input(n));
+        let (ws, us, vs) = (pb.output(n), pb.output(n), pb.output(n));
+        pb.ewise(xs, ys).scaled(2.0, -1.5).into(ws);
+        pb.axpy(us, 0.5, ys);
+        pb.ewise(xs, ys).op(Times).into(vs);
+        let plan = pb.compile();
+        b.iter(|| {
+            let mut bnd = plan.bindings();
+            bnd.bind_input(xs, black_box(&x))
+                .bind_input(ys, black_box(&y))
+                .bind_output(ws, &mut w)
+                .bind_output(us, &mut u)
+                .bind_output(vs, &mut v);
+            plan.run(&mut bnd).unwrap();
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_mxv_paths, bench_dot_paths, bench_elementwise_paths
+    targets = bench_mxv_paths, bench_dot_paths, bench_elementwise_paths, bench_chain_paths
 );
 criterion_main!(benches);

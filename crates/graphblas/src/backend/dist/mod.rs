@@ -568,16 +568,6 @@ impl Exec for Distributed {
         Ok(c)
     }
 
-    fn run_for_each<F: Fn(usize) + Send + Sync>(self, n: usize, f: F) {
-        let _span = obs::span_enter("dist.for_each", "update");
-        let shape = self.shape();
-        let t0 = std::time::Instant::now();
-        shard::for_each_sharded(n, f, &shape);
-        self.record_measured(t0, 0.0, |s| {
-            s.record_stream(n, None, Descriptor::DEFAULT, 2, 1.0)
-        });
-    }
-
     fn run_spmv_dot<T: Scalar, R: Semiring<T>>(
         self,
         y: &mut Vector<T>,
@@ -902,6 +892,29 @@ mod tests {
                 pl.finish().unwrap();
             },
             |s| s.record_stream_with_norm(n, 3, 4.0),
+        );
+    }
+
+    /// A recorded chain of adjacent element-wise ops bills op by op: each
+    /// op's own ledger entry, in recording order, as its eager call would.
+    #[test]
+    fn recorded_chain_bills_op_by_op() {
+        let n = 100usize;
+        let x = Vector::from_dense((0..n).map(|i| 1.0 + i as f64).collect());
+        let y = Vector::filled(n, 0.5);
+        let (mut w, mut v) = (Vector::filled(n, 1.0), Vector::filled(n, 2.0));
+        bills_exactly(
+            |c| {
+                let mut pl = c.pipeline();
+                pl.ewise(&x, &y).scaled(2.0, -1.0).into(&mut w);
+                pl.axpy(&mut v, 0.5, &y);
+                pl.finish().unwrap();
+            },
+            |s| {
+                let all = Descriptor::DEFAULT;
+                s.record_elementwise(ElemOp::Ewise { scaled: true }, n, None, all);
+                s.record_elementwise(ElemOp::Axpy, n, None, all);
+            },
         );
     }
 

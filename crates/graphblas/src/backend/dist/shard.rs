@@ -10,6 +10,12 @@
 //! interior rows while peers' shards are in flight, complete the exchange
 //! only for the boundary tail (paper §VII's nonblocking proposal).
 //!
+//! There are five sharded kernels: three row sweeps (`mxv_sharded`,
+//! `mxv_sparse_sharded`, `spmv_dot_sharded`) and two element streams
+//! (`lambda_sharded` writes, `fold_sharded` folds). Every element-wise op
+//! is one call of a stream, so a recorded chain of them is one superstep
+//! per op, billed op by op.
+//!
 //! # What a row sweep derives once
 //!
 //! Which rows are interior and which input slots the boundary rows read
@@ -647,18 +653,6 @@ where
         0.0
     });
     Ok(())
-}
-
-/// Sharded index iteration: `f(i)` for every owned index on its worker.
-pub(crate) fn for_each_sharded<F>(n: usize, f: F, shape: &ShardShape)
-where
-    F: Fn(usize) + Send + Sync,
-{
-    let dist = shape.dist(n);
-    run_superstep(shape, |w| {
-        dist.owned_ranges(w).flatten().for_each(&f);
-        0.0
-    });
 }
 
 #[cfg(test)]

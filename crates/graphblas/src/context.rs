@@ -220,7 +220,8 @@ impl ElemOp {
 /// The `run_*` methods are plumbing between the builders and the kernels in
 /// [`crate::exec`]; user code never calls them directly. Besides the row
 /// sweeps and `run_mxm`, every element-wise op is one of two element
-/// streams: a write, `run_lambda`, or a fold, `run_fold`.
+/// streams: a write, `run_lambda`, or a fold, `run_fold`. A recorded
+/// chain of element-wise ops makes one such call per op.
 pub trait Exec: Copy + Send + Sync + 'static {
     /// The degree of parallelism operations will use.
     fn threads(self) -> usize;
@@ -282,9 +283,6 @@ pub trait Exec: Copy + Send + Sync + 'static {
         b: &CsrMatrix<T>,
         desc: Descriptor,
     ) -> Result<CsrMatrix<T>>;
-
-    #[doc(hidden)]
-    fn run_for_each<F: Fn(usize) + Send + Sync>(self, n: usize, f: F);
 
     #[doc(hidden)]
     fn run_spmv_dot<T: Scalar, R: Semiring<T>>(
@@ -370,11 +368,6 @@ macro_rules! impl_exec_for_backend {
             ) -> Result<CsrMatrix<T>> {
                 let _span = obs::span_enter("mxm", "spmv");
                 mxm_exec::<T, R, $backend>(a, b, desc)
-            }
-
-            fn run_for_each<F: Fn(usize) + Send + Sync>(self, n: usize, f: F) {
-                let _span = obs::span_enter("for_each", "update");
-                <$backend as Backend>::for_n(n, f)
             }
 
             fn run_spmv_dot<T: Scalar, R: Semiring<T>>(
@@ -473,10 +466,6 @@ impl Exec for BackendKind {
         desc: Descriptor,
     ) -> Result<CsrMatrix<T>> {
         kind_dispatch!(self, b2 => b2.run_mxm::<T, R>(a, b, desc))
-    }
-
-    fn run_for_each<F: Fn(usize) + Send + Sync>(self, n: usize, f: F) {
-        kind_dispatch!(self, b => b.run_for_each::<F>(n, f))
     }
 
     fn run_spmv_dot<T: Scalar, R: Semiring<T>>(

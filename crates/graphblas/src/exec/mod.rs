@@ -12,7 +12,9 @@
 //! per-element expression to one of the two; the eager builders on
 //! [`Ctx`](crate::Ctx) and the plan interpreter behind
 //! [`Ctx::pipeline`](crate::Ctx::pipeline) and
-//! [`Ctx::plan`](crate::Ctx::plan) all call these helpers.
+//! [`Ctx::plan`](crate::Ctx::plan) all call these helpers: a recorded
+//! element-wise op is one helper call, as its eager call is, and only the
+//! fused `axpy`+norm merges two ops into one stream.
 //!
 //! Masked variants follow the semantics of the paper's Listing 2/3: outputs
 //! are computed **only at selected positions**; unselected positions of the

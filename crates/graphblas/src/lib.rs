@@ -72,8 +72,9 @@
 //! turns each borrowed operand into a bound slot as it records, and
 //! `finish()` fuses and runs the graph once — an `mxv` feeding a `dot`
 //! becomes one SpMV-with-epilogue sweep, an `axpy` feeding a norm one fused
-//! stream, adjacent element-wise stages one loop. Results are bit-identical
-//! to the eager path on every backend.
+//! stream, and every other op runs as its own stage through the kernel its
+//! eager call uses. Results are bit-identical to the eager path on every
+//! backend.
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Sequential, Vector};

@@ -55,7 +55,8 @@
 //! What the type adds over a bare builder is the `'a` on every operand:
 //! outputs enter exactly once as `&'a mut` and inputs as `&'a`, so the
 //! borrow checker proves that the graph's vectors don't alias and that they
-//! outlive execution — the property the fused loops' soundness rests on.
+//! outlive execution — the property the interpreter's `out_mut` reborrows
+//! rest on.
 //! `transform` closures may borrow for `'a` too, which a compiled plan's
 //! `'static` closures cannot.
 //!
@@ -228,35 +229,6 @@ impl TaggedMonoid for Min {
 }
 impl TaggedMonoid for Max {
     const TAG: MonoidTag = MonoidTag::Max;
-}
-
-impl BinOpTag {
-    /// Applies the tagged operator — exactly the arithmetic its zero-sized
-    /// counterpart inlines to, so fused loops match eager kernels bitwise.
-    #[inline(always)]
-    pub(crate) fn apply<T: Scalar>(self, a: T, b: T) -> T {
-        match self {
-            BinOpTag::Plus => a.add(b),
-            BinOpTag::Minus => a.sub(b),
-            BinOpTag::Times => a.mul(b),
-            BinOpTag::Divide => a.div(b),
-            BinOpTag::Min => a.min_of(b),
-            BinOpTag::Max => a.max_of(b),
-        }
-    }
-}
-
-impl UnaryOpTag {
-    /// Applies the tagged operator (see [`BinOpTag::apply`]).
-    #[inline(always)]
-    pub(crate) fn apply<T: Scalar>(self, a: T) -> T {
-        match self {
-            UnaryOpTag::Identity => a,
-            UnaryOpTag::Abs => a.abs_of(),
-            UnaryOpTag::AdditiveInverse => T::ZERO.sub(a),
-            UnaryOpTag::MultiplicativeInverse => T::ONE.div(a),
-        }
-    }
 }
 
 /// Re-monomorphizes a [`RingTag`] into its zero-sized semiring.
@@ -645,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_chain_fuses_into_one_loop() {
+    fn elementwise_chain_runs_one_stage_per_op() {
         let x = Vector::from_dense(vec![1.0, 2.0, 3.0]);
         let y = Vector::from_dense(vec![10.0, 20.0, 30.0]);
         let mut w = Vector::zeros(3);
@@ -654,7 +626,10 @@ mod tests {
         let wh = pl.ewise(&x, &y).scaled(2.0, -1.0).into(&mut w);
         pl.axpy(&mut z, 0.5, &x);
         let _ = wh;
-        assert_eq!(pl.plan(), vec![PlannedStage::FusedLoop(2)]);
+        assert_eq!(
+            pl.plan(),
+            vec![PlannedStage::Single("ewise"), PlannedStage::Single("axpy")]
+        );
         pl.finish().unwrap();
         assert_eq!(w.as_slice(), &[-8.0, -16.0, -24.0]);
         assert_eq!(z.as_slice(), &[1.5, 2.0, 2.5]);
@@ -807,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_loop_dimension_error_propagates() {
+    fn elementwise_chain_dimension_error_propagates() {
         let x = Vector::from_dense(vec![1.0, 2.0, 3.0]);
         let y_bad = Vector::from_dense(vec![1.0]);
         let mut w = Vector::zeros(3);

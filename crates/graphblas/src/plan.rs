@@ -92,7 +92,7 @@ use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
 use crate::error::{check_dims, GrbError, Result};
 use crate::exec::{apply, ewise, fused, reduce};
-use crate::fusion::{fuse_shapes, OpShape, PlannedStage, ShapeKind, Stage};
+use crate::fusion::{fuse_shapes, OpShape, PlannedStage, Stage};
 use crate::ops::accum::{AccumWith, NoAccum};
 use crate::ops::binary::{Divide, Max, Min, Minus, Plus, Times};
 use crate::ops::scalar::Scalar;
@@ -102,7 +102,6 @@ use crate::pipeline::{
     with_accum, with_binop, with_monoid, with_ring, with_unop, BinOpTag, MonoidTag, RingTag,
     TaggedBinOp, TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag,
 };
-use crate::util::UnsafeSlice;
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -385,94 +384,27 @@ impl<T: Scalar> PlanNode<'_, T> {
         }
     }
 
-    /// The fusion-relevant footprint of this op (see [`OpShape`]). Input
-    /// slots are invisible to the pass: the borrow rules on [`Bindings`]
-    /// keep a bound input from aliasing a bound output.
+    /// The fusion-relevant footprint of this op (see [`OpShape`]).
     fn shape(&self) -> OpShape {
         match self {
             PlanNode::Mxv {
                 out,
-                x,
-                mask,
+                mask: None,
                 desc,
-                ring,
-                accum,
+                ring: RingTag::PlusTimes,
+                accum: None,
                 ..
-            } => OpShape {
-                kind: if mask.is_none()
-                    && !desc.is_transposed()
-                    && *ring == RingTag::PlusTimes
-                    && accum.is_none()
-                {
-                    ShapeKind::MxvFusable
-                } else {
-                    ShapeKind::MxvOther
-                },
-                out: Some(*out),
-                reads: [x.out_index(), None, None],
-                masked: mask.is_some(),
+            } if !desc.is_transposed() => OpShape::Mxv { out: *out },
+            PlanNode::Axpy { out, .. } => OpShape::Axpy { out: *out },
+            PlanNode::Dot {
+                x,
+                y,
+                ring: RingTag::PlusTimes,
+                ..
+            } => OpShape::Dot {
+                reads: [x.out_index(), y.out_index()],
             },
-            PlanNode::Ewise {
-                out, x, y, mask, ..
-            } => OpShape {
-                kind: ShapeKind::Ewise,
-                out: Some(*out),
-                reads: [x.out_index(), y.out_index(), None],
-                masked: mask.is_some(),
-            },
-            PlanNode::Apply {
-                out, input, mask, ..
-            } => OpShape {
-                kind: ShapeKind::Apply,
-                out: Some(*out),
-                reads: [input.out_index(), None, None],
-                masked: mask.is_some(),
-            },
-            PlanNode::Axpy { out, y, .. } => OpShape {
-                kind: ShapeKind::Axpy,
-                out: Some(*out),
-                reads: [y.out_index(), None, None],
-                masked: false,
-            },
-            PlanNode::Lambda { out, mask, f, .. } => {
-                let mut reads = [None, None, None];
-                match f {
-                    PlanFn::F0(_) => {}
-                    PlanFn::F1(s, _) => reads[0] = s.out_index(),
-                    PlanFn::F2(ss, _) => {
-                        for (k, s) in ss.iter().enumerate() {
-                            reads[k] = s.out_index();
-                        }
-                    }
-                    PlanFn::F3(ss, _) => {
-                        for (k, s) in ss.iter().enumerate() {
-                            reads[k] = s.out_index();
-                        }
-                    }
-                }
-                OpShape {
-                    kind: ShapeKind::Lambda,
-                    out: Some(*out),
-                    reads,
-                    masked: mask.is_some(),
-                }
-            }
-            PlanNode::Dot { x, y, ring, .. } => OpShape {
-                kind: if *ring == RingTag::PlusTimes {
-                    ShapeKind::DotPlusTimes
-                } else {
-                    ShapeKind::DotOther
-                },
-                out: None,
-                reads: [x.out_index(), y.out_index(), None],
-                masked: false,
-            },
-            PlanNode::Reduce { x, mask, .. } => OpShape {
-                kind: ShapeKind::Reduce,
-                out: None,
-                reads: [x.out_index(), None, None],
-                masked: mask.is_some(),
-            },
+            _ => OpShape::Other,
         }
     }
 
@@ -1679,7 +1611,7 @@ impl<T: Scalar> OpGraph<'_, T> {
     /// Runs the fusion pass in [`crate::fusion`] over the recorded ops.
     fn fuse(&self) -> Vec<Stage> {
         let shapes: Vec<OpShape> = self.nodes.iter().map(PlanNode::shape).collect();
-        fuse_shapes(&shapes, &self.outs)
+        fuse_shapes(&shapes)
     }
 
     fn describe(&self, stages: &[Stage]) -> Vec<PlannedStage> {
@@ -1767,7 +1699,6 @@ impl<T: Scalar> OpGraph<'_, T> {
                 Stage::AxpyNorm { axpy, dot } => {
                     self.run_fused_axpy_norm(exec, b, *axpy, *dot, &mut scalars)
                 }
-                Stage::Loop(run) => self.run_fused_loop(exec, b, run),
             }?;
         }
         Ok(PlanResults {
@@ -1985,223 +1916,6 @@ impl<T: Scalar> OpGraph<'_, T> {
         scalars[sid] = fused::axpy_norm::<T, PlusTimes, E>(exec, x, alpha, ys)?;
         Ok(())
     }
-
-    fn run_fused_loop<E: Exec>(&self, exec: E, b: &Bindings<'_, T>, run: &[usize]) -> Result<()> {
-        let n = match &self.nodes[run[0]] {
-            PlanNode::Ewise { out, .. }
-            | PlanNode::Apply { out, .. }
-            | PlanNode::Axpy { out, .. }
-            | PlanNode::Lambda { out, .. } => self.outs[*out],
-            _ => unreachable!("fusion pass only loops element-wise nodes"),
-        };
-        let mut elems: Vec<PlanElem<'_, '_, T>> = Vec::with_capacity(run.len());
-        for &i in run {
-            match &self.nodes[i] {
-                PlanNode::Ewise {
-                    out,
-                    x,
-                    y,
-                    op,
-                    scale,
-                    accum,
-                    ..
-                } => {
-                    let xs = self.src_vec(b, *x).as_slice();
-                    let ys = self.src_vec(b, *y).as_slice();
-                    check_dims("ewise", "x vs output", n, xs.len())?;
-                    check_dims("ewise", "y vs output", n, ys.len())?;
-                    let scale = scale
-                        .as_ref()
-                        .map(|(al, be)| (self.scalar_val(b, al), self.scalar_val(b, be)));
-                    // SAFETY: loop legality — outputs in a run are distinct
-                    // and never read as another run member's input.
-                    let w = unsafe { self.out_mut(b, *out) };
-                    elems.push(PlanElem::Ewise {
-                        w: UnsafeSlice::new(w.as_mut_slice()),
-                        xs,
-                        ys,
-                        op: *op,
-                        scale,
-                        accum: *accum,
-                    });
-                }
-                PlanNode::Apply {
-                    out,
-                    input,
-                    op,
-                    accum,
-                    ..
-                } => {
-                    let xs = self.src_vec(b, *input).as_slice();
-                    check_dims("apply", "input vs output", n, xs.len())?;
-                    // SAFETY: see the Ewise arm.
-                    let o = unsafe { self.out_mut(b, *out) };
-                    elems.push(PlanElem::Apply {
-                        out: UnsafeSlice::new(o.as_mut_slice()),
-                        xs,
-                        op: *op,
-                        accum: *accum,
-                    });
-                }
-                PlanNode::Axpy { out, alpha, y } => {
-                    let ys = self.src_vec(b, *y).as_slice();
-                    check_dims("axpy", "y vs x", n, ys.len())?;
-                    let alpha = self.scalar_val(b, alpha);
-                    // SAFETY: see the Ewise arm.
-                    let x = unsafe { self.out_mut(b, *out) };
-                    elems.push(PlanElem::Axpy {
-                        x: UnsafeSlice::new(x.as_mut_slice()),
-                        alpha,
-                        ys,
-                    });
-                }
-                PlanNode::Lambda { out, f, .. } => {
-                    // SAFETY: see the Ewise arm.
-                    let o = unsafe { self.out_mut(b, *out) };
-                    let out = UnsafeSlice::new(o.as_mut_slice());
-                    elems.push(match f {
-                        PlanFn::F0(f) => PlanElem::Lambda0 { out, f },
-                        PlanFn::F1(s, f) => {
-                            let ss = self.src_vec(b, *s).as_slice();
-                            check_dims("transform_zip", "src vs output", n, ss.len())?;
-                            PlanElem::Lambda1 { out, ss, f }
-                        }
-                        PlanFn::F2(srcs, f) => {
-                            let s1 = self.src_vec(b, srcs[0]).as_slice();
-                            let s2 = self.src_vec(b, srcs[1]).as_slice();
-                            check_dims("transform_zip", "src vs output", n, s1.len())?;
-                            check_dims("transform_zip", "src vs output", n, s2.len())?;
-                            PlanElem::Lambda2 { out, s1, s2, f }
-                        }
-                        PlanFn::F3(srcs, f) => {
-                            let s1 = self.src_vec(b, srcs[0]).as_slice();
-                            let s2 = self.src_vec(b, srcs[1]).as_slice();
-                            let s3 = self.src_vec(b, srcs[2]).as_slice();
-                            check_dims("transform_zip", "src vs output", n, s1.len())?;
-                            check_dims("transform_zip", "src vs output", n, s2.len())?;
-                            check_dims("transform_zip", "src vs output", n, s3.len())?;
-                            PlanElem::Lambda3 { out, s1, s2, s3, f }
-                        }
-                    });
-                }
-                _ => unreachable!("fusion pass only loops element-wise nodes"),
-            }
-        }
-        let elems = &elems;
-        exec.run_for_each(n, move |i| {
-            for e in elems {
-                // SAFETY: each index is visited by exactly one invocation
-                // and run outputs are pairwise disjoint.
-                unsafe { e.apply(i) };
-            }
-        });
-        Ok(())
-    }
-}
-
-/// One element-wise op of a fused loop, pre-resolved for the hot loop.
-enum PlanElem<'s, 'f, T: Scalar> {
-    Ewise {
-        w: UnsafeSlice<'s, T>,
-        xs: &'s [T],
-        ys: &'s [T],
-        op: BinOpTag,
-        scale: Option<(T, T)>,
-        accum: Option<BinOpTag>,
-    },
-    Apply {
-        out: UnsafeSlice<'s, T>,
-        xs: &'s [T],
-        op: UnaryOpTag,
-        accum: Option<BinOpTag>,
-    },
-    Axpy {
-        x: UnsafeSlice<'s, T>,
-        alpha: T,
-        ys: &'s [T],
-    },
-    Lambda0 {
-        out: UnsafeSlice<'s, T>,
-        f: &'s F0<'f, T>,
-    },
-    Lambda1 {
-        out: UnsafeSlice<'s, T>,
-        ss: &'s [T],
-        f: &'s F1<'f, T>,
-    },
-    Lambda2 {
-        out: UnsafeSlice<'s, T>,
-        s1: &'s [T],
-        s2: &'s [T],
-        f: &'s F2<'f, T>,
-    },
-    Lambda3 {
-        out: UnsafeSlice<'s, T>,
-        s1: &'s [T],
-        s2: &'s [T],
-        s3: &'s [T],
-        f: &'s F3<'f, T>,
-    },
-}
-
-impl<T: Scalar> PlanElem<'_, '_, T> {
-    /// Applies this op at index `i` — the same per-element arithmetic the
-    /// eager kernel monomorphizes, so the fused loop is bit-identical.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds and handed to at most one concurrent caller.
-    #[inline(always)]
-    unsafe fn apply(&self, i: usize) {
-        match self {
-            PlanElem::Ewise {
-                w,
-                xs,
-                ys,
-                op,
-                scale,
-                accum,
-            } => {
-                let (a, b) = match scale {
-                    None => (xs[i], ys[i]),
-                    Some((alpha, beta)) => (alpha.mul(xs[i]), beta.mul(ys[i])),
-                };
-                let v = op.apply(a, b);
-                // SAFETY: forwarded contract.
-                let slot = unsafe { w.get_mut(i) };
-                match accum {
-                    None => *slot = v,
-                    Some(acc) => *slot = acc.apply(*slot, v),
-                }
-            }
-            PlanElem::Apply { out, xs, op, accum } => {
-                let v = op.apply(xs[i]);
-                // SAFETY: forwarded contract.
-                let slot = unsafe { out.get_mut(i) };
-                match accum {
-                    None => *slot = v,
-                    Some(acc) => *slot = acc.apply(*slot, v),
-                }
-            }
-            PlanElem::Axpy { x, alpha, ys } => {
-                // SAFETY: forwarded contract.
-                let slot = unsafe { x.get_mut(i) };
-                *slot = slot.add(alpha.mul(ys[i]));
-            }
-            // SAFETY: forwarded contract.
-            PlanElem::Lambda0 { out, f } => f(i, unsafe { out.get_mut(i) }),
-            // SAFETY: forwarded contract.
-            PlanElem::Lambda1 { out, ss, f } => f(i, unsafe { out.get_mut(i) }, ss[i]),
-            PlanElem::Lambda2 { out, s1, s2, f } => {
-                // SAFETY: forwarded contract.
-                f(i, unsafe { out.get_mut(i) }, s1[i], s2[i])
-            }
-            PlanElem::Lambda3 { out, s1, s2, s3, f } => {
-                // SAFETY: forwarded contract.
-                f(i, unsafe { out.get_mut(i) }, s1[i], s2[i], s3[i])
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2212,7 +1926,7 @@ impl<T: Scalar> PlanElem<'_, '_, T> {
 /// slot, and the current scalar parameter values. Created by
 /// [`Plan::bindings`]; all bindings borrow for the table's lifetime, so
 /// the borrow checker statically rules out an input aliasing an output —
-/// the invariant the fused loops rely on.
+/// the invariant the interpreter's `out_mut` reborrows rely on.
 pub struct Bindings<'a, T: Scalar> {
     plan: u64,
     mats: Vec<Option<&'a CsrMatrix<T>>>,
@@ -2546,7 +2260,7 @@ mod tests {
     }
 
     #[test]
-    fn element_wise_plan_ops_fuse_into_one_loop_and_match_eager() {
+    fn element_wise_plan_ops_run_one_stage_each_and_match_eager() {
         let exec = ctx::<Sequential>();
         let mut pb = exec.plan::<f64>();
         let xs = pb.input(4);
@@ -2557,7 +2271,10 @@ mod tests {
         pb.ewise(xs, ys).scaled(2.0, beta).into(ws);
         pb.axpy(us, -0.5, ys);
         let plan = pb.compile();
-        assert_eq!(plan.schedule(), vec![PlannedStage::FusedLoop(2)]);
+        assert_eq!(
+            plan.schedule(),
+            vec![PlannedStage::Single("ewise"), PlannedStage::Single("axpy")]
+        );
 
         let x = v(0.0);
         let y = v(1.0);

@@ -9,7 +9,10 @@
 //! sizes on both sides of that threshold, on `Sequential`, `Parallel` (pool
 //! pinned to two threads, so loops really split) and `Distributed` on 2 and
 //! 3 nodes under three layouts — each through an eager call, a `Pipeline`
-//! and a compiled plan replayed twice on rebound buffers.
+//! and a compiled plan replayed twice on rebound buffers. Three recorded
+//! chains of adjacent element-wise ops (distinct outputs, a stage reading
+//! an earlier stage's output, a three-zip `transform` beside an `ewise`)
+//! check that each op of a chain runs as the lone stage it is.
 //!
 //! On one backend the three doors agree bit for bit. Across backends,
 //! vector results (disjoint writes) equal `Sequential`'s bit for bit
@@ -18,8 +21,8 @@
 //! 1e-12 and counted. A test binary of its own: it pins the global pool.
 
 use graphblas::{
-    ctx_on, AdditiveInverse, BackendKind, DistConfig, Distributed, DynCtx, Max, Min, Minus, Plus,
-    ShardLayout, Times, Vector,
+    ctx_on, AdditiveInverse, BackendKind, DistConfig, Distributed, DynCtx, Max, Min, Minus,
+    PlannedStage, Plus, ShardLayout, Times, Vector,
 };
 use std::sync::OnceLock;
 
@@ -55,13 +58,16 @@ fn backends() -> &'static [BackendKind] {
 }
 
 /// The operands of one size: `x` and `y` are positive (so a re-associated
-/// sum stays within a relative bound), `w` is the output's prior value,
-/// `pattern` a sparse mask read structurally and `valued` a mask with
-/// stored `false` entries, read by value.
+/// sum stays within a relative bound), `w` is the output's prior value
+/// (`u` and `v` those of a chain's further outputs), `pattern` a sparse
+/// mask read structurally and `valued` a mask with stored `false` entries,
+/// read by value.
 struct Inputs {
     x: Vector<f64>,
     y: Vector<f64>,
     w: Vector<f64>,
+    u: Vector<f64>,
+    v: Vector<f64>,
     pattern: Vector<bool>,
     valued: Vector<bool>,
 }
@@ -78,6 +84,8 @@ impl Inputs {
             x: vec(|i| 1.0 / (3.0 + i as f64) + 0.1),
             y: vec(|i| ((i * 37) % 101) as f64 / 7.0 + 1.0 / (1.0 + i as f64)),
             w: vec(|i| 0.25 * i as f64 - 1.0 + 1.0 / (7.0 + i as f64)),
+            u: vec(|i| ((i * 11) % 23) as f64 / 3.0 - 2.0),
+            v: vec(|i| 1.0 / (2.0 + (i % 9) as f64)),
             pattern: Vector::sparse_filled(n, stored, true).unwrap(),
             valued: Vector::from_entries(n, &entries).unwrap(),
         }
@@ -85,7 +93,8 @@ impl Inputs {
 }
 
 /// One op under test. Write ops update `w`; folds leave it alone and
-/// return a scalar; `AxpyNorm` does both.
+/// return a scalar; `AxpyNorm` does both. The `Chain*` cases record
+/// several adjacent element-wise ops that also write `u` and `v`.
 #[derive(Copy, Clone, Debug)]
 enum Case {
     EwisePlain,
@@ -107,9 +116,32 @@ enum Case {
     ReduceMinMasked,
     ReduceMaxInverted,
     AxpyNorm,
+    /// `ewise().scaled` → `w`, `axpy` on `u`, `apply` → `v`.
+    ChainDistinct,
+    /// `ewise` → `w`, then an `axpy` on `u` and an `apply` → `v` that
+    /// both read `w`.
+    ChainReadsPrior,
+    /// `ewise` → `w` beside a `transform` of `u` zipping three sources.
+    ChainZip3,
 }
 
-const CASES: [Case; 19] = [
+/// A recorded chain runs one stage per op: adjacent element-wise ops are
+/// never merged into one loop.
+fn assert_unfused(case: Case, schedule: &[PlannedStage]) {
+    if matches!(
+        case,
+        Case::ChainDistinct | Case::ChainReadsPrior | Case::ChainZip3
+    ) {
+        assert!(
+            schedule
+                .iter()
+                .all(|s| matches!(s, PlannedStage::Single(_))),
+            "{case:?}: {schedule:?}"
+        );
+    }
+}
+
+const CASES: [Case; 22] = [
     Case::EwisePlain,
     Case::EwiseTimes,
     Case::EwiseScaled,
@@ -129,12 +161,18 @@ const CASES: [Case; 19] = [
     Case::ReduceMinMasked,
     Case::ReduceMaxInverted,
     Case::AxpyNorm,
+    Case::ChainDistinct,
+    Case::ChainReadsPrior,
+    Case::ChainZip3,
 ];
 
-/// What one run of a case produced: `w` afterwards and the fold, if any.
+/// What one run of a case produced: `w`, `u` and `v` afterwards and the
+/// fold, if any.
 #[derive(Debug, PartialEq)]
 struct Output {
     w: Vec<u64>,
+    u: Vec<u64>,
+    v: Vec<u64>,
     scalar: Option<f64>,
 }
 
@@ -147,10 +185,15 @@ fn blend(t: &mut f64, yi: f64) {
     *t = 0.5 * *t + yi;
 }
 
+/// The three-source transform body of `ChainZip3`.
+fn blend3(t: &mut f64, a: f64, b: f64, c: f64) {
+    *t = 0.5 * *t + a * b - c;
+}
+
 fn eager(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
     let (x, y, ys) = (&inp.x, &inp.y, inp.y.as_slice());
     let (pattern, valued) = (&inp.pattern, &inp.valued);
-    let mut w = inp.w.clone();
+    let (mut w, mut u, mut v) = (inp.w.clone(), inp.u.clone(), inp.v.clone());
     let scalar = match case {
         Case::EwisePlain => exec.ewise(x, y).into(&mut w).map(|_| None),
         Case::EwiseTimes => exec.ewise(x, y).op(Times).into(&mut w).map(|_| None),
@@ -228,10 +271,37 @@ fn eager(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
             .axpy(&mut w, ALPHA, y)
             .and_then(|_| exec.norm2_squared(&w))
             .map(Some),
+        Case::ChainDistinct => exec
+            .ewise(x, y)
+            .scaled(ALPHA, BETA)
+            .into(&mut w)
+            .and_then(|_| exec.axpy(&mut u, ALPHA, y))
+            .and_then(|_| exec.apply(x).op(AdditiveInverse).into(&mut v))
+            .map(|_| None),
+        Case::ChainReadsPrior => exec
+            .ewise(x, y)
+            .op(Times)
+            .into(&mut w)
+            .and_then(|_| exec.axpy(&mut u, ALPHA, &w))
+            .and_then(|_| exec.apply(&w).op(AdditiveInverse).into(&mut v))
+            .map(|_| None),
+        Case::ChainZip3 => {
+            let xs = x.as_slice();
+            exec.ewise(x, y)
+                .op(Minus)
+                .into(&mut w)
+                .and_then(|_| {
+                    exec.transform(&mut u)
+                        .apply(|i, t| blend3(t, xs[i], ys[i], xs[i]))
+                })
+                .map(|_| None)
+        }
     }
     .unwrap();
     Output {
         w: bits(&w),
+        u: bits(&u),
+        v: bits(&v),
         scalar,
     }
 }
@@ -240,7 +310,10 @@ fn eager(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
 /// family), given its operands as borrowed vectors or as slots. Evaluates
 /// to the fold's handle, if the case has one.
 macro_rules! record {
-    ($b:ident, $case:expr, $x:expr, $y:expr, $w:expr, $pattern:expr, $valued:expr) => {
+    (
+        $b:ident, $case:expr, $x:expr, $y:expr, $w:expr, $u:expr, $v:expr,
+        $pattern:expr, $valued:expr
+    ) => {
         match $case {
             Case::EwisePlain => {
                 $b.ewise($x, $y).into($w);
@@ -325,18 +398,52 @@ macro_rules! record {
                 let h = $b.axpy($w, ALPHA, $y);
                 Some($b.norm2_squared(h))
             }
+            Case::ChainDistinct => {
+                $b.ewise($x, $y).scaled(ALPHA, BETA).into($w);
+                $b.axpy($u, ALPHA, $y);
+                $b.apply($x).op(AdditiveInverse).into($v);
+                None
+            }
+            Case::ChainReadsPrior => {
+                let h = $b.ewise($x, $y).op(Times).into($w);
+                $b.axpy($u, ALPHA, h);
+                $b.apply(h).op(AdditiveInverse).into($v);
+                None
+            }
+            Case::ChainZip3 => {
+                $b.ewise($x, $y).op(Minus).into($w);
+                $b.transform($u)
+                    .zip($x)
+                    .zip($y)
+                    .zip($x)
+                    .apply(|_, t, a, b, c| blend3(t, a, b, c));
+                None
+            }
         }
     };
 }
 
 fn pipeline(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
-    let mut w = inp.w.clone();
+    let (mut w, mut u, mut v) = (inp.w.clone(), inp.u.clone(), inp.v.clone());
     let mut pl = exec.pipeline();
-    let handle = record!(pl, case, &inp.x, &inp.y, &mut w, &inp.pattern, &inp.valued);
+    let handle = record!(
+        pl,
+        case,
+        &inp.x,
+        &inp.y,
+        &mut w,
+        &mut u,
+        &mut v,
+        &inp.pattern,
+        &inp.valued
+    );
+    assert_unfused(case, &pl.plan());
     let results = pl.finish().unwrap();
     Output {
         scalar: handle.map(|h| results[h]),
         w: bits(&w),
+        u: bits(&u),
+        v: bits(&v),
     }
 }
 
@@ -345,22 +452,28 @@ fn pipeline(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
 fn plan(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
     let n = inp.w.len();
     let mut pb = exec.plan::<f64>();
-    let (xs, ys, ws) = (pb.input(n), pb.input(n), pb.output(n));
+    let (xs, ys) = (pb.input(n), pb.input(n));
+    let (ws, us, vs) = (pb.output(n), pb.output(n), pb.output(n));
     let (pattern, valued) = (pb.mask(n), pb.mask(n));
-    let handle = record!(pb, case, xs, ys, ws, pattern, valued);
+    let handle = record!(pb, case, xs, ys, ws, us, vs, pattern, valued);
     let plan = pb.compile();
+    assert_unfused(case, &plan.schedule());
     let replay = || {
-        let mut w = inp.w.clone();
+        let (mut w, mut u, mut v) = (inp.w.clone(), inp.u.clone(), inp.v.clone());
         let mut b = plan.bindings();
         b.bind_input(xs, &inp.x)
             .bind_input(ys, &inp.y)
             .bind_output(ws, &mut w)
+            .bind_output(us, &mut u)
+            .bind_output(vs, &mut v)
             .bind_mask(pattern, &inp.pattern)
             .bind_mask(valued, &inp.valued);
         let results = plan.run(&mut b).unwrap();
         Output {
             scalar: handle.map(|h| results[h]),
             w: bits(&w),
+            u: bits(&u),
+            v: bits(&v),
         }
     };
     let first = replay();
@@ -382,6 +495,8 @@ fn every_elementwise_and_fold_op_matches_sequential_through_every_door() {
                 assert_eq!(got, pipeline(exec, case, &inp), "{what}: pipeline vs eager");
                 assert_eq!(got, plan(exec, case, &inp), "{what}: plan vs eager");
                 assert_eq!(got.w, oracle.w, "{what}: vector vs Sequential");
+                assert_eq!(got.u, oracle.u, "{what}: u vs Sequential");
+                assert_eq!(got.v, oracle.v, "{what}: v vs Sequential");
                 match (got.scalar, oracle.scalar) {
                     (None, None) => {}
                     (Some(s), Some(want)) if matches!(backend, BackendKind::Parallel) => {

@@ -37,7 +37,7 @@
 //! ```
 
 use crate::error::ServeError;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Hard ceiling on one frame's payload size (64 MiB): a malformed or
 /// hostile length prefix must not become an allocation bomb.
@@ -689,8 +689,16 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
             }
         }
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The prefix is the peer's word, not an allocation size: the buffer
+    // grows with the bytes that actually arrive.
+    let mut payload = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame truncated in payload",
+        ));
+    }
     let mut newline = [0u8; 1];
     r.read_exact(&mut newline)?;
     if newline[0] != b'\n' {
