@@ -9,6 +9,15 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples (run, not only compiled)"
+# `cargo test` only compiles the examples; their own asserts (quickstart's
+# eager ≡ pipeline ≡ plan residual check among them) run here.
+cargo build --release --examples
+for ex in quickstart heat_steady_state pagerank distributed_cluster serve_session; do
+    ./target/release/examples/"$ex" > "target/example_$ex.txt" \
+        || { cat "target/example_$ex.txt"; echo "example $ex failed" >&2; exit 1; }
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

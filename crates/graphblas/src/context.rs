@@ -1,10 +1,10 @@
-//! Execution contexts and fluent operation builders — the public face of
-//! the primitive layer.
+//! Execution contexts — the public face of the primitive layer.
 //!
 //! ALP pairs its single-source/compile-time-backend kernels with a launcher
 //! object that owns execution configuration (paper §IV). [`Ctx`] is that
 //! object here: it carries the backend choice and descriptor defaults, and
-//! every primitive family hangs off it as a **builder** —
+//! every primitive family hangs off it as a **recorder** whose terminal
+//! runs the op at once —
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Plus, Sequential, Vector};
@@ -18,9 +18,16 @@
 //! ```
 //!
 //! — so mask, descriptor flags and accumulator are typed, optional,
-//! self-documenting builder state instead of positional arguments, and the
+//! self-documenting state instead of positional arguments, and the
 //! historical `mxv`/`mxv_accum`-style twin entry points collapse into one
-//! builder with an optional [`accum`](MxvBuilder::accum).
+//! recorder with an optional `accum`.
+//!
+//! There is one recorder per op ([`PlanMxv`] & co., in [`crate::plan`]),
+//! generic over a *door*. A context hands it out on the run-now door
+//! [`Run`]: operands are borrowed containers, and the terminal (`into`,
+//! `apply`, `compute`) calls the kernel directly and returns a [`Result`]
+//! — no node is built and nothing is allocated. [`Ctx::pipeline`] and [`Ctx::plan`] hand the same
+//! recorders out on the recording door, with the same modifiers.
 //!
 //! # Backends: compile-time or runtime
 //!
@@ -41,7 +48,7 @@
 //!
 //! # Deferred (nonblocking) execution
 //!
-//! [`Ctx::pipeline`] returns a [`Pipeline`] on which the same builders
+//! [`Ctx::pipeline`] returns a [`Pipeline`] on which the recorders
 //! *record* operations instead of executing them; `finish()` runs a fusion
 //! pass and executes the fused schedule once. [`Ctx::plan`] records the
 //! same graph against slots and compiles it for replay. Both feed the one
@@ -57,15 +64,17 @@ use crate::exec::fused::spmv_dot_exec;
 use crate::exec::mxm::mxm_exec;
 use crate::exec::mxv::mxv_exec;
 use crate::exec::sparse::{mxv_sparse_exec, FrontierMode};
-use crate::exec::{apply, ewise, fold_selected, for_each_selected, reduce};
-use crate::ops::accum::{AccumMode, AccumWith, NoAccum};
-use crate::ops::binary::{BinaryOp, Plus};
+use crate::exec::{ewise, fold_selected, for_each_selected, reduce};
+use crate::ops::accum::{AccumMode, NoAccum};
+use crate::ops::binary::Plus;
 use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::{PlusTimes, Semiring};
-use crate::ops::unary::{Identity, UnaryOp};
+use crate::ops::unary::Identity;
 use crate::pipeline::Pipeline;
-use crate::plan::PlanBuilder;
+use crate::plan::{
+    PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanReduce, PlanTransform, Run,
+};
 use crate::util::UnsafeSlice;
 use std::marker::PhantomData;
 
@@ -217,7 +226,7 @@ impl ElemOp {
 /// statically (a [`Backend`] type — zero cost) or through a runtime match
 /// ([`BackendKind`]).
 ///
-/// The `run_*` methods are plumbing between the builders and the kernels in
+/// The `run_*` methods are plumbing between the recorders and the kernels in
 /// [`crate::exec`]; user code never calls them directly. Besides the row
 /// sweeps and `run_mxm`, every element-wise op is one of two element
 /// streams: a write, `run_lambda`, or a fold, `run_fold`. A recorded
@@ -481,7 +490,7 @@ impl Exec for BackendKind {
 }
 
 /// An execution context: backend choice + descriptor defaults, the entry
-/// point of every operation builder. See the [module docs](self) for the
+/// point of every operation recorder. See the [module docs](self) for the
 /// overall shape.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Ctx<E: Exec> {
@@ -542,7 +551,7 @@ impl DynCtx {
 }
 
 impl<E: Exec> Ctx<E> {
-    /// Returns this context with `defaults` OR-ed into every builder's
+    /// Returns this context with `defaults` OR-ed into every recorder's
     /// starting descriptor (e.g. make all masked operations structural).
     #[must_use]
     pub fn with_defaults(mut self, defaults: Descriptor) -> Ctx<E> {
@@ -550,7 +559,7 @@ impl<E: Exec> Ctx<E> {
         self
     }
 
-    /// The descriptor every builder starts from.
+    /// The descriptor every recorder starts from.
     pub fn defaults(&self) -> Descriptor {
         self.defaults
     }
@@ -565,79 +574,70 @@ impl<E: Exec> Ctx<E> {
         self.exec.backend_name()
     }
 
-    /// Starts `y = A ⊕.⊗ x` (default ring: [`PlusTimes`]).
+    /// The run-now door every eager recorder starts from.
+    fn run<'a, T: Scalar>(&self) -> Run<'a, T, E> {
+        Run {
+            exec: self.exec,
+            _operands: PhantomData,
+        }
+    }
+
+    /// Starts `y = A ⊕.⊗ x` (default ring: [`PlusTimes`]). Any semiring
+    /// runs eagerly, including ones a plan cannot record:
+    ///
+    /// ```
+    /// use graphblas::algorithms::LorLand;
+    /// use graphblas::{ctx, CsrMatrix, Sequential, Vector};
+    ///
+    /// let a = CsrMatrix::<f64>::from_triplets(3, 3, &[(1, 0, 1.0), (2, 1, 1.0)]).unwrap();
+    /// let frontier = Vector::from_dense(vec![1.0, 0.0, 0.0]);
+    /// let mut next = Vector::zeros(3);
+    /// ctx::<Sequential>().mxv(&a, &frontier).ring(LorLand).into(&mut next).unwrap();
+    /// assert_eq!(next.as_slice(), &[0.0, 1.0, 0.0]);
+    /// ```
     pub fn mxv<'a, T: Scalar>(
         &self,
         a: &'a CsrMatrix<T>,
         x: &'a Vector<T>,
-    ) -> MxvBuilder<'a, T, PlusTimes, NoAccum, E> {
-        MxvBuilder {
-            exec: self.exec,
-            a,
-            x,
-            mask: None,
-            desc: self.defaults,
-            _algebra: PhantomData,
-        }
+    ) -> PlanMxv<Run<'a, T, E>, &'a CsrMatrix<T>, &'a Vector<T>, PlusTimes, NoAccum> {
+        PlanMxv::new(self.run(), a, x, self.defaults)
     }
 
-    /// Starts `y = xᵀA` (`vxm`), equal to `Aᵀx`: an [`MxvBuilder`] with the
+    /// Starts `y = xᵀA` (`vxm`), equal to `Aᵀx`: an `mxv` with the
     /// transposition pre-toggled.
     pub fn vxm<'a, T: Scalar>(
         &self,
         x: &'a Vector<T>,
         a: &'a CsrMatrix<T>,
-    ) -> MxvBuilder<'a, T, PlusTimes, NoAccum, E> {
-        MxvBuilder {
-            exec: self.exec,
-            a,
-            x,
-            mask: None,
-            desc: self.defaults.toggled_transpose(),
-            _algebra: PhantomData,
-        }
+    ) -> PlanMxv<Run<'a, T, E>, &'a CsrMatrix<T>, &'a Vector<T>, PlusTimes, NoAccum> {
+        self.mxv(a, x).transpose()
     }
 
     /// Starts `y = A ⊕.⊗ x` for a **sparse frontier** `x` over a
     /// [`GraphMatrix`] (default ring: [`PlusTimes`]).
     ///
-    /// Same fluent surface as [`Ctx::mxv`] — mask, accumulator and
-    /// descriptor flags compose identically — but the terminal
-    /// [`into`](SparseMxvBuilder::into) additionally reports which
-    /// [`FrontierMode`] (push or pull) the direction-optimizing kernel
-    /// chose. Results are bit-identical to densifying `x` and calling
-    /// [`Ctx::mxv`]. Sparse products are eager-only: they never enter a
-    /// pipeline or plan, falling through to the exact kernels instead.
+    /// The same recorder as [`Ctx::mxv`] — mask, accumulator and
+    /// descriptor flags compose identically — but the terminal `into`
+    /// additionally reports which [`FrontierMode`] (push or pull) the
+    /// direction-optimizing kernel chose. Results are bit-identical to
+    /// densifying `x` and calling [`Ctx::mxv`]. Sparse products are
+    /// eager-only: the op IR has no sparse node.
     pub fn mxv_sparse<'a, T: Scalar>(
         &self,
         m: &'a GraphMatrix<T>,
         x: &'a SparseVector<T>,
-    ) -> SparseMxvBuilder<'a, T, PlusTimes, NoAccum, E> {
-        SparseMxvBuilder {
-            exec: self.exec,
-            m,
-            x,
-            mask: None,
-            desc: self.defaults,
-            _algebra: PhantomData,
-        }
+    ) -> PlanMxv<Run<'a, T, E>, &'a GraphMatrix<T>, &'a SparseVector<T>, PlusTimes, NoAccum> {
+        PlanMxv::new(self.run(), m, x, self.defaults)
     }
 
-    /// Starts `y = xᵀA` for a sparse frontier `x`: a [`SparseMxvBuilder`]
-    /// with the transposition pre-toggled.
+    /// Starts `y = xᵀA` for a sparse frontier `x`: an `mxv_sparse` with
+    /// the transposition pre-toggled.
     pub fn vxm_sparse<'a, T: Scalar>(
         &self,
         x: &'a SparseVector<T>,
         m: &'a GraphMatrix<T>,
-    ) -> SparseMxvBuilder<'a, T, PlusTimes, NoAccum, E> {
-        SparseMxvBuilder {
-            exec: self.exec,
-            m,
-            x,
-            mask: None,
-            desc: self.defaults.toggled_transpose(),
-            _algebra: PhantomData,
-        }
+    ) -> PlanMxv<Run<'a, T, E>, &'a GraphMatrix<T>, &'a SparseVector<T>, PlusTimes, NoAccum> {
+        self.mxv_sparse(m, x).transpose()
     }
 
     /// Starts `C = A ⊕.⊗ B` (default ring: [`PlusTimes`]).
@@ -660,54 +660,28 @@ impl<E: Exec> Ctx<E> {
         &self,
         x: &'a Vector<T>,
         y: &'a Vector<T>,
-    ) -> EwiseBuilder<'a, T, Plus, NoAccum, E> {
-        EwiseBuilder {
-            exec: self.exec,
-            x,
-            y,
-            mask: None,
-            desc: self.defaults,
-            scale: None,
-            _algebra: PhantomData,
-        }
+    ) -> PlanEwise<Run<'a, T, E>, Plus, NoAccum> {
+        PlanEwise::new(self.run(), x, y, self.defaults)
     }
 
     /// Starts `out = Op(input)` element-wise (default op: [`Identity`]).
     pub fn apply<'a, T: Scalar>(
         &self,
         input: &'a Vector<T>,
-    ) -> ApplyBuilder<'a, T, Identity, NoAccum, E> {
-        ApplyBuilder {
-            exec: self.exec,
-            input,
-            mask: None,
-            desc: self.defaults,
-            _algebra: PhantomData,
-        }
+    ) -> PlanApply<Run<'a, T, E>, Identity, NoAccum> {
+        PlanApply::new(self.run(), input, self.defaults)
     }
 
     /// Starts an in-place indexed update of `out` — the paper's
-    /// `eWiseLambda` (Listing 3): the terminal
-    /// [`apply`](TransformBuilder::apply) receives `(i, &mut out[i])` at
-    /// every selected index.
-    pub fn transform<'a, T: Scalar>(&self, out: &'a mut Vector<T>) -> TransformBuilder<'a, T, E> {
-        TransformBuilder {
-            exec: self.exec,
-            out,
-            mask: None,
-            desc: self.defaults,
-        }
+    /// `eWiseLambda` (Listing 3): the terminal `apply(f)` receives
+    /// `(i, &mut out[i])` at every selected index.
+    pub fn transform<'a, T: Scalar>(&self, out: &'a mut Vector<T>) -> PlanTransform<Run<'a, T, E>> {
+        PlanTransform::new(self.run(), out, self.defaults)
     }
 
     /// Starts a fold of `x` over a monoid (default: [`Plus`]).
-    pub fn reduce<'a, T: Scalar>(&self, x: &'a Vector<T>) -> ReduceBuilder<'a, T, Plus, E> {
-        ReduceBuilder {
-            exec: self.exec,
-            x,
-            mask: None,
-            desc: self.defaults,
-            _algebra: PhantomData,
-        }
+    pub fn reduce<'a, T: Scalar>(&self, x: &'a Vector<T>) -> PlanReduce<Run<'a, T, E>, Plus> {
+        PlanReduce::new(self.run(), x, self.defaults)
     }
 
     /// Starts `⟨x, y⟩` (default ring: [`PlusTimes`]).
@@ -715,13 +689,8 @@ impl<E: Exec> Ctx<E> {
         &self,
         x: &'a Vector<T>,
         y: &'a Vector<T>,
-    ) -> DotBuilder<'a, T, PlusTimes, E> {
-        DotBuilder {
-            exec: self.exec,
-            x,
-            y,
-            _algebra: PhantomData,
-        }
+    ) -> PlanDot<Run<'a, T, E>, PlusTimes> {
+        PlanDot::new(self.run(), x, y)
     }
 
     /// `‖x‖² = ⟨x, x⟩` over the arithmetic semiring.
@@ -733,14 +702,14 @@ impl<E: Exec> Ctx<E> {
     }
 
     /// `x = x + α·y` — in-place `axpy`. Stays a direct method because the
-    /// output aliases an input, which the two-operand `ewise` builder
+    /// output aliases an input, which the two-operand `ewise` recorder
     /// cannot express under Rust's borrow rules.
     pub fn axpy<T: Scalar>(&self, x: &mut Vector<T>, alpha: T, y: &Vector<T>) -> Result<()> {
         ewise::axpy(self.exec, x, alpha, y)
     }
 
     /// Starts a deferred-execution [`Pipeline`]: the same operation
-    /// builders *record* into an op graph instead of executing, and
+    /// recorders *record* into an op graph instead of executing, and
     /// [`Pipeline::finish`] fuses compatible stages before running them
     /// once on this context's backend. See the [`crate::pipeline`] module
     /// docs.
@@ -758,168 +727,8 @@ impl<E: Exec> Ctx<E> {
     }
 }
 
-/// Builder for `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`Ctx::mxv`] / [`Ctx::vxm`]).
-#[must_use = "builders do nothing until the terminal `.into(&mut y)`"]
-pub struct MxvBuilder<'a, T: Scalar, R, A, E: Exec> {
-    exec: E,
-    a: &'a CsrMatrix<T>,
-    x: &'a Vector<T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    _algebra: PhantomData<(R, A)>,
-}
-
-impl<'a, T: Scalar, R, A, E: Exec> MxvBuilder<'a, T, R, A, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Toggles use of the matrix's transpose (no materialization). On a
-    /// [`Ctx::vxm`] builder this undoes the implicit transposition.
-    pub fn transpose(mut self) -> Self {
-        self.desc = self.desc.toggled_transpose();
-        self
-    }
-
-    /// ORs explicit descriptor flags into the builder state.
-    pub fn descriptor(mut self, desc: Descriptor) -> Self {
-        self.desc = self.desc.with(desc);
-        self
-    }
-
-    /// Switches the semiring (default: [`PlusTimes`]).
-    pub fn ring<R2>(self, _ring: R2) -> MxvBuilder<'a, T, R2, A, E> {
-        MxvBuilder {
-            exec: self.exec,
-            a: self.a,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-
-    /// Accumulates into the output through `Op` (`y = Op(y, t)`) instead of
-    /// overwriting — the GraphBLAS `accum` parameter.
-    pub fn accum<Op>(self, _op: Op) -> MxvBuilder<'a, T, R, AccumWith<Op>, E> {
-        MxvBuilder {
-            exec: self.exec,
-            a: self.a,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-}
-
-impl<T: Scalar, R: Semiring<T>, A: AccumMode<T>, E: Exec> MxvBuilder<'_, T, R, A, E> {
-    /// Executes into `y`. Unselected positions keep their prior values.
-    pub fn into(self, y: &mut Vector<T>) -> Result<()> {
-        self.exec
-            .run_mxv::<T, R, A>(y, self.mask, self.desc, self.a, self.x)
-    }
-}
-
-/// Builder for `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` on a **sparse frontier**
-/// (see [`Ctx::mxv_sparse`]).
-///
-/// Identical fluent surface to [`MxvBuilder`]; the terminal
-/// [`into`](SparseMxvBuilder::into) additionally returns the
-/// [`FrontierMode`] the direction-optimizing kernel selected.
-#[must_use = "builders do nothing until the terminal `.into(&mut y)`"]
-pub struct SparseMxvBuilder<'a, T: Scalar, R, A, E: Exec> {
-    exec: E,
-    m: &'a GraphMatrix<T>,
-    x: &'a SparseVector<T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    _algebra: PhantomData<(R, A)>,
-}
-
-impl<'a, T: Scalar, R, A, E: Exec> SparseMxvBuilder<'a, T, R, A, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Toggles use of the matrix's transpose (no materialization — the
-    /// [`GraphMatrix`] already carries both orientations). On a
-    /// [`Ctx::vxm_sparse`] builder this undoes the implicit transposition.
-    pub fn transpose(mut self) -> Self {
-        self.desc = self.desc.toggled_transpose();
-        self
-    }
-
-    /// ORs explicit descriptor flags into the builder state.
-    pub fn descriptor(mut self, desc: Descriptor) -> Self {
-        self.desc = self.desc.with(desc);
-        self
-    }
-
-    /// Switches the semiring (default: [`PlusTimes`]).
-    pub fn ring<R2>(self, _ring: R2) -> SparseMxvBuilder<'a, T, R2, A, E> {
-        SparseMxvBuilder {
-            exec: self.exec,
-            m: self.m,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-
-    /// Accumulates into the output through `Op` (`y = Op(y, t)`) instead of
-    /// overwriting — the GraphBLAS `accum` parameter.
-    pub fn accum<Op>(self, _op: Op) -> SparseMxvBuilder<'a, T, R, AccumWith<Op>, E> {
-        SparseMxvBuilder {
-            exec: self.exec,
-            m: self.m,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-}
-
-impl<T: Scalar, R: Semiring<T>, A: AccumMode<T>, E: Exec> SparseMxvBuilder<'_, T, R, A, E> {
-    /// Executes into `y`, reporting the push/pull decision. Unselected
-    /// positions keep their prior values.
-    pub fn into(self, y: &mut Vector<T>) -> Result<FrontierMode> {
-        self.exec
-            .run_mxv_sparse::<T, R, A>(y, self.mask, self.desc, self.m, self.x)
-    }
-}
-
-/// Builder for `C = A ⊕.⊗ B` (see [`Ctx::mxm`]).
+/// Builder for `C = A ⊕.⊗ B` (see [`Ctx::mxm`]). Eager-only: `mxm` is a
+/// setup-time primitive with no recorded form.
 #[must_use = "builders do nothing until the terminal `.compute()`"]
 pub struct MxmBuilder<'a, T: Scalar, R, E: Exec> {
     exec: E,
@@ -952,254 +761,6 @@ impl<T: Scalar, R: Semiring<T>, E: Exec> MxmBuilder<'_, T, R, E> {
     /// Executes, returning the product matrix.
     pub fn compute(self) -> Result<CsrMatrix<T>> {
         self.exec.run_mxm::<T, R>(self.a, self.b, self.desc)
-    }
-}
-
-/// Builder for `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`Ctx::ewise`]).
-#[must_use = "builders do nothing until the terminal `.into(&mut w)`"]
-pub struct EwiseBuilder<'a, T: Scalar, Op, A, E: Exec> {
-    exec: E,
-    x: &'a Vector<T>,
-    y: &'a Vector<T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    scale: Option<(T, T)>,
-    _algebra: PhantomData<(Op, A)>,
-}
-
-impl<'a, T: Scalar, Op, A, E: Exec> EwiseBuilder<'a, T, Op, A, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Scales the operands before the operator: `Op(α·x, β·y)`. With the
-    /// default [`Plus`] this is HPCG's fused `waxpby` kernel.
-    pub fn scaled(mut self, alpha: T, beta: T) -> Self {
-        self.scale = Some((alpha, beta));
-        self
-    }
-
-    /// Switches the element-wise operator (default: [`Plus`]).
-    pub fn op<Op2>(self, _op: Op2) -> EwiseBuilder<'a, T, Op2, A, E> {
-        EwiseBuilder {
-            exec: self.exec,
-            x: self.x,
-            y: self.y,
-            mask: self.mask,
-            desc: self.desc,
-            scale: self.scale,
-            _algebra: PhantomData,
-        }
-    }
-
-    /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp>(self, _op: AccOp) -> EwiseBuilder<'a, T, Op, AccumWith<AccOp>, E> {
-        EwiseBuilder {
-            exec: self.exec,
-            x: self.x,
-            y: self.y,
-            mask: self.mask,
-            desc: self.desc,
-            scale: self.scale,
-            _algebra: PhantomData,
-        }
-    }
-}
-
-impl<T: Scalar, Op: BinaryOp<T>, A: AccumMode<T>, E: Exec> EwiseBuilder<'_, T, Op, A, E> {
-    /// Executes into `w`. Unselected positions keep their prior values.
-    pub fn into(self, w: &mut Vector<T>) -> Result<()> {
-        ewise::ewise::<T, Op, A, E>(
-            self.exec, w, self.mask, self.desc, self.x, self.y, self.scale,
-        )
-    }
-}
-
-/// Builder for `out⟨mask⟩ = out ⊙? Op(input)` (see [`Ctx::apply`]).
-#[must_use = "builders do nothing until the terminal `.into(&mut out)`"]
-pub struct ApplyBuilder<'a, T: Scalar, Op, A, E: Exec> {
-    exec: E,
-    input: &'a Vector<T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    _algebra: PhantomData<(Op, A)>,
-}
-
-impl<'a, T: Scalar, Op, A, E: Exec> ApplyBuilder<'a, T, Op, A, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Switches the unary operator (default: [`Identity`]).
-    pub fn op<Op2>(self, _op: Op2) -> ApplyBuilder<'a, T, Op2, A, E> {
-        ApplyBuilder {
-            exec: self.exec,
-            input: self.input,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-
-    /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp>(self, _op: AccOp) -> ApplyBuilder<'a, T, Op, AccumWith<AccOp>, E> {
-        ApplyBuilder {
-            exec: self.exec,
-            input: self.input,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-}
-
-impl<T: Scalar, Op: UnaryOp<T>, A: AccumMode<T>, E: Exec> ApplyBuilder<'_, T, Op, A, E> {
-    /// Executes into `out`. Unselected positions keep their prior values.
-    pub fn into(self, out: &mut Vector<T>) -> Result<()> {
-        apply::apply::<T, Op, A, E>(self.exec, out, self.mask, self.desc, self.input)
-    }
-}
-
-/// Builder for the in-place indexed update (see [`Ctx::transform`]).
-#[must_use = "builders do nothing until the terminal `.apply(f)`"]
-pub struct TransformBuilder<'a, T: Scalar, E: Exec> {
-    exec: E,
-    out: &'a mut Vector<T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-}
-
-impl<'a, T: Scalar, E: Exec> TransformBuilder<'a, T, E> {
-    /// Updates only the positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Executes `f(i, &mut out[i])` at every selected index. The closure
-    /// may capture shared references to other vectors (as the paper's
-    /// `eWiseLambda` captures `r`, `tmp`, `A_diag`); under a parallel
-    /// backend it runs concurrently for different `i`.
-    pub fn apply<F: Fn(usize, &mut T) + Send + Sync>(self, f: F) -> Result<()> {
-        self.exec
-            .run_lambda(ElemOp::Transform, self.out, self.mask, self.desc, f)
-    }
-}
-
-/// Builder for a monoid fold of a vector (see [`Ctx::reduce`]).
-#[must_use = "builders do nothing until the terminal `.compute()`"]
-pub struct ReduceBuilder<'a, T: Scalar, M, E: Exec> {
-    exec: E,
-    x: &'a Vector<T>,
-    mask: Option<&'a Vector<bool>>,
-    desc: Descriptor,
-    _algebra: PhantomData<M>,
-}
-
-impl<'a, T: Scalar, M, E: Exec> ReduceBuilder<'a, T, M, E> {
-    /// Folds only the positions selected by `mask`.
-    pub fn mask(mut self, mask: &'a Vector<bool>) -> Self {
-        self.mask = Some(mask);
-        self
-    }
-
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Switches the monoid (default: [`Plus`]).
-    pub fn monoid<M2>(self, _monoid: M2) -> ReduceBuilder<'a, T, M2, E> {
-        ReduceBuilder {
-            exec: self.exec,
-            x: self.x,
-            mask: self.mask,
-            desc: self.desc,
-            _algebra: PhantomData,
-        }
-    }
-}
-
-impl<T: Scalar, M: Monoid<T>, E: Exec> ReduceBuilder<'_, T, M, E> {
-    /// Executes, returning the fold (the monoid identity on empty
-    /// selections).
-    pub fn compute(self) -> Result<T> {
-        reduce::reduce::<T, M, E>(self.exec, self.x, self.mask, self.desc)
-    }
-}
-
-/// Builder for `⟨x, y⟩` (see [`Ctx::dot`]).
-#[must_use = "builders do nothing until the terminal `.compute()`"]
-pub struct DotBuilder<'a, T: Scalar, R, E: Exec> {
-    exec: E,
-    x: &'a Vector<T>,
-    y: &'a Vector<T>,
-    _algebra: PhantomData<R>,
-}
-
-impl<'a, T: Scalar, R, E: Exec> DotBuilder<'a, T, R, E> {
-    /// Switches the semiring (default: [`PlusTimes`]).
-    pub fn ring<R2>(self, _ring: R2) -> DotBuilder<'a, T, R2, E> {
-        DotBuilder {
-            exec: self.exec,
-            x: self.x,
-            y: self.y,
-            _algebra: PhantomData,
-        }
-    }
-}
-
-impl<T: Scalar, R: Semiring<T>, E: Exec> DotBuilder<'_, T, R, E> {
-    /// Executes, returning the inner product.
-    pub fn compute(self) -> Result<T> {
-        reduce::dot::<T, R, E>(self.exec, self.x, self.y)
     }
 }
 

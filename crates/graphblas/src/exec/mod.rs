@@ -9,7 +9,7 @@
 //! fold, `Exec::run_fold` (`map(i)` over a monoid, `map` called exactly
 //! once per selected index). [`ewise`], [`apply`], [`reduce`] and [`fused`]
 //! hold one helper per op that checks the operands and hands its
-//! per-element expression to one of the two; the eager builders on
+//! per-element expression to one of the two; the run-now recorders on
 //! [`Ctx`](crate::Ctx) and the plan interpreter behind
 //! [`Ctx::pipeline`](crate::Ctx::pipeline) and
 //! [`Ctx::plan`](crate::Ctx::plan) all call these helpers: a recorded

@@ -16,7 +16,7 @@
 //!
 //! Those are the two patterns. Everything else — every other element-wise
 //! op included, however many sit side by side — runs as a single stage
-//! through the exact kernel its eager builder would call. The pass never
+//! through the exact kernel its eager call would run. The pass never
 //! reorders ops, which together with the per-element equivalence of the
 //! fused kernels keeps deferred execution bit-identical to eager execution.
 //!

@@ -18,10 +18,12 @@
 //!   `ctx::<Parallel>()` — rayon data-parallel) or selected at runtime
 //!   through [`DynCtx`] and [`BackendKind`] (`--backend seq|par`,
 //!   `GRB_BACKEND=par`);
-//! * **modifiers are builder state** — masks, the structural/transpose/
+//! * **modifiers are recorder state** — masks, the structural/transpose/
 //!   inverted-mask descriptor flags and the optional accumulator chain
 //!   fluently off each operation instead of riding along as positional
-//!   arguments.
+//!   arguments. Each op has one recorder, and the same recorder either runs
+//!   its op at once (called on a [`Ctx`]) or records it (on a pipeline or
+//!   plan builder).
 //!
 //! # Quickstart
 //!
@@ -38,7 +40,7 @@
 //! exec.mxv(&a, &x).into(&mut y).unwrap();
 //! assert_eq!(y.as_slice(), &[2.0, 7.0]);
 //!
-//! // Modifiers are fluent builder state: y += Aᵀ·x at masked rows only.
+//! // Modifiers are fluent recorder state: y += Aᵀ·x at masked rows only.
 //! let mask = Vector::<bool>::sparse_filled(2, vec![1], true).unwrap();
 //! exec.mxv(&a, &x).transpose().mask(&mask).structural().accum(Plus)
 //!     .into(&mut y)
@@ -52,7 +54,7 @@
 //! assert_eq!(w.as_slice(), &[0.0, -9.0]);
 //! ```
 //!
-//! Runtime backend selection uses the same builders through [`DynCtx`]:
+//! Runtime backend selection uses the same recorders through [`DynCtx`]:
 //!
 //! ```
 //! use graphblas::{BackendKind, DynCtx, Vector};
@@ -65,9 +67,10 @@
 //!
 //! # Deferred execution (nonblocking pipelines)
 //!
-//! The same builders can *record* instead of executing. There is one
-//! recorded form — ops over dimensioned slots ([`plan`]) — one family of
-//! recorders, one fusion pass ([`fusion`]) and one interpreter, with two
+//! The same recorders can *record* instead of executing: there is one
+//! family of recorders, generic over where the op goes
+//! ([`plan::Door`]), one recorded form — ops over dimensioned slots
+//! ([`plan`]) — one fusion pass ([`fusion`]) and one interpreter, with two
 //! front doors. The one-shot door is [`Ctx::pipeline`]: a [`Pipeline`]
 //! turns each borrowed operand into a bound slot as it records, and
 //! `finish()` fuses and runs the graph once — an `mxv` feeding a `dot`
@@ -107,8 +110,8 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`context`] | [`Ctx`], [`DynCtx`], [`BackendKind`] and the operation builders |
-//! | [`plan`] | the slot-based op IR, its recorders and its interpreter; [`Plan`]: compile once, replay; the [`PlanCache`] |
+//! | [`context`] | [`Ctx`], [`DynCtx`], [`BackendKind`]: where every operation starts |
+//! | [`plan`] | the one recorder family (run now or record), the slot-based op IR and its interpreter; [`Plan`]: compile once, replay; the [`PlanCache`] |
 //! | [`pipeline`] | [`Pipeline`]: the one-shot front door, recording borrowed operands through the same recorders; the runtime algebra tags |
 //! | [`fusion`] | the generic fusion pass over recorded ops |
 //! | [`ops`] | algebraic structures: binary/unary operators, monoids, semirings, accumulation modes |
@@ -117,7 +120,7 @@
 //! | [`descriptor`] | operation descriptors (structural mask, transpose, …) |
 //! | [`backend`] | [`Sequential`] and [`Parallel`] execution backends |
 //! | [`backend::dist`] | [`Distributed`]: the whole surface on a simulated BSP cluster, costs recorded per superstep |
-//! | [`exec`] | the kernels behind the builders (incl. the fused entry points) |
+//! | [`exec`] | the kernels behind the recorders (incl. the fused entry points) |
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -140,10 +143,7 @@ pub use backend::dist::{ClassCost, CostSummary, DistConfig, Distributed, ShardLa
 pub use backend::{Backend, Parallel, Sequential};
 pub use container::matrix::{CsrMatrix, GraphMatrix};
 pub use container::vector::{SparseVector, Vector};
-pub use context::{
-    ctx, ctx_on, ApplyBuilder, BackendKind, Ctx, DotBuilder, DynCtx, EwiseBuilder, Exec,
-    MxmBuilder, MxvBuilder, ReduceBuilder, SparseMxvBuilder, TransformBuilder, DEFAULT_DIST_NODES,
-};
+pub use context::{ctx, ctx_on, BackendKind, Ctx, DynCtx, Exec, MxmBuilder, DEFAULT_DIST_NODES};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, Result};
 pub use fusion::PlannedStage;
@@ -154,8 +154,8 @@ pub use ops::scalar::Scalar;
 pub use ops::semiring::{MaxTimes, MinPlus, PlusTimes, Semiring};
 pub use ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse, UnaryOp};
 pub use pipeline::{
-    BinOpTag, MonoidTag, Pipeline, PipelineResults, RingTag, ScalarHandle, TaggedBinOp,
-    TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag, VecHandle,
+    BinOpTag, MonoidTag, Pipeline, PipelineResults, RingTag, ScalarHandle, TaggedAccum,
+    TaggedBinOp, TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag, VecHandle,
 };
 pub use plan::{
     plan_key, Bindings, InSlot, MaskSlot, MatSlot, Operand, OutSlot, Plan, PlanBuilder, PlanCache,

@@ -28,15 +28,14 @@
 //!
 //! # Recording model
 //!
-//! A pipeline owns a [`PlanBuilder`], and its recorders *are* the plan
-//! recorders ([`PlanMxv`] & co.): one set of modifiers, defined once in
-//! [`crate::plan`]. Every operand they take is an [`Operand`] — a
+//! A pipeline owns a [`PlanBuilder`], and its recorders are the ones
+//! [`Ctx`](crate::Ctx) hands out ([`PlanMxv`] & co.), on the recording
+//! door [`Rec`] instead of the run-now one: one set of modifiers, defined
+//! once in [`crate::plan`]. Every operand they take is an [`Operand`] — a
 //! borrowed container, which the builder declares as a slot of the
 //! container's own dimensions and binds on the spot, or the handle of an
-//! earlier stage. They mirror the eager builders on [`Ctx`](crate::Ctx) —
-//! `mxv`, `vxm`, `ewise`, `apply`, `axpy`, `transform`, `dot`, `reduce`,
-//! `norm2_squared` with the same mask/descriptor/ring/accumulator
-//! modifiers. Dataflow between recorded stages is expressed with handles:
+//! earlier stage. Dataflow between recorded stages is expressed with
+//! handles:
 //!
 //! * writing a vector (`.into(&mut y)`, `axpy`, `transform`) borrows it
 //!   exclusively for the pipeline's lifetime and returns a [`VecHandle`];
@@ -68,20 +67,24 @@
 //! [`PlanCache`](crate::plan::PlanCache) is consulted. Pipeline execution
 //! is therefore bit-identical to plan replay by construction, and both are
 //! bit-identical to eager execution because unfused stages call the exact
-//! kernels the eager builders call and fused kernels keep the per-element
-//! arithmetic (pinned by dedicated tests). When the same graph runs
-//! repeatedly — a CG iteration body, per-request serve work — compile it
-//! once with [`Ctx::plan`](crate::Ctx::plan) instead; see [`crate::plan`].
+//! kernels the run-now terminals call and fused kernels keep the
+//! per-element arithmetic (pinned by dedicated tests). When the same graph
+//! runs repeatedly — a CG iteration body, per-request serve work — compile
+//! it once with [`Ctx::plan`](crate::Ctx::plan) instead; see
+//! [`crate::plan`].
 //!
 //! # Algebra at recording time
 //!
 //! A deferred op must remember its algebra at runtime; the zero-sized
-//! operator types are recorded as tags ([`RingTag`], [`BinOpTag`],
-//! [`UnaryOpTag`], [`MonoidTag`]) and re-monomorphized at execution. The
+//! operator types a recorder carries in its type are recorded as tags
+//! ([`RingTag`], [`BinOpTag`], [`UnaryOpTag`], [`MonoidTag`]) by the
+//! recording terminals and re-monomorphized at execution. The
 //! taggable subset (arithmetic + tropical rings, the arithmetic/min/max
-//! operator families) covers HPCG and the workspace's graph workloads;
-//! `mxm` stays eager-only (it is a setup-time primitive). The tags live
-//! here and both front doors record them.
+//! operator families) covers HPCG and the workspace's graph workloads. An
+//! algebra outside it (e.g. BFS's `LorLand`) runs on the run-now door,
+//! and a recording terminal refuses it at compile time; `mxm` stays
+//! eager-only (it is a setup-time primitive). The tags live here and both
+//! front doors record them.
 
 use crate::container::matrix::CsrMatrix;
 use crate::container::vector::Vector;
@@ -89,13 +92,14 @@ use crate::context::Exec;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::fusion::PlannedStage;
+use crate::ops::accum::{AccumWith, NoAccum};
 use crate::ops::binary::{Divide, Max, Min, Minus, Plus, Times};
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::{MaxTimes, MinPlus, PlusTimes};
 use crate::ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse};
 use crate::plan::{
-    Operand, OutSlot, PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanRead, PlanReduce,
-    PlanResults, PlanTransform, ScalarSlot,
+    MatSlot, Operand, OutSlot, PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanRead,
+    PlanReduce, PlanResults, PlanTransform, Rec, ScalarSlot,
 };
 
 // ---------------------------------------------------------------------------
@@ -229,6 +233,18 @@ impl TaggedMonoid for Min {
 }
 impl TaggedMonoid for Max {
     const TAG: MonoidTag = MonoidTag::Max;
+}
+
+/// Accumulation modes a pipeline can record: none, or a tagged operator.
+pub trait TaggedAccum {
+    /// The runtime tag of the accumulator, if any.
+    const TAG: Option<BinOpTag>;
+}
+impl TaggedAccum for NoAccum {
+    const TAG: Option<BinOpTag> = None;
+}
+impl<Op: TaggedBinOp> TaggedAccum for AccumWith<Op> {
+    const TAG: Option<BinOpTag> = Some(Op::TAG);
 }
 
 /// Re-monomorphizes a [`RingTag`] into its zero-sized semiring.
@@ -424,39 +440,42 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
     /// iterate a recorded smoother sweep refines), without recording an
     /// operation. Returns its handle for use as operand or in-place target.
     pub fn bind(&mut self, v: &'a mut Vector<T>) -> VecHandle {
-        v.slot(&mut self.pb)
+        v.resolve(&mut self.pb)
     }
 
     /// Starts recording `y = A ⊕.⊗ x` (default ring: `PlusTimes`).
     pub fn mxv(
         &mut self,
         a: &'a CsrMatrix<T>,
-        x: impl Operand<'a, T, PlanRead>,
-    ) -> PlanMxv<'_, 'a, T, E> {
+        x: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+    ) -> PlanMxv<Rec<'_, 'a, T, E>, MatSlot, PlanRead, PlusTimes, NoAccum> {
         self.pb.mxv(a, x)
     }
 
     /// Starts recording `y = xᵀA` — an mxv with the transposition
-    /// pre-toggled, exactly like the eager `vxm` builder.
+    /// pre-toggled.
     pub fn vxm(
         &mut self,
-        x: impl Operand<'a, T, PlanRead>,
+        x: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
         a: &'a CsrMatrix<T>,
-    ) -> PlanMxv<'_, 'a, T, E> {
+    ) -> PlanMxv<Rec<'_, 'a, T, E>, MatSlot, PlanRead, PlusTimes, NoAccum> {
         self.pb.vxm(x, a)
     }
 
     /// Starts recording `w = Op(x, y)` element-wise (default op: `Plus`).
     pub fn ewise(
         &mut self,
-        x: impl Operand<'a, T, PlanRead>,
-        y: impl Operand<'a, T, PlanRead>,
-    ) -> PlanEwise<'_, 'a, T, E> {
+        x: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+        y: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+    ) -> PlanEwise<Rec<'_, 'a, T, E>, Plus, NoAccum> {
         self.pb.ewise(x, y)
     }
 
     /// Starts recording `out = Op(input)` (default op: `Identity`).
-    pub fn apply(&mut self, input: impl Operand<'a, T, PlanRead>) -> PlanApply<'_, 'a, T, E> {
+    pub fn apply(
+        &mut self,
+        input: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+    ) -> PlanApply<Rec<'_, 'a, T, E>, Identity, NoAccum> {
         self.pb.apply(input)
     }
 
@@ -465,7 +484,7 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         &mut self,
         x: &'a mut Vector<T>,
         alpha: T,
-        y: impl Operand<'a, T, PlanRead>,
+        y: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
     ) -> VecHandle {
         self.pb.axpy(x, alpha, y)
     }
@@ -475,39 +494,45 @@ impl<'a, T: Scalar, E: Exec> Pipeline<'a, T, E> {
         &mut self,
         x: VecHandle,
         alpha: T,
-        y: impl Operand<'a, T, PlanRead>,
+        y: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
     ) -> VecHandle {
         self.pb.axpy(x, alpha, y)
     }
 
-    /// Starts recording an in-place indexed update of `out` (the eager
-    /// `transform` / `eWiseLambda`).
-    pub fn transform(&mut self, out: &'a mut Vector<T>) -> PlanTransform<'_, 'a, T, E> {
+    /// Starts recording an in-place indexed update of `out` (the paper's
+    /// `eWiseLambda`).
+    pub fn transform(&mut self, out: &'a mut Vector<T>) -> PlanTransform<Rec<'_, 'a, T, E>> {
         self.pb.transform(out)
     }
 
     /// Starts recording an in-place indexed update of an already-registered
     /// vector.
-    pub fn transform_at(&mut self, out: VecHandle) -> PlanTransform<'_, 'a, T, E> {
+    pub fn transform_at(&mut self, out: VecHandle) -> PlanTransform<Rec<'_, 'a, T, E>> {
         self.pb.transform(out)
     }
 
     /// Starts recording `⟨x, y⟩` (default ring: `PlusTimes`).
     pub fn dot(
         &mut self,
-        x: impl Operand<'a, T, PlanRead>,
-        y: impl Operand<'a, T, PlanRead>,
-    ) -> PlanDot<'_, 'a, T, E> {
+        x: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+        y: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+    ) -> PlanDot<Rec<'_, 'a, T, E>, PlusTimes> {
         self.pb.dot(x, y)
     }
 
     /// Records `‖x‖² = ⟨x, x⟩` over the arithmetic semiring.
-    pub fn norm2_squared(&mut self, x: impl Operand<'a, T, PlanRead>) -> ScalarHandle {
+    pub fn norm2_squared(
+        &mut self,
+        x: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+    ) -> ScalarHandle {
         self.pb.norm2_squared(x)
     }
 
     /// Starts recording a fold of `x` over a monoid (default: `Plus`).
-    pub fn reduce(&mut self, x: impl Operand<'a, T, PlanRead>) -> PlanReduce<'_, 'a, T, E> {
+    pub fn reduce(
+        &mut self,
+        x: impl Operand<PlanBuilder<'a, T, E>, PlanRead>,
+    ) -> PlanReduce<Rec<'_, 'a, T, E>, Plus> {
         self.pb.reduce(x)
     }
 

@@ -1,15 +1,30 @@
-//! The op IR, its interpreter, and the compile-once front door: reusable
-//! [`Plan`]s and a [`PlanCache`].
+//! The op IR, its recorders, its interpreter, and the compile-once front
+//! door: reusable [`Plan`]s and a [`PlanCache`].
 //!
-//! Deferred execution in this crate has **one** recorded form, **one**
-//! family of recorders and **one** executor, all in this module. Operands
-//! are *slots* (dimensions only), ops are recorded against the slots by
-//! [`PlanBuilder`] and its recorders ([`PlanMxv`] & co.), the pass in
-//! [`crate::fusion`] turns the op list into a fused schedule, and the
-//! interpreter runs a schedule against a [`Bindings`] table that maps each
-//! slot to a concrete buffer. Every operand a recorder takes is an
-//! [`Operand`]: a declared slot, or a borrowed container that the builder
-//! declares and binds itself. Two front doors hand out a builder:
+//! This crate has **one** family of recorders, **one** recorded form and
+//! **one** executor, all in this module. Each op has one recorder
+//! ([`PlanMxv`], [`PlanEwise`], [`PlanApply`], [`PlanTransform`],
+//! [`PlanDot`], [`PlanReduce`]) whose modifiers — mask, descriptor flags,
+//! ring, operator, accumulator, scaling, monoid — are written once. A
+//! recorder is generic over a [`Door`], which decides where the op goes:
+//!
+//! * [`Run`], from [`Ctx`](crate::Ctx)'s own methods: operands are
+//!   borrowed containers and the terminal executes at once through the
+//!   kernels, returning a [`Result`];
+//! * [`Rec`], from a [`PlanBuilder`]: operands are slots (dimensions only)
+//!   and the terminal pushes a node into the builder's graph. The pass in
+//!   [`crate::fusion`] turns the op list into a fused schedule, and the
+//!   interpreter runs a schedule against a [`Bindings`] table that maps
+//!   each slot to a concrete buffer.
+//!
+//! Algebra stays in the recorder's type: `ring`, `op`, `accum` and
+//! `monoid` change its type parameters. `Run` terminals take any
+//! [`Semiring`] or operator; `Rec` terminals take the ones with a runtime
+//! tag ([`TaggedRing`] & co.), the only ones a graph can replay.
+//!
+//! Every operand a `Rec` recorder takes is an [`Operand`]: a declared
+//! slot, or a borrowed container that the builder declares and binds
+//! itself. Two front doors hand out a builder:
 //!
 //! * [`Ctx::plan`](crate::Ctx::plan) → [`PlanBuilder`] →
 //!   [`compile`](PlanBuilder::compile) → [`Plan`]: the caller declares the
@@ -24,9 +39,9 @@
 //!   That lifetime is what lets recorded closures borrow and what proves
 //!   operands outlive execution.
 //!
-//! The doors differ in one policy: an operand-length mismatch in `axpy` or
-//! `zip` panics while recording a plan, and is returned by `finish()` from
-//! a pipeline.
+//! The recording doors differ in one policy: an operand-length mismatch in
+//! `axpy` or `zip` panics while recording a plan, and is returned by
+//! `finish()` from a pipeline.
 //!
 //! Compile once, replay many times:
 //!
@@ -61,7 +76,7 @@
 //!
 //! `Plan::run` resolves each slot through a [`Bindings`] table and then
 //! executes the fused stages: unfused ops through exactly the kernels the
-//! eager builders call, fused ones through kernels with the same
+//! `Run` terminals call, fused ones through kernels with the same
 //! per-element arithmetic, so a replayed plan is **bit-identical** to eager
 //! execution (pinned by tests) — and to a freshly recorded pipeline by
 //! construction, since `Pipeline::finish` is this interpreter on the same
@@ -86,21 +101,23 @@
 //! [`Distributed`](crate::Distributed) cluster belong in a cache owned by
 //! that cluster's user, not in [`PlanCache::global`].
 
-use crate::container::matrix::CsrMatrix;
-use crate::container::vector::Vector;
+use crate::container::matrix::{CsrMatrix, GraphMatrix};
+use crate::container::vector::{SparseVector, Vector};
 use crate::context::{ElemOp, Exec};
 use crate::descriptor::Descriptor;
 use crate::error::{check_dims, GrbError, Result};
+use crate::exec::sparse::FrontierMode;
 use crate::exec::{apply, ewise, fused, reduce};
 use crate::fusion::{fuse_shapes, OpShape, PlannedStage, Stage};
-use crate::ops::accum::{AccumWith, NoAccum};
-use crate::ops::binary::{Divide, Max, Min, Minus, Plus, Times};
+use crate::ops::accum::{AccumMode, AccumWith, NoAccum};
+use crate::ops::binary::{BinaryOp, Divide, Max, Min, Minus, Plus, Times};
+use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
-use crate::ops::semiring::{MaxTimes, MinPlus, PlusTimes};
-use crate::ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse};
+use crate::ops::semiring::{MaxTimes, MinPlus, PlusTimes, Semiring};
+use crate::ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse, UnaryOp};
 use crate::pipeline::{
     with_accum, with_binop, with_monoid, with_ring, with_unop, BinOpTag, MonoidTag, RingTag,
-    TaggedBinOp, TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag,
+    TaggedAccum, TaggedBinOp, TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag,
 };
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
@@ -175,9 +192,8 @@ pub enum PlanRead {
 }
 
 /// A scalar operand of a recorded plan op: a value baked in at recording
-/// time or a [`ScalarParam`] resolved at each run. Mostly constructed through
-/// the `From` impls — pass a `T` or a `ScalarParam` wherever an
-/// `impl Into<PlanScalar<T>>` is accepted.
+/// time or a [`ScalarParam`] resolved at each run. Recorders take either
+/// a `T` or a `ScalarParam` wherever they need one.
 #[derive(Copy, Clone, Debug)]
 pub enum PlanScalar<T: Scalar> {
     /// A constant recorded into the plan.
@@ -186,89 +202,120 @@ pub enum PlanScalar<T: Scalar> {
     Param(ScalarParam),
 }
 
-impl<T: Scalar> From<T> for PlanScalar<T> {
-    fn from(v: T) -> Self {
-        PlanScalar::Const(v)
-    }
+/// What a recorder accepts where it needs an operand resolved to `S`
+/// against `D`, the door's [`Door::Sink`].
+///
+/// On [`Run`] a borrowed container resolves to itself. On [`Rec`] it may
+/// be the slot itself or a borrowed container — a matrix, a vector read
+/// as `&'f`, a mask, a vector written as `&'f mut` — which the builder
+/// declares as a slot of the container's own dimensions and binds on the
+/// spot. That is how [`Pipeline`](crate::pipeline::Pipeline) records; a
+/// builder from [`Ctx::plan`](crate::Ctx::plan) takes slots, because its
+/// operands must outlive `'static` and [`PlanBuilder::compile`] refuses
+/// any it bound. A slot from another builder panics here.
+pub trait Operand<D, S> {
+    /// The operand `door` sees.
+    fn resolve(self, door: &mut D) -> S;
 }
 
-impl<T: Scalar> From<ScalarParam> for PlanScalar<T> {
-    fn from(p: ScalarParam) -> Self {
-        PlanScalar::Param(p)
-    }
-}
-
-/// What a recorder accepts where it needs a slot of kind `S`: the slot
-/// itself, or a borrowed container — a matrix, a vector read as `&'f`, a
-/// mask, a vector written as `&'f mut` — which the builder declares as a
-/// slot of the container's own dimensions and binds on the spot. That is
-/// how [`Pipeline`](crate::pipeline::Pipeline) records; a builder from
-/// [`Ctx::plan`](crate::Ctx::plan) takes slots, because its operands must
-/// outlive `'static` and [`PlanBuilder::compile`] refuses any it bound.
-pub trait Operand<'f, T: Scalar, S> {
-    /// The slot this operand names in `pb`'s graph.
-    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> S;
-}
-
-impl<'f, T: Scalar> Operand<'f, T, MatSlot> for MatSlot {
-    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> MatSlot {
+impl<'a, T: Scalar, E: Exec> Operand<Run<'a, T, E>, &'a Vector<bool>> for &'a Vector<bool> {
+    fn resolve(self, _: &mut Run<'a, T, E>) -> &'a Vector<bool> {
         self
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, MatSlot> for &'f CsrMatrix<T> {
-    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> MatSlot {
+impl<T: Scalar, E: Exec> Operand<Run<'_, T, E>, T> for T {
+    fn resolve(self, _: &mut Run<'_, T, E>) -> T {
+        self
+    }
+}
+
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, MatSlot> for MatSlot {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> MatSlot {
+        pb.check(self.plan, self.idx, pb.graph.mats.len(), "MatSlot");
+        self
+    }
+}
+
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, MatSlot> for &'f CsrMatrix<T> {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> MatSlot {
         let s = pb.matrix(self.nrows(), self.ncols());
         pb.bound.mats[s.idx] = Some(self);
         s
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, PlanRead> for InSlot {
-    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, PlanRead> for InSlot {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+        pb.check(self.plan, self.idx, pb.graph.ins.len(), "InSlot");
         PlanRead::In(self)
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, PlanRead> for OutSlot {
-    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> PlanRead {
-        PlanRead::Out(self)
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, PlanRead> for OutSlot {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+        PlanRead::Out(self.resolve(pb))
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, PlanRead> for &'f Vector<T> {
-    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> PlanRead {
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, PlanRead> for &'f Vector<T> {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> PlanRead {
         let s = pb.input(self.len());
         pb.bound.ins[s.idx] = Some(self);
         PlanRead::In(s)
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, MaskSlot> for MaskSlot {
-    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> MaskSlot {
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, MaskSlot> for MaskSlot {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> MaskSlot {
+        pb.check(self.plan, self.idx, pb.graph.masks.len(), "MaskSlot");
         self
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, MaskSlot> for &'f Vector<bool> {
-    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> MaskSlot {
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, MaskSlot> for &'f Vector<bool> {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> MaskSlot {
         let s = pb.mask(self.len());
         pb.bound.masks[s.idx] = Some(self);
         s
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, OutSlot> for OutSlot {
-    fn slot<E: Exec>(self, _: &mut PlanBuilder<'f, T, E>) -> OutSlot {
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, OutSlot> for OutSlot {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> OutSlot {
+        pb.check(self.plan, self.idx, pb.graph.outs.len(), "OutSlot");
         self
     }
 }
 
-impl<'f, T: Scalar> Operand<'f, T, OutSlot> for &'f mut Vector<T> {
-    fn slot<E: Exec>(self, pb: &mut PlanBuilder<'f, T, E>) -> OutSlot {
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, OutSlot> for &'f mut Vector<T> {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> OutSlot {
         let s = pb.output(self.len());
         pb.bound.outs[s.idx] = Some(self as *mut Vector<T>);
         s
+    }
+}
+
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, PlanScalar<T>> for T {
+    fn resolve(self, _: &mut PlanBuilder<'f, T, E>) -> PlanScalar<T> {
+        PlanScalar::Const(self)
+    }
+}
+
+impl<'f, T: Scalar, E: Exec> Operand<PlanBuilder<'f, T, E>, PlanScalar<T>> for ScalarParam {
+    fn resolve(self, pb: &mut PlanBuilder<'f, T, E>) -> PlanScalar<T> {
+        pb.check(self.plan, self.idx, pb.graph.params.len(), "ScalarParam");
+        PlanScalar::Param(self)
+    }
+}
+
+impl PlanRead {
+    /// The slot table and index this operand reads.
+    fn src(self) -> PlanSrc {
+        match self {
+            PlanRead::In(s) => PlanSrc::In(s.idx),
+            PlanRead::Out(s) => PlanSrc::Out(s.idx),
+        }
     }
 }
 
@@ -288,13 +335,6 @@ impl PlanSrc {
             PlanSrc::Out(o) => Some(o),
         }
     }
-}
-
-/// A resolved scalar operand.
-#[derive(Copy, Clone, Debug)]
-enum ScalarRef<T> {
-    Const(T),
-    Param(usize),
 }
 
 type F0<'f, T> = Box<dyn Fn(usize, &mut T) + Send + Sync + 'f>;
@@ -330,7 +370,7 @@ enum PlanNode<'f, T: Scalar> {
         mask: Option<usize>,
         desc: Descriptor,
         op: BinOpTag,
-        scale: Option<(ScalarRef<T>, ScalarRef<T>)>,
+        scale: Option<(PlanScalar<T>, PlanScalar<T>)>,
         accum: Option<BinOpTag>,
     },
     Apply {
@@ -343,7 +383,7 @@ enum PlanNode<'f, T: Scalar> {
     },
     Axpy {
         out: usize,
-        alpha: ScalarRef<T>,
+        alpha: PlanScalar<T>,
         y: PlanSrc,
     },
     Lambda {
@@ -556,17 +596,17 @@ fn hash_binop_opt<H: Hasher>(h: &mut H, t: Option<BinOpTag>) {
     }
 }
 
-fn hash_scalar<T: Scalar, H: Hasher>(h: &mut H, s: &ScalarRef<T>) {
+fn hash_scalar<T: Scalar, H: Hasher>(h: &mut H, s: &PlanScalar<T>) {
     match s {
         // `Scalar` has no `Hash` bound (floats), so constants hash through
         // their exact `Debug` rendering.
-        ScalarRef::Const(v) => {
+        PlanScalar::Const(v) => {
             0u8.hash(h);
             format!("{v:?}").hash(h);
         }
-        ScalarRef::Param(i) => {
+        PlanScalar::Param(p) => {
             1u8.hash(h);
-            i.hash(h);
+            p.idx.hash(h);
         }
     }
 }
@@ -596,11 +636,11 @@ struct OpGraph<'f, T: Scalar> {
 /// Records an op graph and compiles it into a reusable [`Plan`]. Created
 /// by [`Ctx::plan`](crate::Ctx::plan); see the [module docs](self).
 ///
-/// The fluent recorders mirror the eager ones on [`Ctx`](crate::Ctx) —
-/// `mxv`, `vxm`, `ewise`, `apply`, `axpy`, `transform`, `dot`, `reduce`,
-/// `norm2_squared` with the same mask/descriptor/ring/accumulator
-/// modifiers — but every operand is an [`Operand`]: a declared slot here,
-/// and every tunable scalar may be a [`ScalarParam`].
+/// It hands out the recorders [`Ctx`](crate::Ctx) does — `mxv`, `vxm`,
+/// `ewise`, `apply`, `transform`, `dot`, `reduce`, plus `axpy` and
+/// `norm2_squared` — on the [`Rec`] door: every operand is an
+/// [`Operand`], a declared slot here, and every tunable scalar may be a
+/// [`ScalarParam`].
 ///
 /// `'f` bounds what `transform` closures and borrowed operands may
 /// borrow. [`Ctx::plan`](crate::Ctx::plan) hands out `'static` builders,
@@ -715,62 +755,12 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
         ScalarParam { plan: self.id, idx }
     }
 
-    /// Panics that a slot of kind `what` is not this builder's, naming the
-    /// front door that made the builder.
-    fn foreign(&self, what: &str) -> ! {
-        let door = if self.pipeline { "pipeline" } else { "plan" };
-        panic!("{what} does not belong to this {door}")
-    }
-
-    fn check_mat(&self, s: MatSlot) -> usize {
-        if s.plan != self.id || s.idx >= self.graph.mats.len() {
-            self.foreign("MatSlot");
-        }
-        s.idx
-    }
-
-    fn check_out(&self, s: OutSlot) -> usize {
-        if s.plan != self.id || s.idx >= self.graph.outs.len() {
-            self.foreign("OutSlot");
-        }
-        s.idx
-    }
-
-    fn check_mask(&self, s: MaskSlot) -> usize {
-        if s.plan != self.id || s.idx >= self.graph.masks.len() {
-            self.foreign("MaskSlot");
-        }
-        s.idx
-    }
-
-    /// Resolves a readable operand to a checked slot index.
-    fn read(&mut self, x: impl Operand<'f, T, PlanRead>) -> PlanSrc {
-        match x.slot(self) {
-            PlanRead::In(s) => {
-                if s.plan != self.id || s.idx >= self.graph.ins.len() {
-                    self.foreign("InSlot");
-                }
-                PlanSrc::In(s.idx)
-            }
-            PlanRead::Out(s) => PlanSrc::Out(self.check_out(s)),
-        }
-    }
-
-    /// Resolves a written operand to a checked output-slot index.
-    fn write(&mut self, y: impl Operand<'f, T, OutSlot>) -> (OutSlot, usize) {
-        let y = y.slot(self);
-        (y, self.check_out(y))
-    }
-
-    fn resolve_scalar(&self, s: PlanScalar<T>) -> ScalarRef<T> {
-        match s {
-            PlanScalar::Const(v) => ScalarRef::Const(v),
-            PlanScalar::Param(p) => {
-                if p.plan != self.id || p.idx >= self.graph.params.len() {
-                    self.foreign("ScalarParam");
-                }
-                ScalarRef::Param(p.idx)
-            }
+    /// Panics unless slot `idx` of a table holding `len` slots was issued
+    /// by this builder, naming the front door that made it.
+    fn check(&self, plan: u64, idx: usize, len: usize, what: &str) {
+        if plan != self.id || idx >= len {
+            let door = if self.pipeline { "pipeline" } else { "plan" };
+            panic!("{what} does not belong to this {door}")
         }
     }
 
@@ -799,154 +789,144 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
         }
     }
 
-    fn new_scalar(&mut self) -> ScalarSlot {
+    /// Resolves a zip source of the transform writing output slot `out`.
+    /// It may not alias the output, and its declared length must match the
+    /// output's (see `check_len`) so execution never indexes out of bounds.
+    fn zip_src(&mut self, out: usize, src: impl Operand<Self, PlanRead>) -> PlanSrc {
+        let src = src.resolve(self).src();
+        assert!(
+            src.out_index() != Some(out),
+            "zip source may not alias the transform output"
+        );
+        let msg = "zip source length must match the transform output";
+        self.check_len("transform_zip", "src vs output", out, src, msg);
+        src
+    }
+
+    /// Records `node` writing output slot `out` after checking that none of
+    /// `reads` aliases it.
+    fn push_write(&mut self, out: OutSlot, reads: &[PlanSrc], node: PlanNode<'f, T>, what: &str) {
+        assert!(
+            reads.iter().all(|r| r.out_index() != Some(out.idx)),
+            "{what} may not alias its output"
+        );
+        self.graph.nodes.push(node);
+    }
+
+    /// Records a scalar-producing node built from its result's index.
+    fn push_scalar(&mut self, node: impl FnOnce(usize) -> PlanNode<'f, T>) -> ScalarSlot {
         let idx = self.graph.scalars;
         self.graph.scalars += 1;
+        self.graph.nodes.push(node(idx));
         ScalarSlot { plan: self.id, idx }
     }
 
     /// Starts recording `y = A ⊕.⊗ x` (default ring: `PlusTimes`).
     pub fn mxv(
         &mut self,
-        a: impl Operand<'f, T, MatSlot>,
-        x: impl Operand<'f, T, PlanRead>,
-    ) -> PlanMxv<'_, 'f, T, E> {
-        let a = a.slot(self);
-        let a = self.check_mat(a);
-        let x = self.read(x);
+        a: impl Operand<Self, MatSlot>,
+        x: impl Operand<Self, PlanRead>,
+    ) -> PlanMxv<Rec<'_, 'f, T, E>, MatSlot, PlanRead, PlusTimes, NoAccum> {
+        let (a, x) = (a.resolve(self), x.resolve(self));
         let desc = self.defaults;
-        PlanMxv {
-            pb: self,
-            a,
-            x,
-            mask: None,
-            desc,
-            ring: RingTag::PlusTimes,
-            accum: None,
-        }
+        PlanMxv::new(self, a, x, desc)
     }
 
     /// Starts recording `y = xᵀA` — an mxv with the transposition
-    /// pre-toggled, exactly like the eager `vxm` builder.
+    /// pre-toggled.
     pub fn vxm(
         &mut self,
-        x: impl Operand<'f, T, PlanRead>,
-        a: impl Operand<'f, T, MatSlot>,
-    ) -> PlanMxv<'_, 'f, T, E> {
+        x: impl Operand<Self, PlanRead>,
+        a: impl Operand<Self, MatSlot>,
+    ) -> PlanMxv<Rec<'_, 'f, T, E>, MatSlot, PlanRead, PlusTimes, NoAccum> {
         self.mxv(a, x).transpose()
     }
 
     /// Starts recording `w = Op(x, y)` element-wise (default op: `Plus`).
     pub fn ewise(
         &mut self,
-        x: impl Operand<'f, T, PlanRead>,
-        y: impl Operand<'f, T, PlanRead>,
-    ) -> PlanEwise<'_, 'f, T, E> {
-        let x = self.read(x);
-        let y = self.read(y);
+        x: impl Operand<Self, PlanRead>,
+        y: impl Operand<Self, PlanRead>,
+    ) -> PlanEwise<Rec<'_, 'f, T, E>, Plus, NoAccum> {
+        let (x, y) = (x.resolve(self), y.resolve(self));
         let desc = self.defaults;
-        PlanEwise {
-            pb: self,
-            x,
-            y,
-            mask: None,
-            desc,
-            op: BinOpTag::Plus,
-            scale: None,
-            accum: None,
-        }
+        PlanEwise::new(self, x, y, desc)
     }
 
     /// Starts recording `out = Op(input)` (default op: `Identity`).
-    pub fn apply(&mut self, input: impl Operand<'f, T, PlanRead>) -> PlanApply<'_, 'f, T, E> {
-        let input = self.read(input);
+    pub fn apply(
+        &mut self,
+        input: impl Operand<Self, PlanRead>,
+    ) -> PlanApply<Rec<'_, 'f, T, E>, Identity, NoAccum> {
+        let input = input.resolve(self);
         let desc = self.defaults;
-        PlanApply {
-            pb: self,
-            input,
-            mask: None,
-            desc,
-            op: UnaryOpTag::Identity,
-            accum: None,
-        }
+        PlanApply::new(self, input, desc)
     }
 
     /// Records `x = x + α·y`, where `α` is a constant or a
     /// [`ScalarParam`]. Returns `x`'s slot for operand chaining.
     pub fn axpy(
         &mut self,
-        x: impl Operand<'f, T, OutSlot>,
-        alpha: impl Into<PlanScalar<T>>,
-        y: impl Operand<'f, T, PlanRead>,
+        x: impl Operand<Self, OutSlot>,
+        alpha: impl Operand<Self, PlanScalar<T>>,
+        y: impl Operand<Self, PlanRead>,
     ) -> OutSlot {
-        let (x, out) = self.write(x);
-        let alpha = self.resolve_scalar(alpha.into());
-        let y = self.read(y);
-        assert!(
-            y.out_index() != Some(out),
-            "axpy operand may not alias its output"
-        );
+        let x = x.resolve(self);
+        let alpha = alpha.resolve(self);
+        let y = y.resolve(self).src();
         let msg = "axpy operand length must match its output slot";
-        self.check_len("axpy", "y vs x", out, y, msg);
-        self.graph.nodes.push(PlanNode::Axpy { out, alpha, y });
+        self.check_len("axpy", "y vs x", x.idx, y, msg);
+        let node = PlanNode::Axpy {
+            out: x.idx,
+            alpha,
+            y,
+        };
+        self.push_write(x, &[y], node, "axpy operand");
         x
     }
 
-    /// Starts recording an in-place indexed update of `out` (the eager
-    /// `transform` / `eWiseLambda`). Closures recorded here must outlive
-    /// `'f` — `'static` for a builder that compiles, so values they read
-    /// per index enter through [`PlanTransform::zip`] sources, not captures.
-    pub fn transform(&mut self, out: impl Operand<'f, T, OutSlot>) -> PlanTransform<'_, 'f, T, E> {
-        let (_, out) = self.write(out);
+    /// Starts recording an in-place indexed update of `out` (the paper's
+    /// `eWiseLambda`). Closures recorded here must outlive `'f` —
+    /// `'static` for a builder that compiles, so values they read per
+    /// index enter through [`PlanTransform::zip`] sources, not captures.
+    pub fn transform(
+        &mut self,
+        out: impl Operand<Self, OutSlot>,
+    ) -> PlanTransform<Rec<'_, 'f, T, E>> {
+        let out = out.resolve(self);
         let desc = self.defaults;
-        PlanTransform {
-            pb: self,
-            out,
-            mask: None,
-            desc,
-        }
+        PlanTransform::new(self, out, desc)
     }
 
     /// Starts recording `⟨x, y⟩` (default ring: `PlusTimes`).
     pub fn dot(
         &mut self,
-        x: impl Operand<'f, T, PlanRead>,
-        y: impl Operand<'f, T, PlanRead>,
-    ) -> PlanDot<'_, 'f, T, E> {
-        let x = self.read(x);
-        let y = self.read(y);
-        PlanDot {
-            pb: self,
-            x,
-            y,
-            ring: RingTag::PlusTimes,
-        }
+        x: impl Operand<Self, PlanRead>,
+        y: impl Operand<Self, PlanRead>,
+    ) -> PlanDot<Rec<'_, 'f, T, E>, PlusTimes> {
+        let (x, y) = (x.resolve(self), y.resolve(self));
+        PlanDot::new(self, x, y)
     }
 
     /// Records `‖x‖² = ⟨x, x⟩` over the arithmetic semiring.
-    pub fn norm2_squared(&mut self, x: impl Operand<'f, T, PlanRead>) -> ScalarSlot {
-        let x = self.read(x);
-        let h = self.new_scalar();
-        self.graph.nodes.push(PlanNode::Dot {
-            sid: h.idx,
+    pub fn norm2_squared(&mut self, x: impl Operand<Self, PlanRead>) -> ScalarSlot {
+        let x = x.resolve(self).src();
+        self.push_scalar(|sid| PlanNode::Dot {
+            sid,
             x,
             y: x,
             ring: RingTag::PlusTimes,
-        });
-        h
+        })
     }
 
     /// Starts recording a fold of `x` over a monoid (default: `Plus`).
-    pub fn reduce(&mut self, x: impl Operand<'f, T, PlanRead>) -> PlanReduce<'_, 'f, T, E> {
-        let x = self.read(x);
+    pub fn reduce(
+        &mut self,
+        x: impl Operand<Self, PlanRead>,
+    ) -> PlanReduce<Rec<'_, 'f, T, E>, Plus> {
+        let x = x.resolve(self);
         let desc = self.defaults;
-        PlanReduce {
-            pb: self,
-            x,
-            mask: None,
-            desc,
-            monoid: MonoidTag::Plus,
-        }
+        PlanReduce::new(self, x, desc)
     }
 
     /// The fused schedule this graph would run right now.
@@ -995,26 +975,119 @@ impl<T: Scalar, E: Exec> PlanBuilder<'static, T, E> {
 }
 
 // ---------------------------------------------------------------------------
-// Recording builders
+// Doors and recorders
 // ---------------------------------------------------------------------------
 
-/// Records `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`PlanBuilder::mxv`]).
-#[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PlanMxv<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    a: usize,
-    x: PlanSrc,
-    mask: Option<usize>,
-    desc: Descriptor,
-    ring: RingTag,
-    accum: Option<BinOpTag>,
+/// Where a recorder's op goes when its terminal is called: [`Run`]
+/// executes it at once, [`Rec`] records it into a [`PlanBuilder`] (see
+/// the [module docs](self)). `Run` terminals take any algebra; `Rec`
+/// terminals take only the tagged ones, so recording an untagged ring
+/// fails to compile, at the terminal:
+///
+/// ```compile_fail
+/// use graphblas::algorithms::LorLand;
+/// use graphblas::{ctx, Sequential};
+///
+/// let mut pb = ctx::<Sequential>().plan::<f64>();
+/// let (am, xs, ys) = (pb.matrix(2, 2), pb.input(2), pb.output(2));
+/// pb.mxv(am, xs).ring(LorLand).into(ys); // `LorLand` has no `RingTag`
+/// ```
+pub trait Door {
+    /// What operands resolve against: the door itself on [`Run`], the
+    /// builder on [`Rec`].
+    type Sink;
+    /// A vector the op reads.
+    type Read: Copy;
+    /// The vector an in-place update writes.
+    type Write;
+    /// A mask.
+    type Mask: Copy;
+    /// A scalar factor.
+    type Num: Copy;
+
+    /// The sink operands resolve against.
+    #[doc(hidden)]
+    fn sink(&mut self) -> &mut Self::Sink;
 }
 
-impl<'f, T: Scalar, E: Exec> PlanMxv<'_, 'f, T, E> {
+/// The run-now door, handed out by [`Ctx`](crate::Ctx): terminals execute
+/// on the held backend at once and return [`Result`]. Operands are
+/// containers borrowed for `'a`.
+pub struct Run<'a, T, E> {
+    pub(crate) exec: E,
+    pub(crate) _operands: PhantomData<&'a Vector<T>>,
+}
+
+impl<'a, T: Scalar, E: Exec> Door for Run<'a, T, E> {
+    type Sink = Self;
+    type Read = &'a Vector<T>;
+    type Write = &'a mut Vector<T>;
+    type Mask = &'a Vector<bool>;
+    type Num = T;
+
+    fn sink(&mut self) -> &mut Self {
+        self
+    }
+}
+
+/// The recording door, handed out by [`PlanBuilder`] and
+/// [`Pipeline`](crate::pipeline::Pipeline): terminals push an op into the
+/// builder's graph and return its slot. Operands are [`Operand`]s.
+pub type Rec<'p, 'f, T, E> = &'p mut PlanBuilder<'f, T, E>;
+
+impl<'f, T: Scalar, E: Exec> Door for Rec<'_, 'f, T, E> {
+    type Sink = PlanBuilder<'f, T, E>;
+    type Read = PlanRead;
+    type Write = OutSlot;
+    type Mask = MaskSlot;
+    type Num = PlanScalar<T>;
+
+    fn sink(&mut self) -> &mut PlanBuilder<'f, T, E> {
+        self
+    }
+}
+
+/// `y⟨mask⟩ = y ⊙? (A ⊕.⊗ x)` (see [`Ctx::mxv`](crate::Ctx::mxv) and
+/// [`PlanBuilder::mxv`]). `M` and `X` are the matrix and vector operands:
+/// a [`CsrMatrix`] and a [`Vector`], or, from
+/// [`Ctx::mxv_sparse`](crate::Ctx::mxv_sparse), a [`GraphMatrix`] and a
+/// [`SparseVector`] frontier.
+#[must_use = "recorders do nothing until the terminal `.into(..)`"]
+pub struct PlanMxv<D: Door, M, X, R, A> {
+    door: D,
+    a: M,
+    x: X,
+    mask: Option<D::Mask>,
+    desc: Descriptor,
+    _algebra: PhantomData<(R, A)>,
+}
+
+impl<D: Door, M, X, R, A> PlanMxv<D, M, X, R, A> {
+    pub(crate) fn new(door: D, a: M, x: X, desc: Descriptor) -> Self {
+        PlanMxv {
+            door,
+            a,
+            x,
+            mask: None,
+            desc,
+            _algebra: PhantomData,
+        }
+    }
+
+    fn retype<R2, A2>(self) -> PlanMxv<D, M, X, R2, A2> {
+        PlanMxv {
+            door: self.door,
+            a: self.a,
+            x: self.x,
+            mask: self.mask,
+            desc: self.desc,
+            _algebra: PhantomData,
+        }
+    }
+
     /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
-        let mask = mask.slot(self.pb);
-        self.mask = Some(self.pb.check_mask(mask));
+    pub fn mask(mut self, mask: impl Operand<D::Sink, D::Mask>) -> Self {
+        self.mask = Some(mask.resolve(self.door.sink()));
         self
     }
 
@@ -1030,208 +1103,220 @@ impl<'f, T: Scalar, E: Exec> PlanMxv<'_, 'f, T, E> {
         self
     }
 
-    /// Toggles use of the matrix's transpose.
+    /// Toggles use of the matrix's transpose (no materialization; a
+    /// [`GraphMatrix`] carries both orientations). On a `vxm` this undoes
+    /// the implicit transposition.
     pub fn transpose(mut self) -> Self {
         self.desc = self.desc.toggled_transpose();
         self
     }
 
-    /// ORs explicit descriptor flags into the builder state.
+    /// ORs explicit descriptor flags into the op's descriptor.
     pub fn descriptor(mut self, desc: Descriptor) -> Self {
         self.desc = self.desc.with(desc);
         self
     }
 
-    /// Switches the semiring (default: `PlusTimes`).
-    pub fn ring<R: TaggedRing>(mut self, _ring: R) -> Self {
-        self.ring = R::TAG;
-        self
+    /// Switches the semiring (default: [`PlusTimes`]).
+    pub fn ring<R2>(self, _ring: R2) -> PlanMxv<D, M, X, R2, A> {
+        self.retype()
     }
 
-    /// Accumulates into the output through `Op` instead of overwriting.
-    pub fn accum<Op: TaggedBinOp>(mut self, _op: Op) -> Self {
-        self.accum = Some(Op::TAG);
-        self
+    /// Accumulates into the output through `Op` (`y = Op(y, t)`) instead of
+    /// overwriting — the GraphBLAS `accum` parameter.
+    pub fn accum<Op>(self, _op: Op) -> PlanMxv<D, M, X, R, AccumWith<Op>> {
+        self.retype()
     }
+}
 
-    /// Records the operation writing into `y`, returning the slot back for
+impl<'a, T: Scalar, E: Exec, R: Semiring<T>, A: AccumMode<T>>
+    PlanMxv<Run<'a, T, E>, &'a CsrMatrix<T>, &'a Vector<T>, R, A>
+{
+    /// Executes into `y`. Unselected positions keep their prior values.
+    pub fn into(self, y: &mut Vector<T>) -> Result<()> {
+        let exec = self.door.exec;
+        exec.run_mxv::<T, R, A>(y, self.mask, self.desc, self.a, self.x)
+    }
+}
+
+impl<'a, T: Scalar, E: Exec, R: Semiring<T>, A: AccumMode<T>>
+    PlanMxv<Run<'a, T, E>, &'a GraphMatrix<T>, &'a SparseVector<T>, R, A>
+{
+    /// Executes into `y`, reporting which [`FrontierMode`] (push or pull)
+    /// the direction-optimizing kernel chose. Unselected positions keep
+    /// their prior values. Sparse products have no recorded form.
+    pub fn into(self, y: &mut Vector<T>) -> Result<FrontierMode> {
+        let exec = self.door.exec;
+        exec.run_mxv_sparse::<T, R, A>(y, self.mask, self.desc, self.a, self.x)
+    }
+}
+
+impl<'f, T: Scalar, E: Exec, R: TaggedRing, A: TaggedAccum>
+    PlanMxv<Rec<'_, 'f, T, E>, MatSlot, PlanRead, R, A>
+{
+    /// Records the op writing into `y`, returning the slot back for
     /// operand chaining.
-    pub fn into(self, y: impl Operand<'f, T, OutSlot>) -> OutSlot {
-        let (y, out) = self.pb.write(y);
-        assert!(
-            self.x.out_index() != Some(out),
-            "mxv input may not alias its output"
-        );
-        self.pb.graph.nodes.push(PlanNode::Mxv {
-            out,
-            a: self.a,
-            x: self.x,
-            mask: self.mask,
+    pub fn into(self, y: impl Operand<PlanBuilder<'f, T, E>, OutSlot>) -> OutSlot {
+        let y = y.resolve(self.door);
+        let x = self.x.src();
+        let node = PlanNode::Mxv {
+            out: y.idx,
+            a: self.a.idx,
+            x,
+            mask: self.mask.map(|m| m.idx),
             desc: self.desc,
-            ring: self.ring,
-            accum: self.accum,
-        });
+            ring: R::TAG,
+            accum: A::TAG,
+        };
+        self.door.push_write(y, &[x], node, "mxv input");
         y
     }
 }
 
-/// Records `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`PlanBuilder::ewise`]).
-#[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PlanEwise<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    x: PlanSrc,
-    y: PlanSrc,
-    mask: Option<usize>,
+/// `w⟨mask⟩ = w ⊙? Op(α·x, β·y)` (see [`Ctx::ewise`](crate::Ctx::ewise)
+/// and [`PlanBuilder::ewise`]).
+#[must_use = "recorders do nothing until the terminal `.into(..)`"]
+pub struct PlanEwise<D: Door, Op, A> {
+    door: D,
+    x: D::Read,
+    y: D::Read,
+    mask: Option<D::Mask>,
     desc: Descriptor,
-    op: BinOpTag,
-    scale: Option<(ScalarRef<T>, ScalarRef<T>)>,
-    accum: Option<BinOpTag>,
+    scale: Option<(D::Num, D::Num)>,
+    _algebra: PhantomData<(Op, A)>,
 }
 
-impl<'f, T: Scalar, E: Exec> PlanEwise<'_, 'f, T, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
-        let mask = mask.slot(self.pb);
-        self.mask = Some(self.pb.check_mask(mask));
-        self
+impl<D: Door, Op, A> PlanEwise<D, Op, A> {
+    pub(crate) fn new(door: D, x: D::Read, y: D::Read, desc: Descriptor) -> Self {
+        PlanEwise {
+            door,
+            x,
+            y,
+            mask: None,
+            desc,
+            scale: None,
+            _algebra: PhantomData,
+        }
     }
 
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Scales the operands before the operator: `Op(α·x, β·y)`; each
-    /// factor is a constant or a [`ScalarParam`].
-    pub fn scaled(
-        mut self,
-        alpha: impl Into<PlanScalar<T>>,
-        beta: impl Into<PlanScalar<T>>,
-    ) -> Self {
-        let alpha = self.pb.resolve_scalar(alpha.into());
-        let beta = self.pb.resolve_scalar(beta.into());
-        self.scale = Some((alpha, beta));
-        self
-    }
-
-    /// Switches the element-wise operator (default: `Plus`).
-    pub fn op<Op: TaggedBinOp>(mut self, _op: Op) -> Self {
-        self.op = Op::TAG;
-        self
-    }
-
-    /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp: TaggedBinOp>(mut self, _op: AccOp) -> Self {
-        self.accum = Some(AccOp::TAG);
-        self
-    }
-
-    /// Records the operation writing into `w`, returning the slot back for
-    /// operand chaining.
-    pub fn into(self, w: impl Operand<'f, T, OutSlot>) -> OutSlot {
-        let (w, out) = self.pb.write(w);
-        assert!(
-            self.x.out_index() != Some(out) && self.y.out_index() != Some(out),
-            "ewise operands may not alias the output"
-        );
-        self.pb.graph.nodes.push(PlanNode::Ewise {
-            out,
+    fn retype<Op2, A2>(self) -> PlanEwise<D, Op2, A2> {
+        PlanEwise {
+            door: self.door,
             x: self.x,
             y: self.y,
             mask: self.mask,
             desc: self.desc,
-            op: self.op,
             scale: self.scale,
-            accum: self.accum,
-        });
+            _algebra: PhantomData,
+        }
+    }
+
+    /// Computes only the output positions selected by `mask`.
+    pub fn mask(mut self, mask: impl Operand<D::Sink, D::Mask>) -> Self {
+        self.mask = Some(mask.resolve(self.door.sink()));
+        self
+    }
+
+    /// Interprets the mask structurally (pattern only, values ignored).
+    pub fn structural(mut self) -> Self {
+        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self
+    }
+
+    /// Selects where the mask does **not**.
+    pub fn invert_mask(mut self) -> Self {
+        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self
+    }
+
+    /// Scales the operands before the operator: `Op(α·x, β·y)`. With the
+    /// default [`Plus`] this is HPCG's `waxpby`. A recorded factor may be
+    /// a [`ScalarParam`].
+    pub fn scaled(
+        mut self,
+        alpha: impl Operand<D::Sink, D::Num>,
+        beta: impl Operand<D::Sink, D::Num>,
+    ) -> Self {
+        let alpha = alpha.resolve(self.door.sink());
+        self.scale = Some((alpha, beta.resolve(self.door.sink())));
+        self
+    }
+
+    /// Switches the element-wise operator (default: [`Plus`]).
+    pub fn op<Op2>(self, _op: Op2) -> PlanEwise<D, Op2, A> {
+        self.retype()
+    }
+
+    /// Accumulates into the output through `AccOp` instead of overwriting.
+    pub fn accum<AccOp>(self, _op: AccOp) -> PlanEwise<D, Op, AccumWith<AccOp>> {
+        self.retype()
+    }
+}
+
+impl<T: Scalar, E: Exec, Op: BinaryOp<T>, A: AccumMode<T>> PlanEwise<Run<'_, T, E>, Op, A> {
+    /// Executes into `w`. Unselected positions keep their prior values.
+    pub fn into(self, w: &mut Vector<T>) -> Result<()> {
+        let exec = self.door.exec;
+        ewise::ewise::<T, Op, A, E>(exec, w, self.mask, self.desc, self.x, self.y, self.scale)
+    }
+}
+
+impl<'f, T: Scalar, E: Exec, Op: TaggedBinOp, A: TaggedAccum> PlanEwise<Rec<'_, 'f, T, E>, Op, A> {
+    /// Records the op writing into `w`, returning the slot back for
+    /// operand chaining.
+    pub fn into(self, w: impl Operand<PlanBuilder<'f, T, E>, OutSlot>) -> OutSlot {
+        let w = w.resolve(self.door);
+        let (x, y) = (self.x.src(), self.y.src());
+        let node = PlanNode::Ewise {
+            out: w.idx,
+            x,
+            y,
+            mask: self.mask.map(|m| m.idx),
+            desc: self.desc,
+            op: Op::TAG,
+            scale: self.scale,
+            accum: A::TAG,
+        };
+        self.door.push_write(w, &[x, y], node, "ewise operand");
         w
     }
 }
 
-/// Records `out⟨mask⟩ = out ⊙? Op(input)` (see [`PlanBuilder::apply`]).
-#[must_use = "recording builders do nothing until the terminal `.into(..)`"]
-pub struct PlanApply<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    input: PlanSrc,
-    mask: Option<usize>,
+/// `out⟨mask⟩ = out ⊙? Op(input)` (see [`Ctx::apply`](crate::Ctx::apply)
+/// and [`PlanBuilder::apply`]).
+#[must_use = "recorders do nothing until the terminal `.into(..)`"]
+pub struct PlanApply<D: Door, Op, A> {
+    door: D,
+    input: D::Read,
+    mask: Option<D::Mask>,
     desc: Descriptor,
-    op: UnaryOpTag,
-    accum: Option<BinOpTag>,
+    _algebra: PhantomData<(Op, A)>,
 }
 
-impl<'f, T: Scalar, E: Exec> PlanApply<'_, 'f, T, E> {
-    /// Computes only the output positions selected by `mask`.
-    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
-        let mask = mask.slot(self.pb);
-        self.mask = Some(self.pb.check_mask(mask));
-        self
+impl<D: Door, Op, A> PlanApply<D, Op, A> {
+    pub(crate) fn new(door: D, input: D::Read, desc: Descriptor) -> Self {
+        PlanApply {
+            door,
+            input,
+            mask: None,
+            desc,
+            _algebra: PhantomData,
+        }
     }
 
-    /// Interprets the mask structurally (pattern only, values ignored).
-    pub fn structural(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::STRUCTURAL);
-        self
-    }
-
-    /// Selects where the mask does **not**.
-    pub fn invert_mask(mut self) -> Self {
-        self.desc = self.desc.with(Descriptor::INVERT_MASK);
-        self
-    }
-
-    /// Switches the unary operator (default: `Identity`).
-    pub fn op<Op: TaggedUnaryOp>(mut self, _op: Op) -> Self {
-        self.op = Op::TAG;
-        self
-    }
-
-    /// Accumulates into the output through `AccOp` instead of overwriting.
-    pub fn accum<AccOp: TaggedBinOp>(mut self, _op: AccOp) -> Self {
-        self.accum = Some(AccOp::TAG);
-        self
-    }
-
-    /// Records the operation writing into `out`, returning the slot back
-    /// for operand chaining.
-    pub fn into(self, out_slot: impl Operand<'f, T, OutSlot>) -> OutSlot {
-        let (out_slot, out) = self.pb.write(out_slot);
-        assert!(
-            self.input.out_index() != Some(out),
-            "apply input may not alias its output"
-        );
-        self.pb.graph.nodes.push(PlanNode::Apply {
-            out,
+    fn retype<Op2, A2>(self) -> PlanApply<D, Op2, A2> {
+        PlanApply {
+            door: self.door,
             input: self.input,
             mask: self.mask,
             desc: self.desc,
-            op: self.op,
-            accum: self.accum,
-        });
-        out_slot
+            _algebra: PhantomData,
+        }
     }
-}
 
-/// Records an in-place indexed update (see [`PlanBuilder::transform`]).
-#[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransform<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    out: usize,
-    mask: Option<usize>,
-    desc: Descriptor,
-}
-
-impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<'p, 'f, T, E> {
-    /// Updates only the positions selected by `mask`.
-    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
-        let mask = mask.slot(self.pb);
-        self.mask = Some(self.pb.check_mask(mask));
+    /// Computes only the output positions selected by `mask`.
+    pub fn mask(mut self, mask: impl Operand<D::Sink, D::Mask>) -> Self {
+        self.mask = Some(mask.resolve(self.door.sink()));
         self
     }
 
@@ -1247,207 +1332,261 @@ impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<'p, 'f, T, E> {
         self
     }
 
+    /// Switches the unary operator (default: [`Identity`]).
+    pub fn op<Op2>(self, _op: Op2) -> PlanApply<D, Op2, A> {
+        self.retype()
+    }
+
+    /// Accumulates into the output through `AccOp` instead of overwriting.
+    pub fn accum<AccOp>(self, _op: AccOp) -> PlanApply<D, Op, AccumWith<AccOp>> {
+        self.retype()
+    }
+}
+
+impl<T: Scalar, E: Exec, Op: UnaryOp<T>, A: AccumMode<T>> PlanApply<Run<'_, T, E>, Op, A> {
+    /// Executes into `out`. Unselected positions keep their prior values.
+    pub fn into(self, out: &mut Vector<T>) -> Result<()> {
+        let exec = self.door.exec;
+        apply::apply::<T, Op, A, E>(exec, out, self.mask, self.desc, self.input)
+    }
+}
+
+impl<'f, T: Scalar, E: Exec, Op: TaggedUnaryOp, A: TaggedAccum>
+    PlanApply<Rec<'_, 'f, T, E>, Op, A>
+{
+    /// Records the op writing into `out`, returning the slot back for
+    /// operand chaining.
+    pub fn into(self, out: impl Operand<PlanBuilder<'f, T, E>, OutSlot>) -> OutSlot {
+        let out = out.resolve(self.door);
+        let input = self.input.src();
+        let node = PlanNode::Apply {
+            out: out.idx,
+            input,
+            mask: self.mask.map(|m| m.idx),
+            desc: self.desc,
+            op: Op::TAG,
+            accum: A::TAG,
+        };
+        self.door.push_write(out, &[input], node, "apply input");
+        out
+    }
+}
+
+/// An in-place indexed update, the paper's `eWiseLambda` (see
+/// [`Ctx::transform`](crate::Ctx::transform) and
+/// [`PlanBuilder::transform`]). A recorded update may pair `out` with up
+/// to three `N` sources read at the same index ([`zip`](Self::zip)).
+#[must_use = "recorders do nothing until the terminal `.apply(f)`"]
+pub struct PlanTransform<D: Door, const N: usize = 0> {
+    door: D,
+    out: D::Write,
+    srcs: [PlanSrc; N],
+    mask: Option<D::Mask>,
+    desc: Descriptor,
+}
+
+impl<D: Door, const N: usize> PlanTransform<D, N> {
+    /// Updates only the positions selected by `mask`.
+    pub fn mask(mut self, mask: impl Operand<D::Sink, D::Mask>) -> Self {
+        self.mask = Some(mask.resolve(self.door.sink()));
+        self
+    }
+
+    /// Interprets the mask structurally (pattern only, values ignored).
+    pub fn structural(mut self) -> Self {
+        self.desc = self.desc.with(Descriptor::STRUCTURAL);
+        self
+    }
+
+    /// Selects where the mask does **not**.
+    pub fn invert_mask(mut self) -> Self {
+        self.desc = self.desc.with(Descriptor::INVERT_MASK);
+        self
+    }
+}
+
+impl<D: Door> PlanTransform<D> {
+    pub(crate) fn new(door: D, out: D::Write, desc: Descriptor) -> Self {
+        PlanTransform {
+            door,
+            out,
+            srcs: [],
+            mask: None,
+            desc,
+        }
+    }
+}
+
+impl<T: Scalar, E: Exec> PlanTransform<Run<'_, T, E>> {
+    /// Executes `f(i, &mut out[i])` at every selected index. The closure
+    /// may capture shared references to other vectors (as the paper's
+    /// `eWiseLambda` captures `r`, `tmp`, `A_diag`); under a parallel
+    /// backend it runs concurrently for different `i`.
+    pub fn apply<F: Fn(usize, &mut T) + Send + Sync>(self, f: F) -> Result<()> {
+        let exec = self.door.exec;
+        exec.run_lambda(ElemOp::Transform, self.out, self.mask, self.desc, f)
+    }
+}
+
+impl<'p, 'f, T: Scalar, E: Exec, const N: usize> PlanTransform<Rec<'p, 'f, T, E>, N> {
+    /// Adds zip source `src` as the `M = N + 1`-th.
+    fn zipped<const M: usize>(
+        self,
+        src: impl Operand<PlanBuilder<'f, T, E>, PlanRead>,
+    ) -> PlanTransform<Rec<'p, 'f, T, E>, M> {
+        let src = self.door.zip_src(self.out.idx, src);
+        let mut srcs = [src; M];
+        srcs[..N].copy_from_slice(&self.srcs);
+        PlanTransform {
+            door: self.door,
+            out: self.out,
+            srcs,
+            mask: self.mask,
+            desc: self.desc,
+        }
+    }
+
+    fn record(self, f: PlanFn<'f, T>) -> OutSlot {
+        self.door.graph.nodes.push(PlanNode::Lambda {
+            out: self.out.idx,
+            mask: self.mask.map(|m| m.idx),
+            desc: self.desc,
+            f,
+        });
+        self.out
+    }
+}
+
+impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<Rec<'p, 'f, T, E>> {
     /// Pairs the update with a vector read at the same index: the terminal
     /// closure receives `(i, &mut out[i], src[i])`. Chain up to three
     /// sources — this is how a `'static` plan closure reads other slots,
     /// and how any recorded closure reads another op's output.
-    pub fn zip(self, src: impl Operand<'f, T, PlanRead>) -> PlanTransformZip1<'p, 'f, T, E> {
-        let src = self.pb.zip_src(self.out, src);
-        PlanTransformZip1 {
-            pb: self.pb,
-            out: self.out,
-            srcs: [src],
-            mask: self.mask,
-            desc: self.desc,
-        }
+    pub fn zip(
+        self,
+        src: impl Operand<PlanBuilder<'f, T, E>, PlanRead>,
+    ) -> PlanTransform<Rec<'p, 'f, T, E>, 1> {
+        self.zipped(src)
     }
 
     /// Records `f(i, &mut out[i])` at every selected index.
     pub fn apply(self, f: impl Fn(usize, &mut T) + Send + Sync + 'f) -> OutSlot {
-        let out = self.out;
-        self.pb.graph.nodes.push(PlanNode::Lambda {
-            out,
-            mask: self.mask,
-            desc: self.desc,
-            f: PlanFn::F0(Box::new(f)),
-        });
-        OutSlot {
-            plan: self.pb.id,
-            idx: out,
-        }
+        self.record(PlanFn::F0(Box::new(f)))
     }
 }
 
-impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
-    /// Resolves a zip source of the transform writing output slot `out`.
-    /// It may not alias the output, and its declared length must match the
-    /// output's (see `check_len`) so execution never indexes out of bounds.
-    fn zip_src(&mut self, out: usize, src: impl Operand<'f, T, PlanRead>) -> PlanSrc {
-        let src = self.read(src);
-        assert!(
-            src.out_index() != Some(out),
-            "zip source may not alias the transform output"
-        );
-        let msg = "zip source length must match the transform output";
-        self.check_len("transform_zip", "src vs output", out, src, msg);
-        src
-    }
-}
-
-/// Records an indexed update reading one paired source (see
-/// [`PlanTransform::zip`]).
-#[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransformZip1<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    out: usize,
-    srcs: [PlanSrc; 1],
-    mask: Option<usize>,
-    desc: Descriptor,
-}
-
-impl<'p, 'f, T: Scalar, E: Exec> PlanTransformZip1<'p, 'f, T, E> {
+impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<Rec<'p, 'f, T, E>, 1> {
     /// Adds a second zipped source.
-    pub fn zip(self, src: impl Operand<'f, T, PlanRead>) -> PlanTransformZip2<'p, 'f, T, E> {
-        let src = self.pb.zip_src(self.out, src);
-        PlanTransformZip2 {
-            pb: self.pb,
-            out: self.out,
-            srcs: [self.srcs[0], src],
-            mask: self.mask,
-            desc: self.desc,
-        }
+    pub fn zip(
+        self,
+        src: impl Operand<PlanBuilder<'f, T, E>, PlanRead>,
+    ) -> PlanTransform<Rec<'p, 'f, T, E>, 2> {
+        self.zipped(src)
     }
 
     /// Records `f(i, &mut out[i], src[i])` at every selected index.
     pub fn apply(self, f: impl Fn(usize, &mut T, T) + Send + Sync + 'f) -> OutSlot {
-        let out = self.out;
-        self.pb.graph.nodes.push(PlanNode::Lambda {
-            out,
-            mask: self.mask,
-            desc: self.desc,
-            f: PlanFn::F1(self.srcs[0], Box::new(f)),
-        });
-        OutSlot {
-            plan: self.pb.id,
-            idx: out,
-        }
+        let [s] = self.srcs;
+        self.record(PlanFn::F1(s, Box::new(f)))
     }
 }
 
-/// Records an indexed update reading two paired sources (see
-/// [`PlanTransform::zip`]).
-#[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransformZip2<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    out: usize,
-    srcs: [PlanSrc; 2],
-    mask: Option<usize>,
-    desc: Descriptor,
-}
-
-impl<'p, 'f, T: Scalar, E: Exec> PlanTransformZip2<'p, 'f, T, E> {
+impl<'p, 'f, T: Scalar, E: Exec> PlanTransform<Rec<'p, 'f, T, E>, 2> {
     /// Adds a third zipped source.
-    pub fn zip(self, src: impl Operand<'f, T, PlanRead>) -> PlanTransformZip3<'p, 'f, T, E> {
-        let src = self.pb.zip_src(self.out, src);
-        PlanTransformZip3 {
-            pb: self.pb,
-            out: self.out,
-            srcs: [self.srcs[0], self.srcs[1], src],
-            mask: self.mask,
-            desc: self.desc,
-        }
+    pub fn zip(
+        self,
+        src: impl Operand<PlanBuilder<'f, T, E>, PlanRead>,
+    ) -> PlanTransform<Rec<'p, 'f, T, E>, 3> {
+        self.zipped(src)
     }
 
     /// Records `f(i, &mut out[i], src1[i], src2[i])` at every selected
     /// index.
     pub fn apply(self, f: impl Fn(usize, &mut T, T, T) + Send + Sync + 'f) -> OutSlot {
-        let out = self.out;
-        self.pb.graph.nodes.push(PlanNode::Lambda {
-            out,
-            mask: self.mask,
-            desc: self.desc,
-            f: PlanFn::F2(self.srcs, Box::new(f)),
-        });
-        OutSlot {
-            plan: self.pb.id,
-            idx: out,
-        }
+        let srcs = self.srcs;
+        self.record(PlanFn::F2(srcs, Box::new(f)))
     }
 }
 
-/// Records an indexed update reading three paired sources (see
-/// [`PlanTransform::zip`]).
-#[must_use = "recording builders do nothing until the terminal `.apply(f)`"]
-pub struct PlanTransformZip3<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    out: usize,
-    srcs: [PlanSrc; 3],
-    mask: Option<usize>,
-    desc: Descriptor,
-}
-
-impl<'f, T: Scalar, E: Exec> PlanTransformZip3<'_, 'f, T, E> {
+impl<'f, T: Scalar, E: Exec> PlanTransform<Rec<'_, 'f, T, E>, 3> {
     /// Records `f(i, &mut out[i], src1[i], src2[i], src3[i])` at every
     /// selected index.
     pub fn apply(self, f: impl Fn(usize, &mut T, T, T, T) + Send + Sync + 'f) -> OutSlot {
-        let out = self.out;
-        self.pb.graph.nodes.push(PlanNode::Lambda {
-            out,
-            mask: self.mask,
-            desc: self.desc,
-            f: PlanFn::F3(self.srcs, Box::new(f)),
-        });
-        OutSlot {
-            plan: self.pb.id,
-            idx: out,
+        let srcs = self.srcs;
+        self.record(PlanFn::F3(srcs, Box::new(f)))
+    }
+}
+
+/// `⟨x, y⟩` (see [`Ctx::dot`](crate::Ctx::dot) and [`PlanBuilder::dot`]).
+#[must_use = "recorders do nothing until the terminal"]
+pub struct PlanDot<D: Door, R> {
+    door: D,
+    x: D::Read,
+    y: D::Read,
+    _algebra: PhantomData<R>,
+}
+
+impl<D: Door, R> PlanDot<D, R> {
+    pub(crate) fn new(door: D, x: D::Read, y: D::Read) -> Self {
+        PlanDot {
+            door,
+            x,
+            y,
+            _algebra: PhantomData,
         }
     }
-}
 
-/// Records `⟨x, y⟩` (see [`PlanBuilder::dot`]).
-#[must_use = "recording builders do nothing until the terminal `.result()`"]
-pub struct PlanDot<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    x: PlanSrc,
-    y: PlanSrc,
-    ring: RingTag,
-}
-
-impl<'f, T: Scalar, E: Exec> PlanDot<'_, 'f, T, E> {
-    /// Switches the semiring (default: `PlusTimes`).
-    pub fn ring<R: TaggedRing>(mut self, _ring: R) -> Self {
-        self.ring = R::TAG;
-        self
+    /// Switches the semiring (default: [`PlusTimes`]).
+    pub fn ring<R2>(self, _ring: R2) -> PlanDot<D, R2> {
+        PlanDot::new(self.door, self.x, self.y)
     }
+}
 
+impl<T: Scalar, E: Exec, R: Semiring<T>> PlanDot<Run<'_, T, E>, R> {
+    /// Executes, returning the inner product.
+    pub fn compute(self) -> Result<T> {
+        reduce::dot::<T, R, E>(self.door.exec, self.x, self.y)
+    }
+}
+
+impl<T: Scalar, E: Exec, R: TaggedRing> PlanDot<Rec<'_, '_, T, E>, R> {
     /// Records the dot product, returning the slot of its result.
     pub fn result(self) -> ScalarSlot {
-        let h = self.pb.new_scalar();
-        self.pb.graph.nodes.push(PlanNode::Dot {
-            sid: h.idx,
-            x: self.x,
-            y: self.y,
-            ring: self.ring,
-        });
-        h
+        let (x, y) = (self.x.src(), self.y.src());
+        self.door.push_scalar(|sid| PlanNode::Dot {
+            sid,
+            x,
+            y,
+            ring: R::TAG,
+        })
     }
 }
 
-/// Records a monoid fold (see [`PlanBuilder::reduce`]).
-#[must_use = "recording builders do nothing until the terminal `.result()`"]
-pub struct PlanReduce<'p, 'f, T: Scalar, E: Exec> {
-    pb: &'p mut PlanBuilder<'f, T, E>,
-    x: PlanSrc,
-    mask: Option<usize>,
+/// A monoid fold of a vector (see [`Ctx::reduce`](crate::Ctx::reduce) and
+/// [`PlanBuilder::reduce`]).
+#[must_use = "recorders do nothing until the terminal"]
+pub struct PlanReduce<D: Door, M> {
+    door: D,
+    x: D::Read,
+    mask: Option<D::Mask>,
     desc: Descriptor,
-    monoid: MonoidTag,
+    _algebra: PhantomData<M>,
 }
 
-impl<'f, T: Scalar, E: Exec> PlanReduce<'_, 'f, T, E> {
+impl<D: Door, M> PlanReduce<D, M> {
+    pub(crate) fn new(door: D, x: D::Read, desc: Descriptor) -> Self {
+        PlanReduce {
+            door,
+            x,
+            mask: None,
+            desc,
+            _algebra: PhantomData,
+        }
+    }
+
     /// Folds only the positions selected by `mask`.
-    pub fn mask(mut self, mask: impl Operand<'f, T, MaskSlot>) -> Self {
-        let mask = mask.slot(self.pb);
-        self.mask = Some(self.pb.check_mask(mask));
+    pub fn mask(mut self, mask: impl Operand<D::Sink, D::Mask>) -> Self {
+        self.mask = Some(mask.resolve(self.door.sink()));
         self
     }
 
@@ -1463,23 +1602,37 @@ impl<'f, T: Scalar, E: Exec> PlanReduce<'_, 'f, T, E> {
         self
     }
 
-    /// Switches the monoid (default: `Plus`).
-    pub fn monoid<M: TaggedMonoid>(mut self, _monoid: M) -> Self {
-        self.monoid = M::TAG;
-        self
-    }
-
-    /// Records the fold, returning the slot of its result.
-    pub fn result(self) -> ScalarSlot {
-        let h = self.pb.new_scalar();
-        self.pb.graph.nodes.push(PlanNode::Reduce {
-            sid: h.idx,
+    /// Switches the monoid (default: [`Plus`]).
+    pub fn monoid<M2>(self, _monoid: M2) -> PlanReduce<D, M2> {
+        PlanReduce {
+            door: self.door,
             x: self.x,
             mask: self.mask,
             desc: self.desc,
-            monoid: self.monoid,
-        });
-        h
+            _algebra: PhantomData,
+        }
+    }
+}
+
+impl<T: Scalar, E: Exec, M: Monoid<T>> PlanReduce<Run<'_, T, E>, M> {
+    /// Executes, returning the fold (the monoid identity on empty
+    /// selections).
+    pub fn compute(self) -> Result<T> {
+        reduce::reduce::<T, M, E>(self.door.exec, self.x, self.mask, self.desc)
+    }
+}
+
+impl<T: Scalar, E: Exec, M: TaggedMonoid> PlanReduce<Rec<'_, '_, T, E>, M> {
+    /// Records the fold, returning the slot of its result.
+    pub fn result(self) -> ScalarSlot {
+        let (x, mask, desc) = (self.x.src(), self.mask.map(|m| m.idx), self.desc);
+        self.door.push_scalar(|sid| PlanNode::Reduce {
+            sid,
+            x,
+            mask,
+            desc,
+            monoid: M::TAG,
+        })
     }
 }
 
@@ -1683,7 +1836,7 @@ impl<T: Scalar> OpGraph<'_, T> {
 
     /// The one interpreter: validates `b` against the declarations, then
     /// runs `stages` (a schedule [`fuse`](Self::fuse) produced for this
-    /// graph) on `exec` through the kernels the eager builders call.
+    /// graph) on `exec` through the kernels the `Run` terminals call.
     fn execute<E: Exec>(
         &self,
         exec: E,
@@ -1739,10 +1892,10 @@ impl<T: Scalar> OpGraph<'_, T> {
         b.mats[a].expect("validated before execution")
     }
 
-    fn scalar_val(&self, b: &Bindings<'_, T>, s: &ScalarRef<T>) -> T {
+    fn scalar_val(&self, b: &Bindings<'_, T>, s: &PlanScalar<T>) -> T {
         match s {
-            ScalarRef::Const(v) => *v,
-            ScalarRef::Param(i) => b.params[*i],
+            PlanScalar::Const(v) => *v,
+            PlanScalar::Param(p) => b.params[p.idx],
         }
     }
 

@@ -118,8 +118,9 @@ mod tests {
     use super::*;
     use crate::geometry::Grid3;
     use crate::grb_impl::GrbHpcg;
+    use crate::kernels::Unfused;
     use crate::problem::{Problem, RhsVariant};
-    use graphblas::Sequential;
+    use graphblas::{BackendKind, Distributed, DynCtx, Sequential, Vector};
 
     fn solve(preconditioned: bool, max_iters: usize, tol: f64) -> (CgResult, Vec<f64>) {
         let p = Problem::build_with(Grid3::cube(16), 4, RhsVariant::Reference).unwrap();
@@ -183,30 +184,44 @@ mod tests {
         assert_eq!(res.residual_history.len(), 7);
     }
 
+    type Bits = (Vec<u64>, Vec<u64>);
+
+    /// Solution and residual history of a preconditioned solve, as bits.
+    fn solve_bits<K: Kernels<V = Vector<f64>>>(mut k: K, b: &Vector<f64>, iters: usize) -> Bits {
+        let mut cg_ws = CgWorkspace::new(&k);
+        let mut mg_ws = MgWorkspace::new(&k);
+        let mut x = k.alloc(0);
+        let res = cg_solve(&mut k, &mut cg_ws, &mut mg_ws, b, &mut x, iters, 0.0, true);
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect();
+        (bits(x.as_slice()), bits(&res.residual_history))
+    }
+
     #[test]
     fn pipelined_cg_is_bit_identical_to_eager_cg() {
         // The acceptance contract of the deferred-execution subsystem: the
-        // whole preconditioned solve — fused spmv+dot, fused axpy+norm,
-        // pipelined MG residual/restrict and pipelined RBGS — produces the
-        // exact bytes the eager path does.
-        let p = Problem::build_with(Grid3::cube(16), 3, RhsVariant::Reference).unwrap();
-        let b = p.b.clone();
-        let run = |pipelined: bool| {
-            let mut k = GrbHpcg::<Sequential>::new(p.clone());
-            k.set_pipeline(pipelined);
-            let mut cg_ws = CgWorkspace::new(&k);
-            let mut mg_ws = MgWorkspace::new(&k);
-            let mut x = k.alloc(0);
-            let res = cg_solve(&mut k, &mut cg_ws, &mut mg_ws, &b, &mut x, 12, 0.0, true);
-            (res, x.as_slice().to_vec())
-        };
-        let (res_pipe, x_pipe) = run(true);
-        let (res_eager, x_eager) = run(false);
-        assert_eq!(x_pipe, x_eager, "solutions must be bit-identical");
-        let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&res_pipe.residual_history),
-            bits(&res_eager.residual_history)
-        );
+        // whole preconditioned solve — fused spmv+dot, fused axpy+norm, the
+        // recorded MG residual/restrict and the compiled RBGS sweep —
+        // produces the exact bytes of the unfused kernel sequence on every
+        // backend. The residual involves irrational intermediate values, so
+        // this catches any fused reduction whose association order drifts.
+        for (n, levels, iters) in [(16, 3, 12), (8, 2, 9)] {
+            let p = Problem::build_with(Grid3::cube(n), levels, RhsVariant::Reference).unwrap();
+            let b = &p.b;
+            let on = |exec| GrbHpcg::with_ctx(p.clone(), exec);
+            let seq = solve_bits(on(DynCtx::runtime(BackendKind::Sequential)), b, iters);
+            for kind in [
+                BackendKind::Sequential,
+                BackendKind::Parallel,
+                BackendKind::Dist(Distributed::new(4)),
+            ] {
+                let fused = solve_bits(on(DynCtx::runtime(kind)), b, iters);
+                let unfused = solve_bits(Unfused(on(DynCtx::runtime(kind))), b, iters);
+                assert_eq!(fused, unfused, "{n}³ on {kind}");
+                // The simulated cluster matches the sequential solve too.
+                if !matches!(kind, BackendKind::Parallel) {
+                    assert_eq!(fused, seq, "{n}³ on {kind}");
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,10 @@
 //! scopes the recorded supersteps to its multigrid level (and the smoother
 //! / grid-transfer classes) so the breakdown figures keep their meaning,
 //! then drains the steps into per-kernel modeled-seconds timers.
+//!
+//! The hot loops run as `GrbHpcg`'s compiled plans, so the CG pairs are
+//! fused here too: a fused pair costs one sweep plus one allreduce instead
+//! of two full supersteps.
 
 use crate::grb_impl::GrbHpcg;
 use crate::kernels::Kernels;
@@ -77,14 +81,6 @@ impl AlpDistHpcg {
     /// The underlying problem.
     pub fn problem(&self) -> &Problem {
         self.inner.problem()
-    }
-
-    /// Enables or disables deferred (pipeline-fused) execution of the hot
-    /// loops, exactly as [`GrbHpcg::set_pipeline`] does: only bit-identity
-    /// tests switch it off. Fused pairs cost one sweep plus one allreduce
-    /// instead of two full supersteps.
-    pub fn set_pipeline(&mut self, enabled: bool) {
-        self.inner.set_pipeline(enabled);
     }
 
     /// Runs `f` on the inner kernels with supersteps scoped to `level` /
@@ -241,6 +237,7 @@ impl Kernels for AlpDistHpcg {
 mod tests {
     use super::*;
     use crate::geometry::Grid3;
+    use crate::kernels::Unfused;
     use crate::problem::RhsVariant;
 
     fn make(nodes: usize) -> AlpDistHpcg {
@@ -313,8 +310,7 @@ mod tests {
     #[test]
     fn fused_spmv_dot_costs_one_sweep_plus_allreduce() {
         let mut fused = make(4);
-        let mut eager = make(4);
-        eager.set_pipeline(false);
+        let mut eager = Unfused(make(4));
         let x = Vector::filled(512, 1.0);
         let mut yf = fused.alloc(0);
         let mut ye = eager.alloc(0);
@@ -322,10 +318,10 @@ mod tests {
         let de = eager.spmv_dot(0, &mut ye, &x);
         assert_eq!(df.to_bits(), de.to_bits(), "fusion never changes numerics");
         assert_eq!(fused.tracker().superstep_count(), 2);
-        assert_eq!(eager.tracker().superstep_count(), 2);
+        assert_eq!(eager.0.tracker().superstep_count(), 2);
         // Same allgather either way; the fused allreduce step streams no
         // fresh vectors, so the modeled time strictly improves.
-        let (tf, te) = (fused.tracker(), eager.tracker());
+        let (tf, te) = (fused.tracker(), eager.0.tracker());
         assert_eq!(tf.steps()[0].h_bytes, te.steps()[0].h_bytes);
         assert!(tf.total_secs() < te.total_secs());
         assert!(fused.timers().secs(0, Kernel::SpMV) > 0.0);

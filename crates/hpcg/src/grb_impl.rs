@@ -6,7 +6,7 @@
 //! |-------------|----------------------|
 //! | `spmv` | `mxv` over `(+, ×)` |
 //! | `dot` / norms | `dot` over `(+, ×)` |
-//! | `waxpby` | dedicated fused element-wise kernel |
+//! | `waxpby` | `ewise().scaled(α, β)`: one element-wise stream |
 //! | SGS smoother | RBGS: masked structural `mxv` + masked `eWiseLambda` per color (Listing 3) |
 //! | restriction | `mxv` with the materialized `n/8 × n` matrix (§III-B) |
 //! | refinement | accumulating `mxv` with the **transpose descriptor** on the same matrix — no materialized transpose (§IV) |
@@ -16,15 +16,15 @@
 //!
 //! # Deferred (nonblocking) execution
 //!
-//! By default the hot loops run through [`Ctx::pipeline`] op graphs: the
-//! CG pairs `spmv`+`⟨p, Ap⟩` and residual-`axpy`+`‖r‖²` fuse into single
-//! passes, the MG residual/restrict chain and the RBGS sweep execute as
-//! recorded graphs. [`GrbHpcg::set_pipeline`] switches back to eager
-//! per-primitive execution; both modes are bit-identical, and the eager
-//! mode exists only as the oracle the bit-identity tests compare the
-//! deferred one against.
+//! The hot loops run as recorded op graphs: the CG pairs `spmv`+`⟨p, Ap⟩`
+//! and residual-`axpy`+`‖r‖²` fuse into single passes, and the MG
+//! residual/restrict chain and the RBGS sweep execute as recorded graphs.
+//! There is no eager mode: the [`Kernels`] trait's default `spmv_dot`,
+//! `axpy_norm2` and `residual_restrict` are the unfused sequences, and the
+//! bit-identity tests run them through a test-only wrapper that keeps
+//! those defaults.
 //!
-//! Each deferred op graph is **compiled once per level** into a reusable
+//! Each op graph is **compiled once per level** into a reusable
 //! [`Plan`] held in a per-instance [`PlanCache`]: the
 //! first call at a level records and fuses, every later call just rebinds
 //! the iteration's buffers (and scalar parameters such as the CG `α`) and
@@ -54,8 +54,6 @@ pub struct GrbHpcg<E: Exec> {
     timers: KernelTimers,
     /// The execution context every kernel lowers through (ALP's launcher).
     ctx: Ctx<E>,
-    /// Whether hot loops run through deferred (fused) pipelines.
-    pipeline: bool,
     /// Compiled plans for the hot op graphs, keyed by kernel and level —
     /// each graph records and fuses once, then replays every iteration.
     plans: PlanCache,
@@ -83,24 +81,8 @@ impl<E: Exec> GrbHpcg<E> {
             tmp,
             timers,
             ctx,
-            pipeline: true,
             plans: PlanCache::new(),
         }
-    }
-
-    /// Enables or disables deferred (pipeline-fused) execution of the hot
-    /// loops. On by default, and no binary switches it off: the eager mode
-    /// is the oracle four bit-identity tests run the deferred one against
-    /// (`cg.rs`, this module's, `distributed/alp.rs`'s and the workspace's
-    /// `tests/proptest_deferred.rs`). Both modes produce bit-identical
-    /// results.
-    pub fn set_pipeline(&mut self, enabled: bool) {
-        self.pipeline = enabled;
-    }
-
-    /// Whether hot loops run through deferred pipelines.
-    pub fn pipeline_enabled(&self) -> bool {
-        self.pipeline
     }
 
     /// The execution context kernels run on.
@@ -212,10 +194,6 @@ impl<E: Exec> Kernels for GrbHpcg<E> {
     }
 
     fn spmv_dot(&mut self, level: usize, y: &mut Vector<f64>, x: &Vector<f64>) -> f64 {
-        if !self.pipeline {
-            self.spmv(level, y, x);
-            return self.dot(level, x, y);
-        }
         let a = &self.problem.levels[level].a;
         let exec = self.ctx;
         let n = a.nrows();
@@ -247,11 +225,6 @@ impl<E: Exec> Kernels for GrbHpcg<E> {
         alpha: f64,
         y: &Vector<f64>,
     ) -> f64 {
-        if !self.pipeline {
-            self.axpy(level, x, alpha, y);
-            let xs = &*x;
-            return self.dot(level, xs, xs);
-        }
         let exec = self.ctx;
         let len = x.len();
         let (plan, _) = self
@@ -279,12 +252,6 @@ impl<E: Exec> Kernels for GrbHpcg<E> {
         r: &Vector<f64>,
         rc: &mut Vector<f64>,
     ) {
-        if !self.pipeline {
-            self.spmv(level, f, z);
-            self.sub_reverse(level, f, r);
-            self.restrict_to(level, rc, f);
-            return;
-        }
         let l = &self.problem.levels[level];
         let rmat = l
             .restriction
@@ -330,25 +297,15 @@ impl<E: Exec> Kernels for GrbHpcg<E> {
         let l = &self.problem.levels[level];
         let tmp = &mut self.tmp[level];
         let exec = self.ctx;
-        let plan = if self.pipeline {
-            let (n, colors) = (l.n(), l.color_masks.len());
-            let (plan, _) = self
-                .plans
-                .get_or_compile(plan_key(&("hpcg.rbgs", level)), || {
-                    rbgs_grb::build_rbgs_plan(exec, n, colors)
-                });
-            Some(plan)
-        } else {
-            None
-        };
+        let (n, colors) = (l.n(), l.color_masks.len());
+        let (plan, _) = self
+            .plans
+            .get_or_compile(plan_key(&("hpcg.rbgs", level)), || {
+                rbgs_grb::build_rbgs_plan(exec, n, colors)
+            });
         self.timers.time(level, Kernel::Smoother, || {
-            if let Some(plan) = &plan {
-                rbgs_grb::rbgs_symmetric_replay(plan, &l.a, &l.a_diag, &l.color_masks, r, x, tmp)
-                    .expect("smoother dimensions fixed at setup");
-            } else {
-                rbgs_grb::rbgs_symmetric(exec, &l.a, &l.a_diag, &l.color_masks, r, x, tmp)
-                    .expect("smoother dimensions fixed at setup");
-            }
+            rbgs_grb::rbgs_symmetric_replay(&plan, &l.a, &l.a_diag, &l.color_masks, r, x, tmp)
+                .expect("smoother dimensions fixed at setup");
         });
     }
 
@@ -419,6 +376,7 @@ fn residual_restrict_plan<E: Exec>(exec: Ctx<E>, n: usize, nc: usize) -> Plan<f6
 mod tests {
     use super::*;
     use crate::geometry::Grid3;
+    use crate::kernels::Unfused;
     use crate::problem::RhsVariant;
     use graphblas::Sequential;
 
@@ -484,10 +442,7 @@ mod tests {
     fn fused_kernel_overrides_match_eager_mode() {
         let p = Problem::build_with(Grid3::cube(8), 2, RhsVariant::Reference).unwrap();
         let mut fused = GrbHpcg::<Sequential>::new(p.clone());
-        let mut eager = GrbHpcg::<Sequential>::new(p);
-        eager.set_pipeline(false);
-        assert!(fused.pipeline_enabled());
-        assert!(!eager.pipeline_enabled());
+        let mut eager = Unfused(GrbHpcg::<Sequential>::new(p));
 
         let x = Vector::from_dense((0..512).map(|i| (i % 7) as f64 - 3.0).collect::<Vec<_>>());
         let mut y_f = fused.alloc(0);
@@ -513,12 +468,8 @@ mod tests {
         eager.residual_restrict(0, &mut f_e, &z, &r, &mut rc_e);
         assert_eq!(f_f.as_slice(), f_e.as_slice());
         assert_eq!(rc_f.as_slice(), rc_e.as_slice());
-
-        let mut x_f = fused.alloc(0);
-        let mut x_e = eager.alloc(0);
-        fused.smooth(0, &mut x_f, &r);
-        eager.smooth(0, &mut x_e, &r);
-        assert_eq!(x_f.as_slice(), x_e.as_slice());
+        // The smoother's eager oracle is Listing 3's text, compared with
+        // the compiled sweep in `rbgs_grb`'s tests.
     }
 
     #[test]

@@ -119,3 +119,85 @@ pub trait Kernels {
         "-"
     }
 }
+
+/// Runs `K`'s primitive kernels one by one: every required method
+/// forwards to `K`, and `spmv_dot`, `axpy_norm2` and `residual_restrict`
+/// keep the trait's unfused defaults. The oracle the fused
+/// implementations are compared against, bit for bit.
+pub struct Unfused<K>(pub K);
+
+impl<K: Kernels> Kernels for Unfused<K> {
+    type V = K::V;
+
+    fn levels(&self) -> usize {
+        self.0.levels()
+    }
+
+    fn n_at(&self, level: usize) -> usize {
+        self.0.n_at(level)
+    }
+
+    fn alloc(&self, level: usize) -> K::V {
+        self.0.alloc(level)
+    }
+
+    fn set_zero(&mut self, level: usize, v: &mut K::V) {
+        self.0.set_zero(level, v)
+    }
+
+    fn copy(&mut self, level: usize, src: &K::V, dst: &mut K::V) {
+        self.0.copy(level, src, dst)
+    }
+
+    fn spmv(&mut self, level: usize, y: &mut K::V, x: &K::V) {
+        self.0.spmv(level, y, x)
+    }
+
+    fn dot(&mut self, level: usize, x: &K::V, y: &K::V) -> f64 {
+        self.0.dot(level, x, y)
+    }
+
+    fn waxpby(&mut self, level: usize, w: &mut K::V, alpha: f64, x: &K::V, beta: f64, y: &K::V) {
+        self.0.waxpby(level, w, alpha, x, beta, y)
+    }
+
+    fn axpy(&mut self, level: usize, x: &mut K::V, alpha: f64, y: &K::V) {
+        self.0.axpy(level, x, alpha, y)
+    }
+
+    fn xpay(&mut self, level: usize, p: &mut K::V, beta: f64, z: &K::V) {
+        self.0.xpay(level, p, beta, z)
+    }
+
+    fn sub_reverse(&mut self, level: usize, w: &mut K::V, r: &K::V) {
+        self.0.sub_reverse(level, w, r)
+    }
+
+    fn smooth(&mut self, level: usize, x: &mut K::V, r: &K::V) {
+        self.0.smooth(level, x, r)
+    }
+
+    fn restrict_to(&mut self, level: usize, rc: &mut K::V, rf: &K::V) {
+        self.0.restrict_to(level, rc, rf)
+    }
+
+    fn prolong_add(&mut self, level: usize, zf: &mut K::V, zc: &K::V) {
+        self.0.prolong_add(level, zf, zc)
+    }
+
+    fn timers_mut(&mut self) -> &mut KernelTimers {
+        self.0.timers_mut()
+    }
+
+    fn timers(&self) -> &KernelTimers {
+        self.0.timers()
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn backend_name(&self) -> &'static str {
+        self.0.backend_name()
+    }
+}

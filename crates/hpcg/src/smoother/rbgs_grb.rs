@@ -158,7 +158,7 @@ mod tests {
     use crate::coloring::Coloring;
     use crate::geometry::Grid3;
     use crate::problem::{build_rhs, build_stencil_matrix, RhsVariant};
-    use graphblas::{ctx, BackendKind, DynCtx, Sequential};
+    use graphblas::{ctx, BackendKind, Distributed, DynCtx, Sequential};
 
     fn setup(n: usize) -> (CsrMatrix<f64>, Vector<f64>, Vec<Vector<bool>>, Vector<f64>) {
         let grid = Grid3::cube(n);
@@ -232,24 +232,50 @@ mod tests {
         assert_eq!(x_static.as_slice(), x_dyn.as_slice());
     }
 
+    /// The compiled sweep `GrbHpcg::smooth` replays against Listing 3's
+    /// eager text, on every backend.
     #[test]
     fn compiled_sweep_replays_bit_identical_to_eager() {
-        let (a, diag, masks, b) = setup(6);
-        for kind in [BackendKind::Sequential, BackendKind::Parallel] {
-            let exec = DynCtx::runtime(kind);
-            let plan = build_rbgs_plan(exec, a.nrows(), masks.len());
-            let mut x_eager = Vector::from_dense((0..a.nrows()).map(|i| (i % 3) as f64).collect());
-            let mut x_plan = x_eager.clone();
-            let mut tmp_eager = Vector::zeros(a.nrows());
-            let mut tmp_plan = Vector::zeros(a.nrows());
-            for _ in 0..3 {
-                rbgs_symmetric(exec, &a, &diag, &masks, &b, &mut x_eager, &mut tmp_eager).unwrap();
-                rbgs_symmetric_replay(&plan, &a, &diag, &masks, &b, &mut x_plan, &mut tmp_plan)
-                    .unwrap();
+        for n in [4, 6] {
+            let (a, diag, masks, b) = setup(n);
+            for kind in [
+                BackendKind::Sequential,
+                BackendKind::Parallel,
+                BackendKind::Dist(Distributed::new(3)),
+            ] {
+                check_compiled_sweep(DynCtx::runtime(kind), &a, &diag, &masks, &b);
             }
-            assert_eq!(x_eager.as_slice(), x_plan.as_slice(), "backend {kind}");
-            assert_eq!(tmp_eager.as_slice(), tmp_plan.as_slice(), "backend {kind}");
         }
+    }
+
+    fn check_compiled_sweep(
+        exec: DynCtx,
+        a: &CsrMatrix<f64>,
+        diag: &Vector<f64>,
+        masks: &[Vector<bool>],
+        b: &Vector<f64>,
+    ) {
+        let kind = exec.kind();
+        let plan = build_rbgs_plan(exec, a.nrows(), masks.len());
+        let mut x_eager = Vector::from_dense((0..a.nrows()).map(|i| (i % 3) as f64).collect());
+        let mut x_plan = x_eager.clone();
+        let mut tmp_eager = Vector::zeros(a.nrows());
+        let mut tmp_plan = Vector::zeros(a.nrows());
+        for _ in 0..3 {
+            rbgs_symmetric(exec, a, diag, masks, b, &mut x_eager, &mut tmp_eager).unwrap();
+            rbgs_symmetric_replay(&plan, a, diag, masks, b, &mut x_plan, &mut tmp_plan).unwrap();
+        }
+        let n = a.nrows();
+        assert_eq!(
+            x_eager.as_slice(),
+            x_plan.as_slice(),
+            "backend {kind}, n {n}"
+        );
+        assert_eq!(
+            tmp_eager.as_slice(),
+            tmp_plan.as_slice(),
+            "backend {kind}, n {n}"
+        );
     }
 
     #[test]

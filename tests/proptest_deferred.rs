@@ -15,6 +15,7 @@
 
 use graphblas::{ctx, CsrMatrix, Ctx, Distributed, Exec, Parallel, Plus, Sequential, Vector};
 use hpcg::cg::{cg_solve, CgWorkspace};
+use hpcg::kernels::Unfused;
 use hpcg::mg::MgWorkspace;
 use hpcg::{GrbHpcg, Grid3, Kernels, Problem, RhsVariant};
 use proptest::prelude::*;
@@ -317,23 +318,29 @@ proptest! {
 }
 
 /// End-to-end contract on genuinely non-associative data: a full
-/// preconditioned solve with pipelines on vs off is bit-identical, on both
-/// backends (the residual involves irrational intermediate values, so this
-/// would catch any fused reduction whose association order drifts).
+/// preconditioned solve with the fused kernels vs the unfused kernel
+/// sequence is bit-identical, on every backend (the residual involves
+/// irrational intermediate values, so this would catch any fused reduction
+/// whose association order drifts).
 #[test]
 fn full_solver_pipeline_on_off_bit_identical_all_backends() {
-    fn run_on<E: Exec>(p: &Problem, exec: Ctx<E>, pipelined: bool) -> (Vec<u64>, Vec<u64>) {
-        let b = p.b.clone();
-        let mut k = GrbHpcg::with_ctx(p.clone(), exec);
-        k.set_pipeline(pipelined);
+    fn solve<K: Kernels<V = Vector<f64>>>(mut k: K, b: &Vector<f64>) -> (Vec<u64>, Vec<u64>) {
         let mut cg_ws = CgWorkspace::new(&k);
         let mut mg_ws = MgWorkspace::new(&k);
         let mut x = k.alloc(0);
-        let res = cg_solve(&mut k, &mut cg_ws, &mut mg_ws, &b, &mut x, 9, 0.0, true);
+        let res = cg_solve(&mut k, &mut cg_ws, &mut mg_ws, b, &mut x, 9, 0.0, true);
         (
             x.as_slice().iter().map(|v| v.to_bits()).collect(),
             res.residual_history.iter().map(|v| v.to_bits()).collect(),
         )
+    }
+    fn run_on<E: Exec>(p: &Problem, exec: Ctx<E>, fused: bool) -> (Vec<u64>, Vec<u64>) {
+        let k = GrbHpcg::with_ctx(p.clone(), exec);
+        if fused {
+            solve(k, &p.b)
+        } else {
+            solve(Unfused(k), &p.b)
+        }
     }
     let p = Problem::build_with(Grid3::cube(8), 2, RhsVariant::Reference).unwrap();
     let seq = run_on(&p, ctx::<Sequential>(), true);

@@ -291,9 +291,10 @@ mod pipeline_equals_eager {
                 pb = pb.transpose();
             }
             if accumulate {
-                pb = pb.accum(Plus);
+                pb.accum(Plus).into(&mut y_pipe);
+            } else {
+                pb.into(&mut y_pipe);
             }
-            pb.into(&mut y_pipe);
         }
         let pipe_result = pl.finish();
 
@@ -360,8 +361,11 @@ mod pipeline_equals_eager {
                             if let Some(m) = mask.as_ref() { pb = pb.mask(m); }
                             if structural { pb = pb.structural(); }
                             if inverted { pb = pb.invert_mask(); }
-                            if accumulate { pb = pb.accum(Plus); }
-                            pb.into(&mut w_pipe);
+                            if accumulate {
+                                pb.accum(Plus).into(&mut w_pipe);
+                            } else {
+                                pb.into(&mut w_pipe);
+                            }
                         }
                         pl.finish().unwrap();
                         prop_assert_eq!(w_eager.as_slice(), w_pipe.as_slice());
