@@ -9,6 +9,32 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> code-size gate (nm -S -C target/release/hpcg_report)"
+# `rayon::pool::run` is a generic shell around the one non-generic
+# `run_job`; if the region protocol slid back into the generic body it
+# would be compiled once per closure type again (668 copies, 1.40 MB).
+# Counted: function symbols (t/T/W). The per-closure `run::call`
+# trampolines are each closure's own body and are reported, not gated.
+nm -S -C target/release/hpcg_report | python3 -c "
+import sys
+total = run = calls = 0
+copies = 0
+for line in sys.stdin:
+    parts = line.rstrip('\n').split(' ', 3)
+    if len(parts) < 4 or parts[2] not in ('t', 'T', 'W'):
+        continue
+    size, name = int(parts[1], 16), parts[3]
+    total += size
+    if name.startswith('rayon::pool::run::call'):
+        calls += size
+    elif name.startswith('rayon::pool::run'):
+        run += size
+        copies += 1
+print(f'function text {total} B; rayon::pool::run* {copies} symbols, {run} B; '
+      f'run::call trampolines {calls} B')
+assert run <= 200_000, f'rayon::pool::run* is {run} B > 0.2 MB: the region protocol is generic again'
+" || { echo "code-size gate failed" >&2; exit 1; }
+
 echo "==> examples (run, not only compiled)"
 # `cargo test` only compiles the examples; their own asserts (quickstart's
 # eager ≡ pipeline ≡ plan residual check among them) run here.

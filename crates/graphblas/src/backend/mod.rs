@@ -4,7 +4,7 @@
 //! LPF) at compile time; every primitive is written once against the backend
 //! interface. This crate mirrors that: the primitives in [`crate::exec`] are
 //! generic over [`Backend`], and callers pick [`Sequential`] or [`Parallel`]
-//! (rayon-style parallel iterators: each loop is cut into at most
+//! (each loop is cut by `rayon::partition` into at most
 //! `current_num_threads()` fixed contiguous chunks, one per thread of the
 //! workspace's persistent worker pool — no work stealing).
 //!
@@ -20,9 +20,9 @@
 pub mod dist;
 
 use crate::ops::monoid::Monoid;
-use rayon::prelude::*;
 
-/// Minimum items per rayon task; below this, splitting costs more than it buys.
+/// Minimum items per chunk of a `Parallel` loop (the `min_len` of
+/// `rayon::partition`); below this, splitting costs more than it buys.
 const MIN_CHUNK: usize = 512;
 
 /// An execution strategy for the data-parallel loops inside primitives.
@@ -134,7 +134,7 @@ impl Backend for Parallel {
                 f(i);
             }
         } else {
-            (0..n).into_par_iter().with_min_len(MIN_CHUNK).for_each(f);
+            rayon::for_chunks(n, MIN_CHUNK, |range| range.for_each(&f));
         }
     }
 
@@ -145,9 +145,11 @@ impl Backend for Parallel {
                 f(i as usize);
             }
         } else {
-            idx.par_iter()
-                .with_min_len(MIN_CHUNK)
-                .for_each(|&i| f(i as usize));
+            rayon::for_chunks(idx.len(), MIN_CHUNK, |range| {
+                for &i in &idx[range] {
+                    f(i as usize);
+                }
+            });
         }
     }
 
@@ -161,11 +163,10 @@ impl Backend for Parallel {
         if n < MIN_CHUNK {
             return Sequential::fold::<T, M, F>(n, map);
         }
-        (0..n)
-            .into_par_iter()
-            .with_min_len(MIN_CHUNK)
-            .map(&map)
-            .reduce(M::identity, M::apply)
+        let partials = rayon::map_chunks(n, MIN_CHUNK, |range| {
+            range.fold(M::identity(), |acc, i| M::apply(acc, map(i)))
+        });
+        partials.into_iter().fold(M::identity(), M::apply)
     }
 
     #[inline]
@@ -178,10 +179,12 @@ impl Backend for Parallel {
         if idx.len() < MIN_CHUNK {
             return Sequential::fold_indices::<T, M, F>(idx, map);
         }
-        idx.par_iter()
-            .with_min_len(MIN_CHUNK)
-            .map(|&i| map(i as usize))
-            .reduce(M::identity, M::apply)
+        let partials = rayon::map_chunks(idx.len(), MIN_CHUNK, |range| {
+            idx[range]
+                .iter()
+                .fold(M::identity(), |acc, &i| M::apply(acc, map(i as usize)))
+        });
+        partials.into_iter().fold(M::identity(), M::apply)
     }
 
     fn threads() -> usize {

@@ -98,8 +98,9 @@
 //! plan. Two caveats, both documented per method: closures recorded with
 //! `transform` hash by arity and operand slots only, and a plan captures
 //! its backend handle by value, so plans for a specific
-//! [`Distributed`](crate::Distributed) cluster belong in a cache owned by
-//! that cluster's user, not in [`PlanCache::global`].
+//! [`Distributed`](crate::Distributed) cluster belong in a cache owned next
+//! to that cluster (as `serve` keeps one per worker). There is no
+//! process-wide cache: each user owns its [`PlanCache::new`].
 
 use crate::container::matrix::{CsrMatrix, GraphMatrix};
 use crate::container::vector::{SparseVector, Vector};
@@ -125,7 +126,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Slots
@@ -2224,16 +2225,6 @@ impl PlanCache {
         }
     }
 
-    /// The process-wide cache, for plans over unit backends (`Sequential`,
-    /// `Parallel`). Plans for a specific [`Distributed`](crate::Distributed)
-    /// cluster capture that cluster's handle; keep those in a cache owned
-    /// next to the cluster (e.g. per worker) instead, or replays will run
-    /// on whichever cluster compiled first.
-    pub fn global() -> &'static PlanCache {
-        static GLOBAL: OnceLock<PlanCache> = OnceLock::new();
-        GLOBAL.get_or_init(PlanCache::new)
-    }
-
     /// Returns the plan cached under `key`, or records, compiles and
     /// caches one via `build`. The `bool` is `true` on a cache hit (the
     /// builder was skipped).
@@ -2530,9 +2521,8 @@ mod tests {
     fn pipeline_finish_touches_no_plan_cache() {
         let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let counters = || {
-            let global = PlanCache::global();
             let (hit, miss) = cache_metrics();
-            (global.hits(), global.misses(), hit.get(), miss.get())
+            (hit.get(), miss.get())
         };
         let before = counters();
         let a = spd();

@@ -521,3 +521,50 @@ fn every_elementwise_and_fold_op_matches_sequential_through_every_door() {
     );
     assert!(par_folds > 0);
 }
+
+/// `Parallel`'s folds have one fixed order: each chunk of
+/// `rayon::partition(n, MIN_CHUNK, threads)` folds left from the identity,
+/// then the partials fold left, in chunk order, from the identity. The
+/// comparison above only bounds `Parallel`'s scalars; this pins their bits.
+#[test]
+fn parallel_folds_follow_the_partition_order() {
+    backends(); // pins the pool to two threads
+    let threads = rayon::current_num_threads();
+    for n in SIZES.into_iter().filter(|&n| n > 512) {
+        let inp = Inputs::new(n);
+        let (x, y) = (inp.x.as_slice(), inp.y.as_slice());
+        let (chunks, per) = rayon::partition(n, 512, threads);
+        assert!(chunks > 1, "n={n} does not split");
+        let ordered = |term: &dyn Fn(usize) -> f64| {
+            (0..chunks)
+                .map(|c| (c * per..((c + 1) * per).min(n)).fold(0.0, |acc, i| acc + term(i)))
+                .fold(0.0, |acc, partial| acc + partial)
+        };
+        let exec = ctx_on(BackendKind::Parallel);
+        let cases = [
+            (
+                "dot",
+                exec.dot(&inp.x, &inp.y).compute(),
+                ordered(&|i| x[i] * y[i]),
+            ),
+            (
+                "norm2_squared",
+                exec.norm2_squared(&inp.x),
+                ordered(&|i| x[i] * x[i]),
+            ),
+            (
+                "reduce(Plus)",
+                exec.reduce(&inp.x).compute(),
+                ordered(&|i| x[i]),
+            ),
+        ];
+        for (what, got, want) in cases {
+            let got = got.unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{what} at n={n}: {got} vs {want}"
+            );
+        }
+    }
+}

@@ -4,7 +4,8 @@
 //! grafted in: plain arrays, direct CSR access, OpenMP loops. This module
 //! is that implementation with `Vec<f64>` vectors, `csr_parts()` access
 //! (the non-opaque escape hatch the paper notes GraphBLAS forbids, §III-B)
-//! and rayon as the fork-join substrate:
+//! and `rayon::for_chunks` — one fork-join over fixed contiguous chunks,
+//! the shape of an OpenMP `parallel for` — as the loop substrate:
 //!
 //! * restriction copies through the `f2c` index array **in place** — no
 //!   matrix, no extra storage (§II-F);
@@ -12,16 +13,16 @@
 //! * the smoother updates rows of one color in parallel with direct
 //!   neighbor reads.
 //!
-//! Dot products use fixed-size chunking so results are bitwise identical
-//! regardless of thread count (HPC determinism discipline; rayon's free
-//! reduction tree would not be).
+//! Dot products sum fixed 4 096-element blocks, then the block partials in
+//! block order, so results are bitwise identical regardless of thread
+//! count (HPC determinism discipline; a reduction tree that followed the
+//! thread count would not be).
 
 use crate::kernels::Kernels;
 use crate::problem::Problem;
 use crate::smoother::rbgs_ref;
 use crate::timers::{Kernel, KernelTimers};
 use crate::util::SyncSlice;
-use rayon::prelude::*;
 
 /// Chunk size for deterministic parallel reductions and vector updates.
 const CHUNK: usize = 4096;
@@ -60,21 +61,33 @@ fn spmv_rows(a: &graphblas::CsrMatrix<f64>, x: &[f64], y: &mut [f64]) {
     if n < CHUNK {
         (0..n).for_each(run);
     } else {
-        (0..n).into_par_iter().with_min_len(CHUNK / 8).for_each(run);
+        rayon::for_chunks(n, CHUNK / 8, |rows| rows.for_each(run));
     }
 }
 
 fn det_dot(x: &[f64], y: &[f64]) -> f64 {
-    // Fixed chunking → fixed association order → bitwise-deterministic
+    // Fixed blocks → fixed association order → bitwise-deterministic
     // result at any thread count.
+    let block_dot = |b: usize| {
+        let block = b * CHUNK..((b + 1) * CHUNK).min(x.len());
+        x[block.clone()]
+            .iter()
+            .zip(&y[block])
+            .map(|(&a, &b)| a * b)
+            .sum::<f64>()
+    };
     if x.len() < CHUNK {
         return x.iter().zip(y).map(|(&a, &b)| a * b).sum();
     }
-    let partials: Vec<f64> = x
-        .par_chunks(CHUNK)
-        .zip(y.par_chunks(CHUNK))
-        .map(|(cx, cy)| cx.iter().zip(cy).map(|(&a, &b)| a * b).sum::<f64>())
-        .collect();
+    let blocks = x.len().div_ceil(CHUNK);
+    let mut partials = vec![0.0; blocks];
+    let ps = SyncSlice::new(&mut partials);
+    rayon::for_chunks(blocks, 1, |range| {
+        for b in range {
+            // SAFETY: each block index written exactly once.
+            unsafe { ps.write(b, block_dot(b)) };
+        }
+    });
     partials.iter().sum()
 }
 
@@ -84,13 +97,14 @@ fn par_map2(w: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64 + S
             w[i] = f(x[i], y[i]);
         }
     } else {
-        w.par_chunks_mut(CHUNK)
-            .zip(x.par_chunks(CHUNK).zip(y.par_chunks(CHUNK)))
-            .for_each(|(cw, (cx, cy))| {
-                for i in 0..cw.len() {
-                    cw[i] = f(cx[i], cy[i]);
-                }
-            });
+        let n = w.len();
+        let ws = SyncSlice::new(w);
+        rayon::for_chunks(n, CHUNK, |range| {
+            for ((i, &a), &b) in range.clone().zip(&x[range.clone()]).zip(&y[range]) {
+                // SAFETY: chunks are disjoint, so each index is written once.
+                unsafe { ws.write(i, f(a, b)) };
+            }
+        });
     }
 }
 
@@ -100,13 +114,14 @@ fn par_update(w: &mut [f64], y: &[f64], f: impl Fn(f64, f64) -> f64 + Send + Syn
             w[i] = f(w[i], y[i]);
         }
     } else {
-        w.par_chunks_mut(CHUNK)
-            .zip(y.par_chunks(CHUNK))
-            .for_each(|(cw, cy)| {
-                for i in 0..cw.len() {
-                    cw[i] = f(cw[i], cy[i]);
-                }
-            });
+        let n = w.len();
+        let ws = SyncSlice::new(w);
+        rayon::for_chunks(n, CHUNK, |range| {
+            for (i, &b) in range.clone().zip(&y[range]) {
+                // SAFETY: chunks are disjoint, so index `i` is this chunk's alone.
+                unsafe { ws.write(i, f(ws.read(i), b)) };
+            }
+        });
     }
 }
 
@@ -190,14 +205,14 @@ impl Kernels for RefHpcg {
                     *slot = rf[f2c[i] as usize];
                 }
             } else {
-                rc.par_chunks_mut(CHUNK)
-                    .enumerate()
-                    .for_each(|(chunk, slots)| {
-                        let base = chunk * CHUNK;
-                        for (k, slot) in slots.iter_mut().enumerate() {
-                            *slot = rf[f2c[base + k] as usize];
-                        }
-                    });
+                let n = rc.len();
+                let rcs = SyncSlice::new(rc.as_mut_slice());
+                rayon::for_chunks(n, CHUNK, |range| {
+                    for (i, &fi) in range.clone().zip(&f2c[range]) {
+                        // SAFETY: chunks are disjoint, so each index is written once.
+                        unsafe { rcs.write(i, rf[fi as usize]) };
+                    }
+                });
             }
         });
     }
@@ -214,10 +229,7 @@ impl Kernels for RefHpcg {
             if zc.len() < CHUNK {
                 (0..zc.len()).for_each(run);
             } else {
-                (0..zc.len())
-                    .into_par_iter()
-                    .with_min_len(CHUNK / 8)
-                    .for_each(run);
+                rayon::for_chunks(zc.len(), CHUNK / 8, |range| range.for_each(run));
             }
         });
     }

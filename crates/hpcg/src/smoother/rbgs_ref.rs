@@ -4,7 +4,8 @@
 //! colors are processed sequentially to honor inter-color dependencies, and
 //! the rows *within* one color — which are mutually independent by the
 //! coloring property — update in parallel with direct CSR array access.
-//! This module is that implementation with rayon as the fork-join substrate.
+//! This module is that implementation, each color's rows cut into fixed
+//! contiguous chunks by `rayon::for_chunks` (one fork-join per color).
 //!
 //! Numerically, a forward pass here computes exactly what the GraphBLAS
 //! version (Listing 3) computes, in the same color order, so the two agree
@@ -12,7 +13,6 @@
 
 use crate::util::SyncSlice;
 use graphblas::CsrMatrix;
-use rayon::prelude::*;
 
 /// Minimum color-class size before parallelizing (coarse levels are tiny).
 const PAR_THRESHOLD: usize = 256;
@@ -85,8 +85,10 @@ fn run_class(a: &CsrMatrix<f64>, diag: &[f64], r: &[f64], xs: &SyncSlice<'_, f64
             update_row(a, diag, r, xs, i as usize);
         }
     } else {
-        class.par_iter().with_min_len(PAR_THRESHOLD).for_each(|&i| {
-            update_row(a, diag, r, xs, i as usize);
+        rayon::for_chunks(class.len(), PAR_THRESHOLD, |range| {
+            for &i in &class[range] {
+                update_row(a, diag, r, xs, i as usize);
+            }
         });
     }
 }

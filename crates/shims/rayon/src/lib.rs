@@ -1,29 +1,25 @@
-//! Offline shim for the subset of [rayon](https://docs.rs/rayon) this
-//! workspace uses.
+//! The workspace's fork-join runtime, in the shape of the part of
+//! [rayon](https://docs.rs/rayon) it once stood in for.
 //!
-//! The build container has no registry access, so this crate provides the
-//! rayon APIs the kernels rely on — `into_par_iter` over ranges,
-//! `par_iter`/`par_chunks`/`par_chunks_mut` over slices, `with_min_len`,
-//! `map`/`zip`/`enumerate`/`for_each`/`reduce`/`collect`, thread pools —
-//! with genuine data parallelism on one persistent worker [`pool`]. Work is
-//! split into at most `current_num_threads()` contiguous chunks
-//! (respecting `with_min_len`), which preserves the fixed-chunking
-//! determinism the HPCG reference implementation depends on.
+//! Every parallel loop cuts `0..len` into at most `current_num_threads()`
+//! fixed contiguous chunks — the one [`partition`] — and runs one chunk per
+//! part of a [`pool::run`] region: [`for_chunks`] for loops that write,
+//! [`map_chunks`] for per-chunk results (the partials of a fold, returned
+//! in chunk order). The partition is a pure function of its arguments, so
+//! every reduction's association order, and so its result bits, are fixed
+//! by the thread count alone: the HPCG reference implementation and
+//! `graphblas`'s `Parallel` backend both depend on that.
 //!
-//! It is a shim, not a replacement: no work stealing, no splitting beyond
-//! the initial partition, and `ThreadPool::install` only scopes the thread
-//! *count* (every count runs on the same process-wide [`pool`], which
-//! grows to the widest partition asked of it).
+//! No work stealing and no splitting beyond the initial partition.
+//! `ThreadPoolBuilder`/`ThreadPool::install` only set or scope the thread
+//! *count*: every count runs on the same process-wide [`pool`], which
+//! grows to the widest region asked of it.
 
-use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub mod pool;
-
-pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice, ParallelSliceMut};
-}
 
 /// Global thread-count override (0 = use available parallelism).
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -49,7 +45,7 @@ pub fn current_num_threads() -> usize {
 /// most `threads` chunks, none empty, each of at least `min_len` items
 /// when `len` allows. A pure function of its arguments — the reduction
 /// order of every `Parallel` kernel, and so its result bits, hang on it.
-fn partition(len: usize, min_len: usize, threads: usize) -> (usize, usize) {
+pub fn partition(len: usize, min_len: usize, threads: usize) -> (usize, usize) {
     if len == 0 {
         return (0, 0);
     }
@@ -58,340 +54,54 @@ fn partition(len: usize, min_len: usize, threads: usize) -> (usize, usize) {
     (len.div_ceil(per), per)
 }
 
-/// Runs `f(chunk_index, start, end)` for every chunk of a [`partition`]
-/// `(chunks, per)` of `0..len`, concurrently on the worker [`pool`]
-/// (chunk 0 on the caller's thread).
-fn run_chunked<F: Fn(usize, usize, usize) + Sync>(len: usize, chunks: usize, per: usize, f: F) {
-    pool::run(chunks, |c| f(c, c * per, ((c + 1) * per).min(len)));
+/// Chunk `c` of the partition `(chunks, per)` of `0..len`.
+fn chunk(c: usize, per: usize, len: usize) -> Range<usize> {
+    c * per..((c + 1) * per).min(len)
 }
 
-/// One result slot per chunk, each written by the one thread that runs
-/// that chunk and read after the region has ended.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: threads only ever touch distinct slots (one chunk index each),
-// and a slot's value moves to the writing thread and back: `T: Send`.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    /// # Safety
-    /// No other thread may access slot `chunk` during the call.
-    unsafe fn put(&self, chunk: usize, value: T) {
-        // SAFETY: exclusive access to this slot is the caller's guarantee.
-        unsafe { *self.0[chunk].get() = Some(value) };
-    }
+/// Calls `f(range)` for every chunk of the [`partition`] of `0..len`
+/// (chunks of at least `min_len` items where `len` allows), concurrently on
+/// the worker [`pool`], chunk 0 on the caller's thread.
+pub fn for_chunks(len: usize, min_len: usize, f: impl Fn(Range<usize>) + Sync) {
+    let (chunks, per) = partition(len, min_len, current_num_threads());
+    pool::run(chunks, |c| f(chunk(c, per, len)));
 }
 
-/// The parallel-iterator surface: indexed, fixed-partition.
-///
-/// # Contract
-///
-/// `item(i)` must be invoked at most once per index per consumption; the
-/// combinators below uphold this, which is what makes `ParChunksMut` sound.
-pub trait ParallelIterator: Sized + Sync {
-    /// The element type.
-    type Item;
-
-    /// Number of elements.
-    fn pi_len(&self) -> usize;
-
-    /// Scheduling granularity floor.
-    fn min_len_hint(&self) -> usize {
-        1
-    }
-
-    /// Produces element `i`.
-    ///
-    /// # Safety
-    ///
-    /// Each index must be requested at most once per consumption, from at
-    /// most one thread.
-    unsafe fn item(&self, i: usize) -> Self::Item;
-
-    /// Sets the minimum number of items each scheduled chunk processes.
-    fn with_min_len(self, min: usize) -> MinLen<Self> {
-        MinLen { base: self, min }
-    }
-
-    /// Element-wise transformation.
-    fn map<R, F: Fn(Self::Item) -> R + Sync>(self, f: F) -> Map<Self, F> {
-        Map { base: self, f }
-    }
-
-    /// Pairs this iterator with another, truncating to the shorter.
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
-    /// Pairs each element with its index.
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { base: self }
-    }
-
-    /// Consumes the iterator, invoking `f` on every element in parallel.
-    fn for_each<F: Fn(Self::Item) + Sync>(self, f: F) {
-        let this = &self;
-        let len = self.pi_len();
-        let (chunks, per) = partition(len, self.min_len_hint(), current_num_threads());
-        run_chunked(len, chunks, per, |_, start, end| {
-            for i in start..end {
-                // SAFETY: chunks are disjoint, each index visited once.
-                f(unsafe { this.item(i) });
-            }
-        });
-    }
-
-    /// Parallel fold: each chunk folds locally from `identity()`, then the
-    /// per-chunk partials fold in chunk order (deterministic partitioning).
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        Self::Item: Send,
-        ID: Fn() -> Self::Item + Sync,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
-    {
-        let this = &self;
-        let len = self.pi_len();
-        let (chunks, per) = partition(len, self.min_len_hint(), current_num_threads());
-        let partials = Slots((0..chunks).map(|_| UnsafeCell::new(None)).collect());
-        run_chunked(len, chunks, per, |chunk, start, end| {
-            let mut acc = identity();
-            for i in start..end {
-                // SAFETY: chunks are disjoint, each index visited once.
-                acc = op(acc, unsafe { this.item(i) });
-            }
-            // SAFETY: slot `chunk` is this chunk's alone.
-            unsafe { partials.put(chunk, acc) };
-        });
-        partials
-            .0
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every chunk ran"))
-            .fold(identity(), &op)
-    }
-
-    /// Collects into a container (sequential drain — used off the hot path).
-    fn collect<C: From<Vec<Self::Item>>>(self) -> C {
-        let mut out = Vec::with_capacity(self.pi_len());
-        for i in 0..self.pi_len() {
-            // SAFETY: each index visited exactly once.
-            out.push(unsafe { self.item(i) });
-        }
-        C::from(out)
-    }
-}
-
-/// Conversion into a [`ParallelIterator`] (`rayon::iter::IntoParallelIterator`).
-pub trait IntoParallelIterator {
-    /// The resulting iterator.
-    type Iter: ParallelIterator;
-    /// Converts `self`.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Iter = ParRange;
-    fn into_par_iter(self) -> ParRange {
-        ParRange {
-            start: self.start,
-            len: self.end.saturating_sub(self.start),
-        }
-    }
-}
-
-/// Parallel iterator over a `Range<usize>`.
-pub struct ParRange {
-    start: usize,
+/// [`for_chunks`] that keeps each chunk's result: `f(range)` for every
+/// chunk of the [`partition`] of `0..len`, returned in chunk order. One
+/// allocation, the returned `Vec`.
+pub fn map_chunks<T: Send>(
     len: usize,
-}
-
-impl ParallelIterator for ParRange {
-    type Item = usize;
-    fn pi_len(&self) -> usize {
-        self.len
-    }
-    unsafe fn item(&self, i: usize) -> usize {
-        self.start + i
-    }
-}
-
-/// `par_iter` / `par_chunks` over shared slices.
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel iterator of `&T`.
-    fn par_iter(&self) -> ParSliceIter<'_, T>;
-    /// Parallel iterator of `&[T]` chunks of length `chunk` (last may be short).
-    fn par_chunks(&self, chunk: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParSliceIter<'_, T> {
-        ParSliceIter { slice: self }
-    }
-    fn par_chunks(&self, chunk: usize) -> ParChunks<'_, T> {
-        assert!(chunk > 0, "chunk size must be positive");
-        ParChunks { slice: self, chunk }
-    }
-}
-
-/// `par_chunks_mut` over exclusive slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// Parallel iterator of `&mut [T]` chunks of length `chunk`.
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk > 0, "chunk size must be positive");
-        ParChunksMut {
-            ptr: self.as_mut_ptr(),
-            len: self.len(),
-            chunk,
-            _marker: std::marker::PhantomData,
+    min_len: usize,
+    f: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    /// The returned `Vec`'s buffer, each slot written by one part.
+    struct Slots<T>(*mut T);
+    // SAFETY: parts write distinct slots (one chunk index each) and the
+    // values move to the caller's thread afterwards: `T: Send` suffices.
+    unsafe impl<T: Send> Sync for Slots<T> {}
+    impl<T> Slots<T> {
+        /// # Safety
+        /// `c` is within the buffer's capacity and no other part writes it.
+        unsafe fn put(&self, c: usize, value: T) {
+            // SAFETY: the caller's guarantee.
+            unsafe { self.0.add(c).write(value) }
         }
     }
-}
 
-/// Parallel `&T` iterator.
-pub struct ParSliceIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParallelIterator for ParSliceIter<'a, T> {
-    type Item = &'a T;
-    fn pi_len(&self) -> usize {
-        self.slice.len()
-    }
-    unsafe fn item(&self, i: usize) -> &'a T {
-        // SAFETY: i < len by the driver contract.
-        unsafe { self.slice.get_unchecked(i) }
-    }
-}
-
-/// Parallel `&[T]` chunk iterator.
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    chunk: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-    fn pi_len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk)
-    }
-    unsafe fn item(&self, i: usize) -> &'a [T] {
-        let start = i * self.chunk;
-        let end = (start + self.chunk).min(self.slice.len());
-        &self.slice[start..end]
-    }
-}
-
-/// Parallel `&mut [T]` chunk iterator.
-///
-/// Holds a raw pointer so disjoint chunks can be handed to different
-/// threads; soundness comes from the at-most-once-per-index contract of
-/// [`ParallelIterator::item`].
-pub struct ParChunksMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    chunk: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: chunks are disjoint and each is accessed by exactly one thread.
-unsafe impl<T: Send> Send for ParChunksMut<'_, T> {}
-// SAFETY: `item` hands out non-overlapping subslices only.
-unsafe impl<T: Send> Sync for ParChunksMut<'_, T> {}
-
-impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
-    type Item = &'a mut [T];
-    fn pi_len(&self) -> usize {
-        self.len.div_ceil(self.chunk)
-    }
-    unsafe fn item(&self, i: usize) -> &'a mut [T] {
-        let start = i * self.chunk;
-        let end = (start + self.chunk).min(self.len);
-        // SAFETY: [start, end) chunks are pairwise disjoint and in bounds;
-        // the contract guarantees each index is taken once.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), end - start) }
-    }
-}
-
-/// Adapter carrying a scheduling-granularity floor.
-pub struct MinLen<I> {
-    base: I,
-    min: usize,
-}
-
-impl<I: ParallelIterator> ParallelIterator for MinLen<I> {
-    type Item = I::Item;
-    fn pi_len(&self) -> usize {
-        self.base.pi_len()
-    }
-    fn min_len_hint(&self) -> usize {
-        self.min.max(self.base.min_len_hint())
-    }
-    unsafe fn item(&self, i: usize) -> I::Item {
-        // SAFETY: forwarded contract.
-        unsafe { self.base.item(i) }
-    }
-}
-
-/// Mapping adapter.
-pub struct Map<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I: ParallelIterator, R, F: Fn(I::Item) -> R + Sync> ParallelIterator for Map<I, F> {
-    type Item = R;
-    fn pi_len(&self) -> usize {
-        self.base.pi_len()
-    }
-    fn min_len_hint(&self) -> usize {
-        self.base.min_len_hint()
-    }
-    unsafe fn item(&self, i: usize) -> R {
-        // SAFETY: forwarded contract.
-        (self.f)(unsafe { self.base.item(i) })
-    }
-}
-
-/// Zipping adapter (truncates to the shorter side).
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-    fn pi_len(&self) -> usize {
-        self.a.pi_len().min(self.b.pi_len())
-    }
-    fn min_len_hint(&self) -> usize {
-        self.a.min_len_hint().max(self.b.min_len_hint())
-    }
-    unsafe fn item(&self, i: usize) -> (A::Item, B::Item) {
-        // SAFETY: forwarded contract on both sides.
-        unsafe { (self.a.item(i), self.b.item(i)) }
-    }
-}
-
-/// Enumerating adapter.
-pub struct Enumerate<I> {
-    base: I,
-}
-
-impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
-    type Item = (usize, I::Item);
-    fn pi_len(&self) -> usize {
-        self.base.pi_len()
-    }
-    fn min_len_hint(&self) -> usize {
-        self.base.min_len_hint()
-    }
-    unsafe fn item(&self, i: usize) -> (usize, I::Item) {
-        // SAFETY: forwarded contract.
-        (i, unsafe { self.base.item(i) })
-    }
+    let (chunks, per) = partition(len, min_len, current_num_threads());
+    let mut out = Vec::with_capacity(chunks);
+    let slots = Slots(out.as_mut_ptr());
+    pool::run(chunks, |c| {
+        let value = f(chunk(c, per, len));
+        // SAFETY: `c < chunks`, the capacity, and part `c` is this one.
+        unsafe { slots.put(c, value) };
+    });
+    // SAFETY: `run` returned, so every part did: slots `0..chunks` are
+    // written. (Had one panicked, `run` would have resumed the panic and
+    // `out`, still empty, would leak the written slots, not drop them.)
+    unsafe { out.set_len(chunks) };
+    out
 }
 
 /// Builder for thread pools (`rayon::ThreadPoolBuilder`).
@@ -403,14 +113,6 @@ pub struct ThreadPoolBuilder {
 /// Error type for pool construction (construction cannot fail in the shim).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
 
 impl ThreadPoolBuilder {
     /// Creates a builder with default settings.
@@ -457,87 +159,122 @@ impl ThreadPool {
         let _restore = Restore(NUM_THREADS.swap(self.threads, Ordering::Relaxed));
         f()
     }
-
-    /// The configured thread count.
-    pub fn current_num_threads(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            current_num_threads()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// `install` sets the process-wide thread count; tests that set it
+    /// take turns.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let _turn = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(f)
+    }
+
+    /// The chunks of `0..len` as [`partition`] cuts them on `threads`.
+    fn chunks_of(len: usize, min_len: usize, threads: usize) -> Vec<Range<usize>> {
+        let (chunks, per) = partition(len, min_len, threads);
+        (0..chunks).map(|c| chunk(c, per, len)).collect()
+    }
 
     #[test]
     fn range_for_each_visits_all() {
         let sum = AtomicUsize::new(0);
-        (0..10_000usize)
-            .into_par_iter()
-            .with_min_len(64)
-            .for_each(|i| {
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
-        assert_eq!(sum.load(Ordering::Relaxed), 9_999 * 10_000 / 2);
+        let visits = AtomicUsize::new(0);
+        for_chunks(10_000, 64, |range| {
+            visits.fetch_add(range.len(), Ordering::Relaxed);
+            sum.fetch_add(range.sum::<usize>(), Ordering::Relaxed);
+        });
+        assert_eq!(visits.into_inner(), 10_000);
+        assert_eq!(sum.into_inner(), 9_999 * 10_000 / 2);
+        for_chunks(0, 64, |_| panic!("an empty range has no chunks"));
     }
 
     #[test]
     fn map_reduce_matches_sequential() {
-        let total = (0..100_000usize)
-            .into_par_iter()
-            .with_min_len(512)
-            .map(|i| (i % 97) as u64)
-            .reduce(|| 0u64, |a, b| a + b);
+        let partials = map_chunks(100_000, 512, |range| {
+            range.map(|i| (i % 97) as u64).sum::<u64>()
+        });
+        let total: u64 = partials.into_iter().sum();
         let expected: u64 = (0..100_000usize).map(|i| (i % 97) as u64).sum();
         assert_eq!(total, expected);
+        assert!(map_chunks(0, 512, |_| 1u64).is_empty());
     }
 
+    /// Per-chunk results come back in chunk order, one per chunk, at every
+    /// thread count: a fold over them has a fixed association order.
     #[test]
     fn chunks_zip_collect() {
-        let x: Vec<f64> = (0..5000).map(|i| i as f64).collect();
+        let x: Vec<f64> = (0..5000).map(|i| 1.0 / (i + 1) as f64).collect();
         let y: Vec<f64> = (0..5000).map(|i| 2.0 * i as f64).collect();
-        let partials: Vec<f64> = x
-            .par_chunks(512)
-            .zip(y.par_chunks(512))
-            .map(|(cx, cy)| cx.iter().zip(cy).map(|(&a, &b)| a * b).sum::<f64>())
-            .collect();
-        assert_eq!(partials.len(), 5000usize.div_ceil(512));
-        let total: f64 = partials.iter().sum();
-        let expected: f64 = x.iter().zip(&y).map(|(&a, &b)| a * b).sum();
-        assert_eq!(total, expected);
+        for threads in [1, 2, 3, 7] {
+            let partials: Vec<(Range<usize>, f64)> = with_threads(threads, || {
+                map_chunks(x.len(), 512, |range| {
+                    let sum = x[range.clone()]
+                        .iter()
+                        .zip(&y[range.clone()])
+                        .map(|(&a, &b)| a * b)
+                        .sum();
+                    (range, sum)
+                })
+            });
+            let expect = chunks_of(x.len(), 512, threads);
+            assert_eq!(
+                partials.iter().map(|p| p.0.clone()).collect::<Vec<_>>(),
+                expect
+            );
+            for (range, sum) in partials {
+                let serial: f64 = range.map(|i| x[i] * y[i]).sum();
+                assert_eq!(sum.to_bits(), serial.to_bits());
+            }
+        }
     }
 
     #[test]
     fn chunks_mut_writes_disjoint() {
-        let mut w = vec![0.0f64; 4096];
+        let w: Vec<AtomicU64> = (0..4096).map(|_| AtomicU64::new(0)).collect();
+        let writes = AtomicUsize::new(0);
         let y: Vec<f64> = (0..4096).map(|i| i as f64).collect();
-        w.par_chunks_mut(256)
-            .zip(y.par_chunks(256))
-            .for_each(|(cw, cy)| {
-                for i in 0..cw.len() {
-                    cw[i] = cy[i] + 1.0;
+        with_threads(4, || {
+            for_chunks(w.len(), 256, |range| {
+                for i in range {
+                    let old = w[i].swap((y[i] + 1.0).to_bits(), Ordering::Relaxed);
+                    assert_eq!(old, 0, "index {i} written twice");
+                    writes.fetch_add(1, Ordering::Relaxed);
                 }
             });
-        assert!(w.iter().enumerate().all(|(i, &v)| v == i as f64 + 1.0));
+        });
+        assert_eq!(writes.into_inner(), 4096);
+        assert!(w
+            .iter()
+            .enumerate()
+            .all(|(i, v)| f64::from_bits(v.load(Ordering::Relaxed)) == i as f64 + 1.0));
     }
 
+    /// `for_chunks` hands out exactly [`partition`]'s chunks.
     #[test]
     fn enumerate_indices_align() {
-        let mut w = vec![0usize; 1000];
-        w.par_chunks_mut(128)
-            .enumerate()
-            .for_each(|(chunk, slots)| {
-                for s in slots {
-                    *s = chunk;
-                }
+        for (len, min_len, threads) in [(1000, 128, 3), (1025, 512, 2), (9, 1, 4), (511, 512, 2)] {
+            let seen = Mutex::new(Vec::new());
+            with_threads(threads, || {
+                for_chunks(len, min_len, |range| seen.lock().unwrap().push(range))
             });
-        for (i, &v) in w.iter().enumerate() {
-            assert_eq!(v, i / 128);
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|r| r.start);
+            assert_eq!(
+                seen,
+                chunks_of(len, min_len, threads),
+                "len={len} min_len={min_len} threads={threads}"
+            );
         }
     }
 
@@ -570,6 +307,7 @@ mod tests {
 
     #[test]
     fn pool_install_scopes_thread_count() {
+        let _turn = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let inside = pool.install(current_num_threads);
         assert_eq!(inside, 3);

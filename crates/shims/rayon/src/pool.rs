@@ -3,9 +3,13 @@
 //!
 //! [`run`] executes `f(0), …, f(parts − 1)` concurrently — part 0 on the
 //! caller, part `k` on pool worker `k` — and returns when all are done.
-//! Its only two callers are this crate's chunked parallel iterators
-//! (`Parallel`) and `graphblas`'s sharded supersteps (`Distributed`), so
-//! what a kernel call pays for parallelism is this file and nothing else.
+//! Every parallel loop reaches it: this crate's chunk helpers
+//! ([`for_chunks`](crate::for_chunks), [`map_chunks`](crate::map_chunks);
+//! `Parallel` and Ref) and `graphblas`'s sharded supersteps
+//! (`Distributed`), so what a kernel call pays for parallelism is this
+//! file and nothing else. `run` is a thin generic shell: the protocol
+//! below is compiled once, in the non-generic `run_job`, not once per
+//! closure type.
 //!
 //! * **Spin, then park.** An idle worker polls its mailbox for
 //!   `SPIN`, offering its CPU to any runnable thread between polls, and
@@ -142,7 +146,13 @@ pub fn run<F: Fn(usize) + Sync>(parts: usize, f: F) {
         data: ptr::from_ref(&f).cast(),
         call: call::<F>,
     };
+    run_job(parts, &job);
+}
 
+/// The region protocol behind [`run`], for `parts ≥ 2` outside a region.
+/// `job` and the closure it points to stay borrowed until this returns.
+#[inline(never)]
+fn run_job(parts: usize, job: &Job) {
     let mut workers = lock(&POOL.region);
     while workers.len() < parts - 1 {
         let part = workers.len() + 1;
@@ -153,7 +163,7 @@ pub fn run<F: Fn(usize) + Sync>(parts: usize, f: F) {
     // at least one side must see the other's store.
     POOL.pending.store(parts - 1, Ordering::SeqCst);
     for worker in &workers[..parts - 1] {
-        let posted = ptr::from_ref(&job).cast_mut();
+        let posted = ptr::from_ref(job).cast_mut();
         worker.mailbox.job.store(posted, Ordering::SeqCst);
         if worker.mailbox.parked.load(Ordering::SeqCst) {
             worker.thread.unpark();
@@ -161,11 +171,12 @@ pub fn run<F: Fn(usize) + Sync>(parts: usize, f: F) {
     }
 
     IN_REGION.with(|r| r.set(true));
-    let mine = catch_unwind(AssertUnwindSafe(|| f(0)));
+    // SAFETY: `run` built `job` from a closure that outlives this call.
+    let mine = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, 0) }));
     IN_REGION.with(|r| r.set(false));
 
-    // `f` and `job` are borrowed by the workers until `pending` is zero,
-    // so nothing — not even a panic in part 0 — leaves before that.
+    // The closure and `job` are borrowed by the workers until `pending` is
+    // zero, so nothing — not even a panic in part 0 — leaves before that.
     let finished = || POOL.pending.load(Ordering::SeqCst) == 0;
     if !spin_until(finished) {
         let mut guard = lock(&POOL.done_lock);
