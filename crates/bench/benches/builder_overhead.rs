@@ -2,8 +2,10 @@
 //! lower onto the kernels with no measurable overhead versus calling the
 //! monomorphized kernel through a static context, the runtime-dispatched
 //! `DynCtx` must add only its one predictable branch per operation, and a
-//! deferred `Ctx::pipeline()` recording of the same single op must cost
-//! only its small constant graph setup.
+//! deferred `Ctx::pipeline()` recording of the same single op (a
+//! `PlanBuilder` over borrowed operands, run once by `finish()`) must cost
+//! only its small constant graph setup. A recorded op replays through the
+//! `fn` pointer its node stores: one indirect call per op.
 //!
 //! The `plan` arms run the same op through a plan compiled **once**
 //! outside the measurement loop — the replay path a CG iteration or
@@ -16,9 +18,10 @@
 //!
 //! The `chain_path` group runs three adjacent element-wise ops (a scaled
 //! `ewise`, an `axpy`, an `ewise` under `Times`) as three eager calls, as
-//! one `Pipeline`, and as a plan compiled once and replayed. Recorded
-//! element-wise ops run one stage each through the eager helpers, so the
-//! pipeline arm should sit within a few percent of the eager one.
+//! one `ctx.pipeline()` recording, and as a plan compiled once and
+//! replayed. Recorded element-wise ops run one stage each through the
+//! eager helpers, so the pipeline arm should sit within a few percent of
+//! the eager one.
 //!
 //! Acceptance gate for the API redesign (PR 1) and the pipeline layer:
 //! builder-API `mxv`/`dot`/`ewise`/`transform` within noise (≤2 %) of the

@@ -10,7 +10,7 @@
 //!
 //! * [`Distributed`] implements [`Exec`], so `Ctx<Distributed>` — and with
 //!   it every fluent builder, mask/accumulator/descriptor combination and
-//!   recorded [`Pipeline`](crate::Pipeline) — runs distributed, including
+//!   recorded op graph — runs distributed, including
 //!   the fused `spmv+dot` / `axpy+norm` entry points;
 //! * numerics execute **sharded across `p` real worker threads** (the
 //!   `shard` module): each worker owns its node's rows/elements under

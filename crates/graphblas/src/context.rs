@@ -26,8 +26,9 @@
 //! generic over a *door*. A context hands it out on the run-now door
 //! [`Run`]: operands are borrowed containers, and the terminal (`into`,
 //! `apply`, `compute`) calls the kernel directly and returns a [`Result`]
-//! — no node is built and nothing is allocated. [`Ctx::pipeline`] and [`Ctx::plan`] hand the same
-//! recorders out on the recording door, with the same modifiers.
+//! — no node is built and nothing is allocated. [`Ctx::pipeline`] and
+//! [`Ctx::plan`] hand the same recorders out on the recording door, with
+//! the same modifiers.
 //!
 //! # Backends: compile-time or runtime
 //!
@@ -48,11 +49,12 @@
 //!
 //! # Deferred (nonblocking) execution
 //!
-//! [`Ctx::pipeline`] returns a [`Pipeline`] on which the recorders
-//! *record* operations instead of executing them; `finish()` runs a fusion
-//! pass and executes the fused schedule once. [`Ctx::plan`] records the
-//! same graph against slots and compiles it for replay. Both feed the one
-//! op IR and interpreter in [`crate::plan`]; see [`crate::pipeline`].
+//! [`Ctx::pipeline`] and [`Ctx::plan`] return a [`PlanBuilder`] on which
+//! the recorders *record* operations instead of executing them. A
+//! pipeline's builder borrows its operands and `finish()` runs a fusion
+//! pass and executes the fused schedule once; a plan's records against
+//! declared slots and compiles for replay. There is one op IR and one
+//! interpreter; see [`crate::plan`].
 
 use crate::backend::dist::Distributed;
 use crate::backend::{Backend, Parallel, Sequential};
@@ -71,7 +73,6 @@ use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
 use crate::ops::semiring::{PlusTimes, Semiring};
 use crate::ops::unary::Identity;
-use crate::pipeline::Pipeline;
 use crate::plan::{
     PlanApply, PlanBuilder, PlanDot, PlanEwise, PlanMxv, PlanReduce, PlanTransform, Run,
 };
@@ -582,8 +583,8 @@ impl<E: Exec> Ctx<E> {
         }
     }
 
-    /// Starts `y = A ⊕.⊗ x` (default ring: [`PlusTimes`]). Any semiring
-    /// runs eagerly, including ones a plan cannot record:
+    /// Starts `y = A ⊕.⊗ x` (default ring: [`PlusTimes`]), over any
+    /// semiring:
     ///
     /// ```
     /// use graphblas::algorithms::LorLand;
@@ -708,13 +709,13 @@ impl<E: Exec> Ctx<E> {
         ewise::axpy(self.exec, x, alpha, y)
     }
 
-    /// Starts a deferred-execution [`Pipeline`]: the same operation
-    /// recorders *record* into an op graph instead of executing, and
-    /// [`Pipeline::finish`] fuses compatible stages before running them
-    /// once on this context's backend. See the [`crate::pipeline`] module
-    /// docs.
-    pub fn pipeline<'a, T: Scalar>(&self) -> Pipeline<'a, T, E> {
-        Pipeline::new(self.exec, self.defaults)
+    /// Starts a deferred-execution [`PlanBuilder`] over borrowed operands:
+    /// the same operation recorders *record* into an op graph instead of
+    /// executing, and [`PlanBuilder::finish`] fuses compatible stages
+    /// before running them once on this context's backend. See the
+    /// [`crate::plan`] module docs.
+    pub fn pipeline<'a, T: Scalar>(&self) -> PlanBuilder<'a, T, E> {
+        PlanBuilder::new(self.exec, self.defaults)
     }
 
     /// Starts a compile-once [`PlanBuilder`]: operands are declared as
@@ -723,7 +724,7 @@ impl<E: Exec> Ctx<E> {
     /// buffers/scalars — record once, run every iteration. See the
     /// [`crate::plan`] module docs.
     pub fn plan<T: Scalar>(&self) -> PlanBuilder<'static, T, E> {
-        PlanBuilder::new(self.exec, self.defaults, false)
+        PlanBuilder::new(self.exec, self.defaults)
     }
 }
 

@@ -10,8 +10,9 @@
 //! every backend's element write, `Exec::run_lambda`: `transform` hands it
 //! the caller's closure, `apply` the body `out[i] ⊙?= Op(input[i])`. The
 //! ways in are [`Ctx::apply`](crate::Ctx::apply) /
-//! [`Ctx::transform`](crate::Ctx::transform) and the plan interpreter behind
-//! [`Ctx::pipeline`](crate::Ctx::pipeline) and [`Ctx::plan`](crate::Ctx::plan).
+//! [`Ctx::transform`](crate::Ctx::transform), and a recorded op's replay,
+//! which calls the same `apply::<T, Op, A, E>` through the pointer its node
+//! stores.
 
 use crate::container::vector::Vector;
 use crate::context::{ElemOp, Exec};

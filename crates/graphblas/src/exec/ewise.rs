@@ -6,8 +6,8 @@
 //! scalings with the addition halves memory traffic versus two passes) and
 //! an [`AccumMode`] (which turns `Times` + `AccumWith<Plus>` into a
 //! multiply-add). The ways in are [`Ctx::ewise`](crate::Ctx::ewise) /
-//! [`Ctx::axpy`](crate::Ctx::axpy) and the plan interpreter behind
-//! [`Ctx::pipeline`](crate::Ctx::pipeline) and [`Ctx::plan`](crate::Ctx::plan).
+//! [`Ctx::axpy`](crate::Ctx::axpy), and a recorded op's replay, which calls
+//! the same `ewise::<T, Op, A, E>` through the pointer its node stores.
 
 use crate::container::vector::Vector;
 use crate::context::{ElemOp, Exec};

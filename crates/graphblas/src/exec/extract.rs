@@ -1,79 +1,15 @@
-//! `extract` / `assign`: sub-container selection and placement.
+//! `extract`: submatrix selection.
 //!
-//! The GraphBLAS C API's `GrB_extract` and `GrB_assign` families,
-//! restricted to explicit index lists (the form solvers use to carve
-//! subdomains out of global containers). These are setup-time operations
-//! here — HPCG's hot path never slices — so the kernels favor clarity and
-//! validation over parallel tuning.
+//! The GraphBLAS C API's `GrB_Matrix_extract`, restricted to explicit index
+//! lists (the form solvers use to carve subdomains out of global
+//! containers). It is a setup-time operation here — HPCG's hot path never
+//! slices — so the kernel favors clarity and validation over parallel
+//! tuning.
 
 use crate::backend::Backend;
 use crate::container::matrix::CsrMatrix;
-use crate::container::vector::Vector;
-use crate::error::{check_dims, GrbError, Result};
+use crate::error::{GrbError, Result};
 use crate::ops::scalar::Scalar;
-use crate::util::UnsafeSlice;
-
-/// `out[k] = x[indices[k]]` — gathers a subvector.
-pub fn extract_vector<T, B>(out: &mut Vector<T>, x: &Vector<T>, indices: &[u32]) -> Result<()>
-where
-    T: Scalar,
-    B: Backend,
-{
-    check_dims("extract", "output vs index list", indices.len(), out.len())?;
-    for &i in indices {
-        if i as usize >= x.len() {
-            return Err(GrbError::IndexOutOfBounds {
-                index: i as usize,
-                len: x.len(),
-            });
-        }
-    }
-    let xs = x.as_slice();
-    let slots = UnsafeSlice::new(out.as_mut_slice());
-    B::for_n(indices.len(), |k| {
-        // SAFETY: each output slot k written exactly once.
-        unsafe { slots.write(k, xs[indices[k] as usize]) };
-    });
-    Ok(())
-}
-
-/// `x[indices[k]] = values[k]` — scatters into a vector. Indices must be
-/// unique (checked), matching `GrB_assign`'s no-duplicate contract.
-pub fn assign_vector<T, B>(x: &mut Vector<T>, indices: &[u32], values: &Vector<T>) -> Result<()>
-where
-    T: Scalar,
-    B: Backend,
-{
-    check_dims(
-        "assign",
-        "values vs index list",
-        indices.len(),
-        values.len(),
-    )?;
-    let mut seen = vec![false; x.len()];
-    for &i in indices {
-        let i = i as usize;
-        if i >= x.len() {
-            return Err(GrbError::IndexOutOfBounds {
-                index: i,
-                len: x.len(),
-            });
-        }
-        if seen[i] {
-            return Err(GrbError::InvalidInput(format!(
-                "duplicate assign index {i}"
-            )));
-        }
-        seen[i] = true;
-    }
-    let vs = values.as_slice();
-    let slots = UnsafeSlice::new(x.as_mut_slice());
-    B::for_n(indices.len(), |k| {
-        // SAFETY: indices verified unique above.
-        unsafe { slots.write(indices[k] as usize, vs[k]) };
-    });
-    Ok(())
-}
 
 /// Extracts the submatrix `A[rows, cols]` as a new CSR matrix.
 ///
@@ -124,39 +60,6 @@ where
 mod tests {
     use super::*;
     use crate::backend::Sequential;
-
-    #[test]
-    fn extract_vector_gathers() {
-        let x = Vector::from_dense(vec![10.0, 11.0, 12.0, 13.0]);
-        let mut out = Vector::zeros(2);
-        extract_vector::<f64, Sequential>(&mut out, &x, &[3, 1]).unwrap();
-        assert_eq!(out.as_slice(), &[13.0, 11.0]);
-    }
-
-    #[test]
-    fn extract_vector_checks_bounds_and_dims() {
-        let x = Vector::<f64>::zeros(3);
-        let mut out = Vector::<f64>::zeros(2);
-        assert!(extract_vector::<f64, Sequential>(&mut out, &x, &[0, 9]).is_err());
-        assert!(extract_vector::<f64, Sequential>(&mut out, &x, &[0]).is_err());
-    }
-
-    #[test]
-    fn assign_vector_scatters() {
-        let mut x = Vector::from_dense(vec![0.0; 5]);
-        let vals = Vector::from_dense(vec![7.0, 8.0]);
-        assign_vector::<f64, Sequential>(&mut x, &[4, 0], &vals).unwrap();
-        assert_eq!(x.as_slice(), &[8.0, 0.0, 0.0, 0.0, 7.0]);
-    }
-
-    #[test]
-    fn assign_rejects_duplicates_and_oob() {
-        let mut x = Vector::<f64>::zeros(4);
-        let vals = Vector::from_dense(vec![1.0, 2.0]);
-        assert!(assign_vector::<f64, Sequential>(&mut x, &[1, 1], &vals).is_err());
-        assert!(assign_vector::<f64, Sequential>(&mut x, &[1, 9], &vals).is_err());
-        assert!(assign_vector::<f64, Sequential>(&mut x, &[1], &vals).is_err());
-    }
 
     #[test]
     fn extract_submatrix_basic() {

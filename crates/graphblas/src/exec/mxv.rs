@@ -23,8 +23,8 @@
 //! fuses `y = y ⊙ (A ⊕.⊗ x)` — the collapse of the historical
 //! `mxv`/`mxv_accum` twin entry points. The public ways in are
 //! [`Ctx::mxv`](crate::Ctx::mxv) (eager) and
-//! [`Pipeline::mxv`](crate::Pipeline::mxv) (deferred); the pre-0.2 free
-//! functions were removed in 0.3.
+//! [`PlanBuilder::mxv`](crate::PlanBuilder::mxv) (recorded); the pre-0.2
+//! free functions were removed in 0.3.
 
 use crate::backend::Backend;
 use crate::container::matrix::CsrMatrix;

@@ -4,9 +4,9 @@
 //! it is also the kernel that forces a global synchronization per CG
 //! iteration, which the distributed simulation accounts for. Both are one
 //! `Exec::run_fold` with a fixed map (`x[i]`, `x[i] ⊗ y[i]`). The ways in
-//! are [`Ctx::reduce`](crate::Ctx::reduce) / [`Ctx::dot`](crate::Ctx::dot)
-//! and the plan interpreter behind [`Ctx::pipeline`](crate::Ctx::pipeline)
-//! and [`Ctx::plan`](crate::Ctx::plan).
+//! are [`Ctx::reduce`](crate::Ctx::reduce) / [`Ctx::dot`](crate::Ctx::dot),
+//! and a recorded op's replay, which calls the same function through the
+//! pointer its node stores.
 
 use crate::container::vector::Vector;
 use crate::context::{ElemOp, Exec};

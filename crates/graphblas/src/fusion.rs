@@ -1,8 +1,7 @@
 //! The generic fusion pass over recorded op graphs.
 //!
-//! Given the ops a [`PlanBuilder`](crate::plan::PlanBuilder) recorded —
-//! directly, or on behalf of a [`Pipeline`](crate::pipeline::Pipeline) —
-//! the pass partitions them into execution stages, merging patterns the
+//! Given the ops a [`PlanBuilder`](crate::plan::PlanBuilder) recorded, the
+//! pass partitions them into execution stages, merging patterns the
 //! backends have fused kernels for (paper §VI — the hand-optimizations
 //! HPCG vendors apply, recovered here from the op graph):
 //!
@@ -25,7 +24,7 @@
 //! so it knows nothing about the op graph's representation:
 //! [`crate::plan`] maps its nodes to footprints, gets a schedule of node
 //! indices back and interprets it. There is one caller — plan compilation
-//! and pipeline `finish()` share it.
+//! and a builder's `finish()` share it.
 
 /// One execution stage of a fused schedule (indices into the node list).
 pub(crate) enum Stage {
@@ -48,7 +47,7 @@ pub(crate) enum Stage {
 }
 
 /// Public description of a planned stage — what
-/// [`Pipeline::plan`](crate::pipeline::Pipeline::plan) and
+/// [`PlanBuilder::schedule`](crate::plan::PlanBuilder::schedule) and
 /// [`Plan::schedule`](crate::plan::Plan::schedule) report for tests and
 /// debugging.
 #[derive(Clone, Debug, PartialEq, Eq)]

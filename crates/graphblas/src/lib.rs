@@ -22,8 +22,8 @@
 //!   inverted-mask descriptor flags and the optional accumulator chain
 //!   fluently off each operation instead of riding along as positional
 //!   arguments. Each op has one recorder, and the same recorder either runs
-//!   its op at once (called on a [`Ctx`]) or records it (on a pipeline or
-//!   plan builder).
+//!   its op at once (called on a [`Ctx`]) or records it (on a
+//!   [`PlanBuilder`]).
 //!
 //! # Quickstart
 //!
@@ -69,15 +69,15 @@
 //!
 //! The same recorders can *record* instead of executing: there is one
 //! family of recorders, generic over where the op goes
-//! ([`plan::Door`]), one recorded form — ops over dimensioned slots
-//! ([`plan`]) — one fusion pass ([`fusion`]) and one interpreter, with two
-//! front doors. The one-shot door is [`Ctx::pipeline`]: a [`Pipeline`]
-//! turns each borrowed operand into a bound slot as it records, and
-//! `finish()` fuses and runs the graph once — an `mxv` feeding a `dot`
-//! becomes one SpMV-with-epilogue sweep, an `axpy` feeding a norm one fused
-//! stream, and every other op runs as its own stage through the kernel its
-//! eager call uses. Results are bit-identical to the eager path on every
-//! backend.
+//! ([`plan::Door`]), one recorded form — ops over dimensioned slots, each
+//! carrying the kernel its eager call runs ([`plan`]) — one fusion pass
+//! ([`fusion`]) and one interpreter. [`Ctx::pipeline`] hands out a
+//! [`PlanBuilder`] that turns each borrowed operand into a bound slot as it
+//! records, and [`PlanBuilder::finish`] fuses and runs the graph once — an
+//! `mxv` feeding a `dot` becomes one SpMV-with-epilogue sweep, an `axpy`
+//! feeding a norm one fused stream, and every other op runs as its own
+//! stage through the kernel its eager call uses. Results are bit-identical
+//! to the eager path on every backend.
 //!
 //! ```
 //! use graphblas::{ctx, CsrMatrix, Sequential, Vector};
@@ -94,8 +94,8 @@
 //! ```
 //!
 //! When the same op graph runs many times (a CG iteration body, repeated
-//! serve traffic), use the compile-once door: [`Ctx::plan`] records the
-//! graph against slots the caller declares, [`plan::PlanBuilder::compile`]
+//! serve traffic), compile it once: [`Ctx::plan`] records the graph
+//! against slots the caller declares, [`plan::PlanBuilder::compile`]
 //! freezes the fused schedule into a reusable [`Plan`], and each replay just
 //! binds fresh buffers and scalar parameters — the same interpreter, so
 //! bit-identical results, with zero per-iteration recording or fusion cost.
@@ -104,15 +104,14 @@
 //!
 //! The pre-0.2 free functions (`mxv(&mut y, None, Descriptor::DEFAULT, …)`),
 //! deprecated in 0.2, have been **removed** in 0.3 as promised; every entry
-//! point now goes through a context or a pipeline.
+//! point now goes through a context.
 //!
 //! # Module map
 //!
 //! | module | contents |
 //! |--------|----------|
 //! | [`context`] | [`Ctx`], [`DynCtx`], [`BackendKind`]: where every operation starts |
-//! | [`plan`] | the one recorder family (run now or record), the slot-based op IR and its interpreter; [`Plan`]: compile once, replay; the [`PlanCache`] |
-//! | [`pipeline`] | [`Pipeline`]: the one-shot front door, recording borrowed operands through the same recorders; the runtime algebra tags |
+//! | [`plan`] | the one recorder family (run now or record), the slot-based op IR and its interpreter; [`PlanBuilder`]: run once or compile; [`Plan`]: replay; the [`PlanCache`] |
 //! | [`fusion`] | the generic fusion pass over recorded ops |
 //! | [`ops`] | algebraic structures: binary/unary operators, monoids, semirings, accumulation modes |
 //! | [`container`] | [`Vector`] (dense or sparse pattern), [`SparseVector`] frontiers, [`CsrMatrix`] and the dual-orientation [`GraphMatrix`] |
@@ -135,7 +134,6 @@ pub mod exec;
 pub mod fusion;
 pub mod io;
 pub mod ops;
-pub mod pipeline;
 pub mod plan;
 pub(crate) mod util;
 
@@ -153,14 +151,16 @@ pub use ops::monoid::Monoid;
 pub use ops::scalar::Scalar;
 pub use ops::semiring::{MaxTimes, MinPlus, PlusTimes, Semiring};
 pub use ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse, UnaryOp};
-pub use pipeline::{
-    BinOpTag, MonoidTag, Pipeline, PipelineResults, RingTag, ScalarHandle, TaggedAccum,
-    TaggedBinOp, TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag, VecHandle,
-};
 pub use plan::{
     plan_key, Bindings, InSlot, MaskSlot, MatSlot, Operand, OutSlot, Plan, PlanBuilder, PlanCache,
     PlanRead, PlanResults, PlanScalar, ScalarParam, ScalarSlot,
 };
 
-pub use exec::extract::{assign_vector, extract_submatrix, extract_vector};
+pub use exec::extract::extract_submatrix;
 pub use exec::sparse::{FrontierMode, PUSH_PULL_THRESHOLD};
+
+/// Tests of the builder [`Ctx::pipeline`] hands out.
+#[cfg(test)]
+mod pipeline {
+    mod tests;
+}

@@ -18,30 +18,34 @@
 //!   each slot to a concrete buffer.
 //!
 //! Algebra stays in the recorder's type: `ring`, `op`, `accum` and
-//! `monoid` change its type parameters. `Run` terminals take any
-//! [`Semiring`] or operator; `Rec` terminals take the ones with a runtime
-//! tag ([`TaggedRing`] & co.), the only ones a graph can replay.
+//! `monoid` change its type parameters, and both terminals take any
+//! [`Semiring`] or operator. A `Run` terminal calls its kernel, a
+//! monomorphized function such as `ewise::<T, Op, A, E>`; a `Rec` terminal
+//! stores a plain `fn` pointer to that same function in the node, with the
+//! algebra's [`TypeId`] for hashing and fusion, and replay calls the
+//! pointer. So a recorded op runs exactly the code its eager call runs,
+//! and a plan instantiates only the algebra it records.
 //!
 //! Every operand a `Rec` recorder takes is an [`Operand`]: a declared
 //! slot, or a borrowed container that the builder declares and binds
-//! itself. Two front doors hand out a builder:
+//! itself. [`Ctx::plan`](crate::Ctx::plan) and
+//! [`Ctx::pipeline`](crate::Ctx::pipeline) both hand out a
+//! [`PlanBuilder`]; they differ only in what its operands may borrow:
 //!
-//! * [`Ctx::plan`](crate::Ctx::plan) → [`PlanBuilder`] →
-//!   [`compile`](PlanBuilder::compile) → [`Plan`]: the caller declares the
-//!   slots, the schedule is frozen once and every [`Plan::run`] executes it
-//!   against freshly bound buffers. This is what loops use — a CG iteration
-//!   body, per-request serve work. The builder is `'static`, so it takes
-//!   slots, not borrows;
-//! * [`Ctx::pipeline`](crate::Ctx::pipeline) →
-//!   [`Pipeline`](crate::pipeline::Pipeline): a wrapper around a builder
-//!   whose lifetime is its operands'. It is handed borrowed containers,
-//!   and `finish()` fuses, validates and runs the graph once against them.
-//!   That lifetime is what lets recorded closures borrow and what proves
-//!   operands outlive execution.
+//! * `ctx.plan()` → [`compile`](PlanBuilder::compile) → [`Plan`]: the
+//!   builder is `'static`, so it takes declared slots, not borrows; the
+//!   schedule is frozen once and every [`Plan::run`] executes it against
+//!   freshly bound buffers. This is what loops use — a CG iteration body,
+//!   per-request serve work;
+//! * `ctx.pipeline()` → [`finish`](PlanBuilder::finish): the builder's
+//!   lifetime is its operands'. It is handed borrowed containers (and
+//!   `transform` closures that borrow), and `finish()` fuses, validates
+//!   and runs the graph once against them. That lifetime is what proves
+//!   the operands do not alias and outlive execution.
 //!
-//! The recording doors differ in one policy: an operand-length mismatch in
-//! `axpy` or `zip` panics while recording a plan, and is returned by
-//! `finish()` from a pipeline.
+//! An operand-length mismatch in `axpy` or `zip` is kept by the builder
+//! and returned by `finish()` or by every [`Plan::run`] before anything
+//! runs, as a misdimensioned binding is.
 //!
 //! Compile once, replay many times:
 //!
@@ -78,13 +82,12 @@
 //! executes the fused stages: unfused ops through exactly the kernels the
 //! `Run` terminals call, fused ones through kernels with the same
 //! per-element arithmetic, so a replayed plan is **bit-identical** to eager
-//! execution (pinned by tests) — and to a freshly recorded pipeline by
-//! construction, since `Pipeline::finish` is this interpreter on the same
-//! graph. Scalars (CG's alpha/beta) enter as [`ScalarParam`] slots mutated
-//! with [`Bindings::set`] between runs. The borrow checker gives replay the
-//! same aliasing guarantees recording had: all bindings borrow for the
-//! lifetime of the `Bindings` value, so an input and an output can never
-//! name the same vector.
+//! execution (pinned by tests) — and `finish()` is this interpreter on the
+//! builder's own graph. Scalars (CG's alpha/beta) enter as [`ScalarParam`]
+//! slots mutated with [`Bindings::set`] between runs. The borrow checker
+//! gives replay the same aliasing guarantees recording had: all bindings
+//! borrow for the lifetime of the `Bindings` value, so an input and an
+//! output can never name the same vector.
 //!
 //! # Caching
 //!
@@ -111,15 +114,11 @@ use crate::exec::sparse::FrontierMode;
 use crate::exec::{apply, ewise, fused, reduce};
 use crate::fusion::{fuse_shapes, OpShape, PlannedStage, Stage};
 use crate::ops::accum::{AccumMode, AccumWith, NoAccum};
-use crate::ops::binary::{BinaryOp, Divide, Max, Min, Minus, Plus, Times};
+use crate::ops::binary::{BinaryOp, Plus};
 use crate::ops::monoid::Monoid;
 use crate::ops::scalar::Scalar;
-use crate::ops::semiring::{MaxTimes, MinPlus, PlusTimes, Semiring};
-use crate::ops::unary::{Abs, AdditiveInverse, Identity, MultiplicativeInverse, UnaryOp};
-use crate::pipeline::{
-    with_accum, with_binop, with_monoid, with_ring, with_unop, BinOpTag, MonoidTag, RingTag,
-    TaggedAccum, TaggedBinOp, TaggedMonoid, TaggedRing, TaggedUnaryOp, UnaryOpTag,
-};
+use crate::ops::semiring::{PlusTimes, Semiring};
+use crate::ops::unary::{Identity, UnaryOp};
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -210,9 +209,9 @@ pub enum PlanScalar<T: Scalar> {
 /// be the slot itself or a borrowed container — a matrix, a vector read
 /// as `&'f`, a mask, a vector written as `&'f mut` — which the builder
 /// declares as a slot of the container's own dimensions and binds on the
-/// spot. That is how [`Pipeline`](crate::pipeline::Pipeline) records; a
-/// builder from [`Ctx::plan`](crate::Ctx::plan) takes slots, because its
-/// operands must outlive `'static` and [`PlanBuilder::compile`] refuses
+/// spot. That is how a builder from [`Ctx::pipeline`](crate::Ctx::pipeline)
+/// records; one from [`Ctx::plan`](crate::Ctx::plan) takes slots, because
+/// its operands must outlive `'static` and [`PlanBuilder::compile`] refuses
 /// any it bound. A slot from another builder panics here.
 pub trait Operand<D, S> {
     /// The operand `door` sees.
@@ -345,7 +344,7 @@ type F3<'f, T> = Box<dyn Fn(usize, &mut T, T, T, T) + Send + Sync + 'f>;
 
 /// A recorded element-wise closure with zero to three zipped sources.
 /// `'f` bounds what the closure may borrow: `'static` in a compiled
-/// [`Plan`], the operands' lifetime in a one-shot pipeline.
+/// [`Plan`], the operands' lifetime in a builder that runs once.
 enum PlanFn<'f, T> {
     F0(F0<'f, T>),
     F1(PlanSrc, F1<'f, T>),
@@ -353,16 +352,46 @@ enum PlanFn<'f, T> {
     F3([PlanSrc; 3], F3<'f, T>),
 }
 
-/// One recorded op: operands are slot indices, never buffers.
-enum PlanNode<'f, T: Scalar> {
+/// The kernel a recorded `mxv` replays: `<E as Exec>::run_mxv::<T, R, A>`.
+type MxvKernel<T, E> = fn(
+    E,
+    &mut Vector<T>,
+    Option<&Vector<bool>>,
+    Descriptor,
+    &CsrMatrix<T>,
+    &Vector<T>,
+) -> Result<()>;
+/// The kernel a recorded `ewise` replays: `ewise::<T, Op, A, E>`.
+type EwiseKernel<T, E> = fn(
+    E,
+    &mut Vector<T>,
+    Option<&Vector<bool>>,
+    Descriptor,
+    &Vector<T>,
+    &Vector<T>,
+    Option<(T, T)>,
+) -> Result<()>;
+/// The kernel a recorded `apply` replays: `apply::<T, Op, A, E>`.
+type ApplyKernel<T, E> =
+    fn(E, &mut Vector<T>, Option<&Vector<bool>>, Descriptor, &Vector<T>) -> Result<()>;
+/// The kernel a recorded `dot` replays: `dot::<T, R, E>`.
+type DotKernel<T, E> = fn(E, &Vector<T>, &Vector<T>) -> Result<T>;
+/// The kernel a recorded `reduce` replays: `reduce::<T, M, E>`.
+type ReduceKernel<T, E> = fn(E, &Vector<T>, Option<&Vector<bool>>, Descriptor) -> Result<T>;
+
+/// One recorded op: operands are slot indices, never buffers. An op with
+/// an algebra stores the kernel its `Run` terminal calls, as a plain `fn`
+/// pointer, and the [`TypeId`] of its algebra types (`(R, A)`, `(Op, A)`,
+/// `R` or `M`), which is what hashing and the fusion patterns read.
+enum PlanNode<'f, T: Scalar, E> {
     Mxv {
         out: usize,
         a: usize,
         x: PlanSrc,
         mask: Option<usize>,
         desc: Descriptor,
-        ring: RingTag,
-        accum: Option<BinOpTag>,
+        algebra: TypeId,
+        kernel: MxvKernel<T, E>,
     },
     Ewise {
         out: usize,
@@ -370,17 +399,17 @@ enum PlanNode<'f, T: Scalar> {
         y: PlanSrc,
         mask: Option<usize>,
         desc: Descriptor,
-        op: BinOpTag,
         scale: Option<(PlanScalar<T>, PlanScalar<T>)>,
-        accum: Option<BinOpTag>,
+        algebra: TypeId,
+        kernel: EwiseKernel<T, E>,
     },
     Apply {
         out: usize,
         input: PlanSrc,
         mask: Option<usize>,
         desc: Descriptor,
-        op: UnaryOpTag,
-        accum: Option<BinOpTag>,
+        algebra: TypeId,
+        kernel: ApplyKernel<T, E>,
     },
     Axpy {
         out: usize,
@@ -397,18 +426,20 @@ enum PlanNode<'f, T: Scalar> {
         sid: usize,
         x: PlanSrc,
         y: PlanSrc,
-        ring: RingTag,
+        algebra: TypeId,
+        kernel: DotKernel<T, E>,
     },
     Reduce {
         sid: usize,
         x: PlanSrc,
         mask: Option<usize>,
         desc: Descriptor,
-        monoid: MonoidTag,
+        algebra: TypeId,
+        kernel: ReduceKernel<T, E>,
     },
 }
 
-impl<T: Scalar> PlanNode<'_, T> {
+impl<T: Scalar, E> PlanNode<'_, T, E> {
     /// Short kernel name for schedules and debugging.
     fn name(&self) -> &'static str {
         match self {
@@ -432,19 +463,17 @@ impl<T: Scalar> PlanNode<'_, T> {
                 out,
                 mask: None,
                 desc,
-                ring: RingTag::PlusTimes,
-                accum: None,
+                algebra,
                 ..
-            } if !desc.is_transposed() => OpShape::Mxv { out: *out },
+            } if !desc.is_transposed() && *algebra == TypeId::of::<(PlusTimes, NoAccum)>() => {
+                OpShape::Mxv { out: *out }
+            }
             PlanNode::Axpy { out, .. } => OpShape::Axpy { out: *out },
-            PlanNode::Dot {
-                x,
-                y,
-                ring: RingTag::PlusTimes,
-                ..
-            } => OpShape::Dot {
-                reads: [x.out_index(), y.out_index()],
-            },
+            PlanNode::Dot { x, y, algebra, .. } if *algebra == TypeId::of::<PlusTimes>() => {
+                OpShape::Dot {
+                    reads: [x.out_index(), y.out_index()],
+                }
+            }
             _ => OpShape::Other,
         }
     }
@@ -458,8 +487,8 @@ impl<T: Scalar> PlanNode<'_, T> {
                 x,
                 mask,
                 desc,
-                ring,
-                accum,
+                algebra,
+                ..
             } => {
                 0u8.hash(h);
                 out.hash(h);
@@ -467,8 +496,7 @@ impl<T: Scalar> PlanNode<'_, T> {
                 hash_src(h, *x);
                 mask.hash(h);
                 hash_desc(h, *desc);
-                (*ring as u8).hash(h);
-                hash_binop_opt(h, *accum);
+                algebra.hash(h);
             }
             PlanNode::Ewise {
                 out,
@@ -476,9 +504,9 @@ impl<T: Scalar> PlanNode<'_, T> {
                 y,
                 mask,
                 desc,
-                op,
                 scale,
-                accum,
+                algebra,
+                ..
             } => {
                 1u8.hash(h);
                 out.hash(h);
@@ -486,7 +514,7 @@ impl<T: Scalar> PlanNode<'_, T> {
                 hash_src(h, *y);
                 mask.hash(h);
                 hash_desc(h, *desc);
-                (*op as u8).hash(h);
+                algebra.hash(h);
                 match scale {
                     None => 0u8.hash(h),
                     Some((a, b)) => {
@@ -495,23 +523,21 @@ impl<T: Scalar> PlanNode<'_, T> {
                         hash_scalar(h, b);
                     }
                 }
-                hash_binop_opt(h, *accum);
             }
             PlanNode::Apply {
                 out,
                 input,
                 mask,
                 desc,
-                op,
-                accum,
+                algebra,
+                ..
             } => {
                 2u8.hash(h);
                 out.hash(h);
                 hash_src(h, *input);
                 mask.hash(h);
                 hash_desc(h, *desc);
-                (*op as u8).hash(h);
-                hash_binop_opt(h, *accum);
+                algebra.hash(h);
             }
             PlanNode::Axpy { out, alpha, y } => {
                 3u8.hash(h);
@@ -546,26 +572,29 @@ impl<T: Scalar> PlanNode<'_, T> {
                     }
                 }
             }
-            PlanNode::Dot { sid, x, y, ring } => {
+            PlanNode::Dot {
+                sid, x, y, algebra, ..
+            } => {
                 5u8.hash(h);
                 sid.hash(h);
                 hash_src(h, *x);
                 hash_src(h, *y);
-                (*ring as u8).hash(h);
+                algebra.hash(h);
             }
             PlanNode::Reduce {
                 sid,
                 x,
                 mask,
                 desc,
-                monoid,
+                algebra,
+                ..
             } => {
                 6u8.hash(h);
                 sid.hash(h);
                 hash_src(h, *x);
                 mask.hash(h);
                 hash_desc(h, *desc);
-                (*monoid as u8).hash(h);
+                algebra.hash(h);
             }
         }
     }
@@ -590,13 +619,6 @@ fn hash_desc<H: Hasher>(h: &mut H, d: Descriptor) {
     d.is_mask_inverted().hash(h);
 }
 
-fn hash_binop_opt<H: Hasher>(h: &mut H, t: Option<BinOpTag>) {
-    match t {
-        None => 255u8.hash(h),
-        Some(t) => (t as u8).hash(h),
-    }
-}
-
 fn hash_scalar<T: Scalar, H: Hasher>(h: &mut H, s: &PlanScalar<T>) {
     match s {
         // `Scalar` has no `Hash` bound (floats), so constants hash through
@@ -616,11 +638,10 @@ fn hash_scalar<T: Scalar, H: Hasher>(h: &mut H, s: &PlanScalar<T>) {
 // The recorded graph and the builder
 // ---------------------------------------------------------------------------
 
-/// The one recorded form: ops over declared slots. Both front doors build
-/// it through a [`PlanBuilder`], and [`OpGraph::execute`] is the only
-/// interpreter.
-struct OpGraph<'f, T: Scalar> {
-    nodes: Vec<PlanNode<'f, T>>,
+/// The one recorded form: ops over declared slots. A [`PlanBuilder`]
+/// records it, and [`OpGraph::execute`] is the only interpreter.
+struct OpGraph<'f, T: Scalar, E> {
+    nodes: Vec<PlanNode<'f, T, E>>,
     /// Declared `(nrows, ncols)` of each matrix slot.
     mats: Vec<(usize, usize)>,
     /// Declared length of each input slot.
@@ -632,10 +653,15 @@ struct OpGraph<'f, T: Scalar> {
     /// Default value of each scalar parameter.
     params: Vec<T>,
     scalars: usize,
+    /// The first record-time operand-length mismatch; validation returns
+    /// it, so a graph that has one never runs.
+    err: Option<GrbError>,
 }
 
-/// Records an op graph and compiles it into a reusable [`Plan`]. Created
-/// by [`Ctx::plan`](crate::Ctx::plan); see the [module docs](self).
+/// Records an op graph, then either compiles it into a reusable [`Plan`]
+/// or runs it once with [`finish`](PlanBuilder::finish). Created by
+/// [`Ctx::plan`](crate::Ctx::plan) and
+/// [`Ctx::pipeline`](crate::Ctx::pipeline); see the [module docs](self).
 ///
 /// It hands out the recorders [`Ctx`](crate::Ctx) does — `mxv`, `vxm`,
 /// `ewise`, `apply`, `transform`, `dot`, `reduce`, plus `axpy` and
@@ -658,30 +684,24 @@ struct OpGraph<'f, T: Scalar> {
 /// let plan = pb.compile();
 /// ```
 ///
-/// The builder inside a one-shot [`Pipeline`](crate::pipeline::Pipeline)
-/// carries its operands' lifetime instead and runs exactly once while they
-/// are still borrowed.
+/// A builder from [`Ctx::pipeline`](crate::Ctx::pipeline) carries its
+/// operands' lifetime instead, takes borrowed containers and runs exactly
+/// once, with [`finish`](PlanBuilder::finish), while they are still
+/// borrowed (see the crate docs' deferred-execution example).
 pub struct PlanBuilder<'f, T: Scalar, E: Exec> {
     /// Process-unique id branding this builder's slots (and its plan's).
     id: u64,
     exec: E,
     defaults: Descriptor,
-    graph: OpGraph<'f, T>,
+    graph: OpGraph<'f, T, E>,
     /// Every slot declared so far; the ones a borrowed [`Operand`] created
-    /// are bound. A pipeline runs against it; `compile` refuses a builder
+    /// are bound. `finish` runs against it; `compile` refuses a builder
     /// with any binding.
     bound: Bindings<'f, T>,
-    /// Whether a [`Pipeline`](crate::pipeline::Pipeline) owns this builder:
-    /// it names the door in slot-ownership panics and turns a record-time
-    /// operand-length mismatch from a panic into `err`.
-    pipeline: bool,
-    /// The first record-time operand-length mismatch of a pipeline's
-    /// builder, returned by `run_once` before anything runs.
-    err: Option<GrbError>,
 }
 
 impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
-    pub(crate) fn new(exec: E, defaults: Descriptor, pipeline: bool) -> PlanBuilder<'f, T, E> {
+    pub(crate) fn new(exec: E, defaults: Descriptor) -> PlanBuilder<'f, T, E> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let graph = OpGraph {
             nodes: Vec::new(),
@@ -691,6 +711,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
             masks: Vec::new(),
             params: Vec::new(),
             scalars: 0,
+            err: None,
         };
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         PlanBuilder {
@@ -699,8 +720,6 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
             defaults,
             bound: graph.bindings(id),
             graph,
-            pipeline,
-            err: None,
         }
     }
 
@@ -757,12 +776,12 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Panics unless slot `idx` of a table holding `len` slots was issued
-    /// by this builder, naming the front door that made it.
+    /// by this builder.
     fn check(&self, plan: u64, idx: usize, len: usize, what: &str) {
-        if plan != self.id || idx >= len {
-            let door = if self.pipeline { "pipeline" } else { "plan" };
-            panic!("{what} does not belong to this {door}")
-        }
+        assert!(
+            plan == self.id && idx < len,
+            "{what} does not belong to this plan"
+        );
     }
 
     /// Declared length of a readable operand.
@@ -774,19 +793,11 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Checks that operand `src` is as long as output slot `out`. The op
-    /// is recorded either way: a `Ctx::plan` builder panics with `msg`, a
-    /// pipeline's keeps the first mismatch and never runs its graph.
-    fn check_len(
-        &mut self,
-        op: &'static str,
-        what: &'static str,
-        out: usize,
-        src: PlanSrc,
-        msg: &str,
-    ) {
+    /// is recorded either way; the builder keeps the first mismatch, and
+    /// its graph never runs.
+    fn check_len(&mut self, op: &'static str, what: &'static str, out: usize, src: PlanSrc) {
         if let Err(e) = check_dims(op, what, self.graph.outs[out], self.src_len(src)) {
-            assert!(self.pipeline, "{msg}");
-            self.err.get_or_insert(e);
+            self.graph.err.get_or_insert(e);
         }
     }
 
@@ -799,14 +810,19 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
             src.out_index() != Some(out),
             "zip source may not alias the transform output"
         );
-        let msg = "zip source length must match the transform output";
-        self.check_len("transform_zip", "src vs output", out, src, msg);
+        self.check_len("transform_zip", "src vs output", out, src);
         src
     }
 
     /// Records `node` writing output slot `out` after checking that none of
     /// `reads` aliases it.
-    fn push_write(&mut self, out: OutSlot, reads: &[PlanSrc], node: PlanNode<'f, T>, what: &str) {
+    fn push_write(
+        &mut self,
+        out: OutSlot,
+        reads: &[PlanSrc],
+        node: PlanNode<'f, T, E>,
+        what: &str,
+    ) {
         assert!(
             reads.iter().all(|r| r.out_index() != Some(out.idx)),
             "{what} may not alias its output"
@@ -815,7 +831,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
     }
 
     /// Records a scalar-producing node built from its result's index.
-    fn push_scalar(&mut self, node: impl FnOnce(usize) -> PlanNode<'f, T>) -> ScalarSlot {
+    fn push_scalar(&mut self, node: impl FnOnce(usize) -> PlanNode<'f, T, E>) -> ScalarSlot {
         let idx = self.graph.scalars;
         self.graph.scalars += 1;
         self.graph.nodes.push(node(idx));
@@ -875,8 +891,7 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
         let x = x.resolve(self);
         let alpha = alpha.resolve(self);
         let y = y.resolve(self).src();
-        let msg = "axpy operand length must match its output slot";
-        self.check_len("axpy", "y vs x", x.idx, y, msg);
+        self.check_len("axpy", "y vs x", x.idx, y);
         let node = PlanNode::Axpy {
             out: x.idx,
             alpha,
@@ -916,7 +931,8 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
             sid,
             x,
             y: x,
-            ring: RingTag::PlusTimes,
+            algebra: TypeId::of::<PlusTimes>(),
+            kernel: reduce::dot::<T, PlusTimes, E>,
         })
     }
 
@@ -930,22 +946,23 @@ impl<'f, T: Scalar, E: Exec> PlanBuilder<'f, T, E> {
         PlanReduce::new(self, x, desc)
     }
 
-    /// The fused schedule this graph would run right now.
-    pub(crate) fn schedule(&self) -> Vec<PlannedStage> {
+    /// The fused schedule this graph would run right now — for tests,
+    /// benchmarks and debugging.
+    pub fn schedule(&self) -> Vec<PlannedStage> {
         self.graph.describe(&self.graph.fuse())
     }
 
     /// Fuses and executes the graph once against the operands bound while
-    /// recording — how a pipeline finishes. A record-time mismatch is
-    /// returned before anything runs. No [`Plan`] is built and no
-    /// [`PlanCache`] is involved.
-    pub(crate) fn run_once(self) -> Result<PlanResults<T>> {
-        match self.err {
-            Some(e) => Err(e),
-            None => self
-                .graph
-                .execute(self.exec, &self.graph.fuse(), &self.bound),
-        }
+    /// recording, consuming the builder (and releasing its borrows). No
+    /// [`Plan`] is built and no [`PlanCache`] is involved.
+    ///
+    /// An operand-length mismatch caught while recording an `axpy` or a
+    /// `zip`, or an unbound slot, is returned before anything runs. On a
+    /// kernel error, already-executed stages have taken effect.
+    pub fn finish(self) -> Result<PlanResults<T>> {
+        let _span = obs::span_enter("plan.finish", "plan");
+        self.graph
+            .execute(self.exec, &self.graph.fuse(), &self.bound)
     }
 }
 
@@ -964,7 +981,7 @@ impl<T: Scalar, E: Exec> PlanBuilder<'static, T, E> {
         }
         let _span = obs::span_enter("plan.compile", "plan");
         let stages = self.graph.fuse();
-        let hash = self.graph.structural_hash::<E>();
+        let hash = self.graph.structural_hash();
         Plan {
             id: self.id,
             exec: self.exec,
@@ -981,17 +998,27 @@ impl<T: Scalar, E: Exec> PlanBuilder<'static, T, E> {
 
 /// Where a recorder's op goes when its terminal is called: [`Run`]
 /// executes it at once, [`Rec`] records it into a [`PlanBuilder`] (see
-/// the [module docs](self)). `Run` terminals take any algebra; `Rec`
-/// terminals take only the tagged ones, so recording an untagged ring
-/// fails to compile, at the terminal:
+/// the [module docs](self)). Both take any algebra: a recorded op stores
+/// the kernel its run-now call would run, so any semiring records,
+/// BFS's `LorLand` included:
 ///
-/// ```compile_fail
+/// ```
 /// use graphblas::algorithms::LorLand;
-/// use graphblas::{ctx, Sequential};
+/// use graphblas::{ctx, CsrMatrix, Sequential, Vector};
 ///
+/// let a = CsrMatrix::<f64>::from_triplets(3, 3, &[(1, 0, 1.0), (2, 1, 1.0)]).unwrap();
 /// let mut pb = ctx::<Sequential>().plan::<f64>();
-/// let (am, xs, ys) = (pb.matrix(2, 2), pb.input(2), pb.output(2));
-/// pb.mxv(am, xs).ring(LorLand).into(ys); // `LorLand` has no `RingTag`
+/// let (am, xs, ys) = (pb.matrix(3, 3), pb.input(3), pb.output(3));
+/// pb.mxv(am, xs).ring(LorLand).into(ys);
+/// let plan = pb.compile();
+///
+/// let frontier = Vector::from_dense(vec![1.0, 0.0, 0.0]);
+/// let mut next = Vector::zeros(3);
+/// let mut b = plan.bindings();
+/// b.bind_matrix(am, &a).bind_input(xs, &frontier).bind_output(ys, &mut next);
+/// plan.run(&mut b).unwrap();
+/// drop(b);
+/// assert_eq!(next.as_slice(), &[0.0, 1.0, 0.0]);
 /// ```
 pub trait Door {
     /// What operands resolve against: the door itself on [`Run`], the
@@ -1031,9 +1058,9 @@ impl<'a, T: Scalar, E: Exec> Door for Run<'a, T, E> {
     }
 }
 
-/// The recording door, handed out by [`PlanBuilder`] and
-/// [`Pipeline`](crate::pipeline::Pipeline): terminals push an op into the
-/// builder's graph and return its slot. Operands are [`Operand`]s.
+/// The recording door, handed out by [`PlanBuilder`]: terminals push an op
+/// into the builder's graph and return its slot. Operands are
+/// [`Operand`]s.
 pub type Rec<'p, 'f, T, E> = &'p mut PlanBuilder<'f, T, E>;
 
 impl<'f, T: Scalar, E: Exec> Door for Rec<'_, 'f, T, E> {
@@ -1152,7 +1179,7 @@ impl<'a, T: Scalar, E: Exec, R: Semiring<T>, A: AccumMode<T>>
     }
 }
 
-impl<'f, T: Scalar, E: Exec, R: TaggedRing, A: TaggedAccum>
+impl<'f, T: Scalar, E: Exec, R: Semiring<T>, A: AccumMode<T>>
     PlanMxv<Rec<'_, 'f, T, E>, MatSlot, PlanRead, R, A>
 {
     /// Records the op writing into `y`, returning the slot back for
@@ -1166,8 +1193,8 @@ impl<'f, T: Scalar, E: Exec, R: TaggedRing, A: TaggedAccum>
             x,
             mask: self.mask.map(|m| m.idx),
             desc: self.desc,
-            ring: R::TAG,
-            accum: A::TAG,
+            algebra: TypeId::of::<(R, A)>(),
+            kernel: E::run_mxv::<T, R, A>,
         };
         self.door.push_write(y, &[x], node, "mxv input");
         y
@@ -1262,7 +1289,7 @@ impl<T: Scalar, E: Exec, Op: BinaryOp<T>, A: AccumMode<T>> PlanEwise<Run<'_, T, 
     }
 }
 
-impl<'f, T: Scalar, E: Exec, Op: TaggedBinOp, A: TaggedAccum> PlanEwise<Rec<'_, 'f, T, E>, Op, A> {
+impl<'f, T: Scalar, E: Exec, Op: BinaryOp<T>, A: AccumMode<T>> PlanEwise<Rec<'_, 'f, T, E>, Op, A> {
     /// Records the op writing into `w`, returning the slot back for
     /// operand chaining.
     pub fn into(self, w: impl Operand<PlanBuilder<'f, T, E>, OutSlot>) -> OutSlot {
@@ -1274,9 +1301,9 @@ impl<'f, T: Scalar, E: Exec, Op: TaggedBinOp, A: TaggedAccum> PlanEwise<Rec<'_, 
             y,
             mask: self.mask.map(|m| m.idx),
             desc: self.desc,
-            op: Op::TAG,
             scale: self.scale,
-            accum: A::TAG,
+            algebra: TypeId::of::<(Op, A)>(),
+            kernel: ewise::ewise::<T, Op, A, E>,
         };
         self.door.push_write(w, &[x, y], node, "ewise operand");
         w
@@ -1352,9 +1379,7 @@ impl<T: Scalar, E: Exec, Op: UnaryOp<T>, A: AccumMode<T>> PlanApply<Run<'_, T, E
     }
 }
 
-impl<'f, T: Scalar, E: Exec, Op: TaggedUnaryOp, A: TaggedAccum>
-    PlanApply<Rec<'_, 'f, T, E>, Op, A>
-{
+impl<'f, T: Scalar, E: Exec, Op: UnaryOp<T>, A: AccumMode<T>> PlanApply<Rec<'_, 'f, T, E>, Op, A> {
     /// Records the op writing into `out`, returning the slot back for
     /// operand chaining.
     pub fn into(self, out: impl Operand<PlanBuilder<'f, T, E>, OutSlot>) -> OutSlot {
@@ -1365,8 +1390,8 @@ impl<'f, T: Scalar, E: Exec, Op: TaggedUnaryOp, A: TaggedAccum>
             input,
             mask: self.mask.map(|m| m.idx),
             desc: self.desc,
-            op: Op::TAG,
-            accum: A::TAG,
+            algebra: TypeId::of::<(Op, A)>(),
+            kernel: apply::apply::<T, Op, A, E>,
         };
         self.door.push_write(out, &[input], node, "apply input");
         out
@@ -1550,7 +1575,7 @@ impl<T: Scalar, E: Exec, R: Semiring<T>> PlanDot<Run<'_, T, E>, R> {
     }
 }
 
-impl<T: Scalar, E: Exec, R: TaggedRing> PlanDot<Rec<'_, '_, T, E>, R> {
+impl<T: Scalar, E: Exec, R: Semiring<T>> PlanDot<Rec<'_, '_, T, E>, R> {
     /// Records the dot product, returning the slot of its result.
     pub fn result(self) -> ScalarSlot {
         let (x, y) = (self.x.src(), self.y.src());
@@ -1558,7 +1583,8 @@ impl<T: Scalar, E: Exec, R: TaggedRing> PlanDot<Rec<'_, '_, T, E>, R> {
             sid,
             x,
             y,
-            ring: R::TAG,
+            algebra: TypeId::of::<R>(),
+            kernel: reduce::dot::<T, R, E>,
         })
     }
 }
@@ -1623,7 +1649,7 @@ impl<T: Scalar, E: Exec, M: Monoid<T>> PlanReduce<Run<'_, T, E>, M> {
     }
 }
 
-impl<T: Scalar, E: Exec, M: TaggedMonoid> PlanReduce<Rec<'_, '_, T, E>, M> {
+impl<T: Scalar, E: Exec, M: Monoid<T>> PlanReduce<Rec<'_, '_, T, E>, M> {
     /// Records the fold, returning the slot of its result.
     pub fn result(self) -> ScalarSlot {
         let (x, mask, desc) = (self.x.src(), self.mask.map(|m| m.idx), self.desc);
@@ -1632,7 +1658,8 @@ impl<T: Scalar, E: Exec, M: TaggedMonoid> PlanReduce<Rec<'_, '_, T, E>, M> {
             x,
             mask,
             desc,
-            monoid: M::TAG,
+            algebra: TypeId::of::<M>(),
+            kernel: reduce::reduce::<T, M, E>,
         })
     }
 }
@@ -1653,7 +1680,7 @@ pub struct Plan<T: Scalar, E: Exec> {
     /// Brand shared with the builder's slots and every `Bindings`.
     id: u64,
     exec: E,
-    graph: OpGraph<'static, T>,
+    graph: OpGraph<'static, T, E>,
     stages: Vec<Stage>,
     hash: u64,
 }
@@ -1748,7 +1775,9 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
     /// Validates the bindings and executes the fused schedule against
     /// them. Every declared slot must be bound, with dimensions matching
     /// the declaration — that is the whole invalidation rule: a plan can
-    /// never silently run against buffers of the wrong shape. On error,
+    /// never silently run against buffers of the wrong shape. A plan
+    /// recorded with an operand-length mismatch (`axpy`, `zip`) returns it
+    /// here, every time, before anything runs. On a kernel error,
     /// already-executed stages have taken effect.
     pub fn run(&self, b: &mut Bindings<'_, T>) -> Result<PlanResults<T>> {
         let _span = obs::span_enter("plan.run", "plan");
@@ -1761,7 +1790,7 @@ impl<T: Scalar, E: Exec> Plan<T, E> {
 // Fusion, validation and the interpreter
 // ---------------------------------------------------------------------------
 
-impl<T: Scalar> OpGraph<'_, T> {
+impl<T: Scalar, E: Exec> OpGraph<'_, T, E> {
     /// Runs the fusion pass in [`crate::fusion`] over the recorded ops.
     fn fuse(&self) -> Vec<Stage> {
         let shapes: Vec<OpShape> = self.nodes.iter().map(PlanNode::shape).collect();
@@ -1775,11 +1804,11 @@ impl<T: Scalar> OpGraph<'_, T> {
             .collect()
     }
 
-    /// Digest of the recorded op-graph *shape*: ops, tags, masks,
+    /// Digest of the recorded op-graph *shape*: ops, algebra types, masks,
     /// descriptors, slot wiring, dimension signature, and the scalar/backend
     /// types — never concrete buffers or parameter values. Two builders
     /// that recorded the same graph over the same-shaped slots agree.
-    fn structural_hash<E: Exec>(&self) -> u64 {
+    fn structural_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         std::any::type_name::<T>().hash(&mut h);
         std::any::type_name::<E>().hash(&mut h);
@@ -1809,6 +1838,9 @@ impl<T: Scalar> OpGraph<'_, T> {
     }
 
     fn validate(&self, b: &Bindings<'_, T>) -> Result<()> {
+        if let Some(e) = &self.err {
+            return Err(e.clone());
+        }
         fn unbound(what: &str, i: usize) -> GrbError {
             GrbError::InvalidInput(format!("plan: {what} slot {i} is unbound"))
         }
@@ -1838,12 +1870,7 @@ impl<T: Scalar> OpGraph<'_, T> {
     /// The one interpreter: validates `b` against the declarations, then
     /// runs `stages` (a schedule [`fuse`](Self::fuse) produced for this
     /// graph) on `exec` through the kernels the `Run` terminals call.
-    fn execute<E: Exec>(
-        &self,
-        exec: E,
-        stages: &[Stage],
-        b: &Bindings<'_, T>,
-    ) -> Result<PlanResults<T>> {
+    fn execute(&self, exec: E, stages: &[Stage], b: &Bindings<'_, T>) -> Result<PlanResults<T>> {
         self.validate(b)?;
         let mut scalars = vec![T::ZERO; self.scalars];
         for stage in stages {
@@ -1900,11 +1927,11 @@ impl<T: Scalar> OpGraph<'_, T> {
         }
     }
 
-    fn run_node<E: Exec>(
+    fn run_node(
         &self,
         exec: E,
         b: &Bindings<'_, T>,
-        node: &PlanNode<'_, T>,
+        node: &PlanNode<'_, T, E>,
         scalars: &mut [T],
     ) -> Result<()> {
         match node {
@@ -1914,16 +1941,15 @@ impl<T: Scalar> OpGraph<'_, T> {
                 x,
                 mask,
                 desc,
-                ring,
-                accum,
+                kernel,
+                ..
             } => {
                 let a = self.mat(b, *a);
                 let x = self.src_vec(b, *x);
                 let mask = self.mask_vec(b, *mask);
                 // SAFETY: record-time assertion — `x` never names `out`.
                 let y = unsafe { self.out_mut(b, *out) };
-                with_ring!(*ring, R => with_accum!(*accum, A =>
-                    exec.run_mxv::<T, R, A>(y, mask, *desc, a, x)))
+                kernel(exec, y, mask, *desc, a, x)
             }
             PlanNode::Ewise {
                 out,
@@ -1931,9 +1957,9 @@ impl<T: Scalar> OpGraph<'_, T> {
                 y,
                 mask,
                 desc,
-                op,
                 scale,
-                accum,
+                kernel,
+                ..
             } => {
                 let xs = self.src_vec(b, *x);
                 let ys = self.src_vec(b, *y);
@@ -1943,23 +1969,21 @@ impl<T: Scalar> OpGraph<'_, T> {
                     .map(|(al, be)| (self.scalar_val(b, al), self.scalar_val(b, be)));
                 // SAFETY: record-time assertion — inputs never name `out`.
                 let w = unsafe { self.out_mut(b, *out) };
-                with_binop!(*op, Op => with_accum!(*accum, A =>
-                    ewise::ewise::<T, Op, A, E>(exec, w, mask, *desc, xs, ys, scale)))
+                kernel(exec, w, mask, *desc, xs, ys, scale)
             }
             PlanNode::Apply {
                 out,
                 input,
                 mask,
                 desc,
-                op,
-                accum,
+                kernel,
+                ..
             } => {
                 let input = self.src_vec(b, *input);
                 let mask = self.mask_vec(b, *mask);
                 // SAFETY: record-time assertion — `input` never names `out`.
                 let o = unsafe { self.out_mut(b, *out) };
-                with_unop!(*op, Op => with_accum!(*accum, A =>
-                    apply::apply::<T, Op, A, E>(exec, o, mask, *desc, input)))
+                kernel(exec, o, mask, *desc, input)
             }
             PlanNode::Axpy { out, alpha, y } => {
                 let ys = self.src_vec(b, *y);
@@ -1994,10 +2018,12 @@ impl<T: Scalar> OpGraph<'_, T> {
                     }
                 }
             }
-            PlanNode::Dot { sid, x, y, ring } => {
+            PlanNode::Dot {
+                sid, x, y, kernel, ..
+            } => {
                 let xs = self.src_vec(b, *x);
                 let ys = self.src_vec(b, *y);
-                scalars[*sid] = with_ring!(*ring, R => reduce::dot::<T, R, E>(exec, xs, ys))?;
+                scalars[*sid] = kernel(exec, xs, ys)?;
                 Ok(())
             }
             PlanNode::Reduce {
@@ -2005,18 +2031,18 @@ impl<T: Scalar> OpGraph<'_, T> {
                 x,
                 mask,
                 desc,
-                monoid,
+                kernel,
+                ..
             } => {
                 let xs = self.src_vec(b, *x);
                 let mask = self.mask_vec(b, *mask);
-                scalars[*sid] =
-                    with_monoid!(*monoid, M => reduce::reduce::<T, M, E>(exec, xs, mask, *desc))?;
+                scalars[*sid] = kernel(exec, xs, mask, *desc)?;
                 Ok(())
             }
         }
     }
 
-    fn run_spmv_dot<E: Exec>(
+    fn run_spmv_dot(
         &self,
         exec: E,
         b: &Bindings<'_, T>,
@@ -2048,7 +2074,7 @@ impl<T: Scalar> OpGraph<'_, T> {
         Ok(())
     }
 
-    fn run_fused_axpy_norm<E: Exec>(
+    fn run_fused_axpy_norm(
         &self,
         exec: E,
         b: &Bindings<'_, T>,
@@ -2303,6 +2329,9 @@ pub fn plan_key<K: Hash + ?Sized>(key: &K) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::binary::Min;
+    use crate::ops::semiring::MinPlus;
+    use crate::ops::unary::AdditiveInverse;
     use crate::{ctx, Ctx, Distributed, Parallel, Sequential};
 
     fn spd() -> CsrMatrix<f64> {
@@ -2595,6 +2624,26 @@ mod tests {
             build(4, 2.0).structural_hash(),
             build(4, 2.5).structural_hash()
         );
+
+        // The algebra is part of the shape: an mxv recorded over another
+        // ring, or with another accumulator, is another graph; the same
+        // algebra recorded by two builders is the same graph.
+        type Rec4 =
+            fn(&mut PlanBuilder<'static, f64, Sequential>, MatSlot, InSlot, OutSlot) -> OutSlot;
+        let mxv = |record: Rec4| {
+            let mut pb = exec.plan::<f64>();
+            let (am, xs, ys) = (pb.matrix(4, 4), pb.input(4), pb.output(4));
+            record(&mut pb, am, xs, ys);
+            pb.compile().structural_hash()
+        };
+        let plus_times = mxv(|pb, a, x, y| pb.mxv(a, x).into(y));
+        let min_plus = mxv(|pb, a, x, y| pb.mxv(a, x).ring(MinPlus).into(y));
+        assert_ne!(plus_times, min_plus, "ring");
+        let acc_min = mxv(|pb, a, x, y| pb.mxv(a, x).ring(MinPlus).accum(Min).into(y));
+        let acc_plus = mxv(|pb, a, x, y| pb.mxv(a, x).ring(MinPlus).accum(Plus).into(y));
+        assert_ne!(acc_min, acc_plus, "accumulator");
+        let acc_min_again = mxv(|pb, a, x, y| pb.mxv(a, x).ring(MinPlus).accum(Min).into(y));
+        assert_eq!(acc_min, acc_min_again, "same algebra, two builders");
     }
 
     #[test]
@@ -2633,14 +2682,32 @@ mod tests {
         let _ = pb.apply(foreign);
     }
 
+    /// A record-time length mismatch compiles; every run of the plan
+    /// returns it before anything runs, so no output is written — not
+    /// even by the op recorded ahead of the bad one.
     #[test]
-    #[should_panic(expected = "zip source length must match the transform output")]
-    fn zip_length_mismatch_panics_at_record_time() {
+    fn zip_length_mismatch_is_returned_by_every_run_and_writes_nothing() {
         let exec = ctx::<Sequential>();
         let mut pb = exec.plan::<f64>();
-        let os = pb.output(4);
-        let short = pb.input(3);
-        let _ = pb.transform(os).zip(short);
+        let (xs, short) = (pb.input(4), pb.input(3));
+        let (negs, os) = (pb.output(4), pb.output(4));
+        pb.apply(xs).op(AdditiveInverse).into(negs);
+        pb.transform(os).zip(short).apply(|_, o, s| *o += s);
+        let plan = pb.compile();
+
+        let (x, s3) = (v(1.0), Vector::from_dense(vec![1.0, 2.0, 3.0]));
+        let (mut neg, mut o) = (v(2.0), v(3.0));
+        for _ in 0..2 {
+            let mut b = plan.bindings();
+            b.bind_input(xs, &x).bind_input(short, &s3);
+            b.bind_output(negs, &mut neg).bind_output(os, &mut o);
+            assert!(matches!(
+                plan.run(&mut b),
+                Err(GrbError::DimensionMismatch { .. })
+            ));
+        }
+        assert_eq!(bits(&neg), bits(&v(2.0)));
+        assert_eq!(bits(&o), bits(&v(3.0)));
     }
 
     /// The `compile_fail` example on [`PlanBuilder`] shows the type system

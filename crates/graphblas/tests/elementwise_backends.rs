@@ -8,8 +8,9 @@
 //! `reduce` (Plus / Min / Max under masks) and the fused `axpy` + norm at
 //! sizes on both sides of that threshold, on `Sequential`, `Parallel` (pool
 //! pinned to two threads, so loops really split) and `Distributed` on 2 and
-//! 3 nodes under three layouts — each through an eager call, a `Pipeline`
-//! and a compiled plan replayed twice on rebound buffers. Three recorded
+//! 3 nodes under three layouts — each through an eager call, a pipeline
+//! (`ctx.pipeline()` … `finish()`) and a compiled plan replayed twice on
+//! rebound buffers. Three recorded
 //! chains of adjacent element-wise ops (distinct outputs, a stage reading
 //! an earlier stage's output, a three-zip `transform` beside an `ewise`)
 //! check that each op of a chain runs as the lone stage it is.
@@ -20,9 +21,10 @@
 //! re-associates its folds, so its scalars are compared within a relative
 //! 1e-12 and counted. A test binary of its own: it pins the global pool.
 
+use graphblas::algorithms::LorLand;
 use graphblas::{
-    ctx_on, AdditiveInverse, BackendKind, DistConfig, Distributed, DynCtx, Max, Min, Minus,
-    PlannedStage, Plus, ShardLayout, Times, Vector,
+    ctx_on, AdditiveInverse, BackendKind, CsrMatrix, DistConfig, Distributed, DynCtx, Max, Min,
+    MinPlus, Minus, Plan, PlannedStage, Plus, ShardLayout, Times, Vector,
 };
 use std::sync::OnceLock;
 
@@ -437,7 +439,7 @@ fn pipeline(exec: DynCtx, case: Case, inp: &Inputs) -> Output {
         &inp.pattern,
         &inp.valued
     );
-    assert_unfused(case, &pl.plan());
+    assert_unfused(case, &pl.schedule());
     let results = pl.finish().unwrap();
     Output {
         scalar: handle.map(|h| results[h]),
@@ -565,6 +567,100 @@ fn parallel_folds_follow_the_partition_order() {
                 want.to_bits(),
                 "{what} at n={n}: {got} vs {want}"
             );
+        }
+    }
+}
+
+/// Replays `plan` (matrix 0, input 0, output 0 and, if given, mask 0)
+/// twice on fresh copies of `prior` and checks both against `want`.
+fn replay_twice(
+    plan: &Plan<f64, BackendKind>,
+    (a, x, mask): (&CsrMatrix<f64>, &Vector<f64>, Option<&Vector<bool>>),
+    prior: &Vector<f64>,
+    want: &Vector<f64>,
+    what: &str,
+) {
+    for replay in 0..2 {
+        let mut got = prior.clone();
+        let mut b = plan.bindings();
+        b.bind_matrix(plan.matrix_slot(0), a)
+            .bind_input(plan.input_slot(0), x)
+            .bind_output(plan.output_slot(0), &mut got);
+        if let Some(m) = mask {
+            b.bind_mask(plan.mask_slot(0), m);
+        }
+        plan.run(&mut b).unwrap();
+        drop(b);
+        assert_eq!(bits(&got), bits(want), "{what}: replay {replay}");
+    }
+}
+
+/// A BFS step (`LorLand` under a structural, inverted visited mask) and
+/// an SSSP relax (`MinPlus`, accumulating through `Min`) record like any
+/// other algebra: each compiled plan replays twice to the run-now call's
+/// bits on every backend, and those equal `Sequential`'s.
+#[test]
+fn graph_algebra_records_and_replays_to_the_run_now_bits() {
+    for n in SIZES {
+        let inp = Inputs::new(n);
+        let edges: Vec<_> = (0..n)
+            .flat_map(|i| {
+                let w = 1.0 + (i % 5) as f64;
+                [((i + 1) % n, i, w), ((7 * i + 3) % n, i, w / 3.0)]
+            })
+            .collect();
+        let a = CsrMatrix::from_triplets(n, n, &edges).unwrap();
+        let frontier = Vector::from_dense((0..n).map(|i| f64::from(i % 7 == 0)).collect());
+        let dist = Vector::from_dense(
+            (0..n)
+                .map(|i| {
+                    if i % 4 == 0 {
+                        i as f64 / 3.0
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .collect(),
+        );
+        let visited = &inp.pattern;
+        let mut oracle = None;
+        for &backend in backends() {
+            let exec = ctx_on(backend);
+            let mut bfs = inp.w.clone();
+            exec.mxv(&a, &frontier)
+                .ring(LorLand)
+                .mask(visited)
+                .structural()
+                .invert_mask()
+                .into(&mut bfs)
+                .unwrap();
+            let mut pb = exec.plan::<f64>();
+            let (am, xs, ms, ys) = (pb.matrix(n, n), pb.input(n), pb.mask(n), pb.output(n));
+            pb.mxv(am, xs)
+                .ring(LorLand)
+                .mask(ms)
+                .structural()
+                .invert_mask()
+                .into(ys);
+            let operands = (&a, &frontier, Some(visited));
+            let what = format!("BFS step on {backend} at n={n}");
+            replay_twice(&pb.compile(), operands, &inp.w, &bfs, &what);
+
+            let mut relaxed = dist.clone();
+            exec.mxv(&a, &dist)
+                .ring(MinPlus)
+                .accum(Min)
+                .into(&mut relaxed)
+                .unwrap();
+            let mut pb = exec.plan::<f64>();
+            let (am, xs, ys) = (pb.matrix(n, n), pb.input(n), pb.output(n));
+            pb.mxv(am, xs).ring(MinPlus).accum(Min).into(ys);
+            let what = format!("SSSP relax on {backend} at n={n}");
+            replay_twice(&pb.compile(), (&a, &dist, None), &dist, &relaxed, &what);
+
+            let got = (bits(&bfs), bits(&relaxed));
+            let want = oracle.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "{backend} vs Sequential at n={n}");
         }
     }
 }

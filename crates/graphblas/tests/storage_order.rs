@@ -172,7 +172,7 @@ fn run_all(exec: DynCtx, a: &CsrMatrix<f64>, x: &Vector<f64>, mask: &Vector<bool
     exec.mxv(a, x).transpose().accum(Plus).into(&mut y).unwrap();
     vectors.push(bits(&y));
 
-    // The fused SpMV + dot, through the one-shot front door.
+    // The fused SpMV + dot, recorded on borrowed operands and run once.
     let mut y = init();
     let mut pl = exec.pipeline();
     let yh = pl.mxv(a, x).into(&mut y);

@@ -6,8 +6,9 @@
 //! cites the ALP nonblocking extension \[32\] as the GraphBLAS answer.
 //! Fusion is a property of the execution layer: [`spmv_dot_fused`] and
 //! [`axpy_norm_fused`] are **thin wrappers** that record the unfused op
-//! pair into a one-shot [`Pipeline`](graphblas::Pipeline) on the caller's
-//! context and let the generic fusion pass merge it.
+//! pair on the caller's context (`ctx.pipeline()`, a
+//! [`PlanBuilder`](graphblas::PlanBuilder) over the borrowed vectors),
+//! let the generic fusion pass merge it and run it once with `finish()`.
 //!
 //! The original hand-written single-pass loops survive as
 //! [`spmv_dot_hand`] / [`axpy_norm_hand`]: they are the oracles the tests

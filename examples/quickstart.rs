@@ -106,9 +106,10 @@ fn main() -> Result<(), GrbError> {
     //    with rebound vectors and a mutated scalar parameter — no
     //    re-recording, no re-fusion. This is the path the CG loop and the
     //    serve workers take on every iteration after the first. (For a
-    //    graph that runs once, `exec.pipeline()` records the same IR from
-    //    borrowed operands and `finish()` runs it through the same
-    //    interpreter.)
+    //    graph that runs once, `exec.pipeline()` hands out the same
+    //    `PlanBuilder` over borrowed operands, and `finish()` runs it
+    //    through the same interpreter. Each recorded op stores the kernel
+    //    its eager call runs, so any semiring records.)
     let n = problem.n();
     let plan = {
         let mut pb = exec.plan::<f64>();

@@ -13,7 +13,9 @@
 //! for non-associative data, which the end-to-end solver test below checks
 //! with genuinely irrational values.
 
-use graphblas::{ctx, CsrMatrix, Ctx, Distributed, Exec, Parallel, Plus, Sequential, Vector};
+use graphblas::{
+    ctx, CsrMatrix, Ctx, Distributed, Exec, Operand, Parallel, Plus, Sequential, Vector,
+};
 use hpcg::cg::{cg_solve, CgWorkspace};
 use hpcg::kernels::Unfused;
 use hpcg::mg::MgWorkspace;
@@ -145,7 +147,9 @@ fn check_cg_sequence<E: Exec>(
     let mut tmp_p = Vector::zeros(n);
     let mut z_p = vec_mod(n, 3, 0);
     let mut pl = exec.pipeline();
-    let xh = pl.bind(&mut x_p);
+    // `x_p` is read before it is updated in place: bind it as an operand
+    // up front, as recording a borrowed output would.
+    let xh = Operand::resolve(&mut x_p, &mut pl);
     let th = {
         let mut b = pl.mxv(a, xh);
         if let Some(m) = mask.as_ref() {
@@ -161,7 +165,7 @@ fn check_cg_sequence<E: Exec>(
     };
     {
         let (rs, ds) = (r_p.as_slice(), diag.as_slice());
-        let mut b = pl.transform_at(xh);
+        let mut b = pl.transform(xh);
         if let Some(m) = mask.as_ref() {
             b = b.mask(m);
         }
